@@ -1,7 +1,8 @@
 """Command-line front end: expression parsing, dispatch, JSON I/O.
 
 Every subcommand wraps library calls; exit codes are part of the contract:
-0 success, 1 numerical failure, 2 precondition violation, 3 parse error.
+0 success, 1 numerical failure, 2 precondition violation, 3 parse error,
+one per error category in errors.
 """
 
 from __future__ import annotations
@@ -13,22 +14,11 @@ import sys
 import numpy as np
 
 from . import domains, girard, linalg, sqrtlib, verify
-from .errors import (AssignmentError, ChartError, ClusteringError,
-                     ContradictionError, DimensionMismatchError, DomainError,
-                     EvaluatorError, GenerationError,
-                     IllConditionedInterpolationError, InconclusiveError,
-                     NotSymmetricError, NumericalError, ParseError,
-                     PreconditionError, SingularityError, UnsupportedError)
+from .errors import NumericalError, ParseError, PreconditionError
 from .parsing import parse
 from .ratexpr import render_ncpoly, to_text
+from .symbasis import decompose_symmetric, reduce_to_pi
 from .words import FreePoly, MatrixTuple
-
-_PRECONDITION_ERRORS = (PreconditionError, NotSymmetricError,
-                        UnsupportedError, DomainError, AssignmentError,
-                        DimensionMismatchError, ChartError)
-_NUMERICAL_ERRORS = (NumericalError, SingularityError, ClusteringError,
-                     GenerationError, IllConditionedInterpolationError,
-                     InconclusiveError, EvaluatorError, ContradictionError)
 
 
 def _emit(data) -> None:
@@ -81,8 +71,6 @@ def _cmd_decompose(args) -> int:
     value = parse(args.expr)
     if not isinstance(value, FreePoly) or value.d != 2:
         raise PreconditionError("decompose expects a polynomial in x, y")
-    from .symbasis import decompose_symmetric, reduce_to_pi
-
     g = decompose_symmetric(value)
     _emit({"genpoly": g.to_text(), "ratexpr": to_text(reduce_to_pi(g))})
     return 0
@@ -245,10 +233,10 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 3
-    except _PRECONDITION_ERRORS as exc:
+    except PreconditionError as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)
         return 2
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -1,89 +1,26 @@
-"""Simple-set geometry, membership predicates and the symmetrization map.
+"""Membership predicates and the symmetrization map.
 
-A simple set is a finite union of equal-radius open discs around nonzero-or-
-not centers.  This module owns separation / t-isolation / subordination, the
-default radius rule, the spectral membership predicates, the map
-pi(w) = (u, v^2, vuv) with its local sections, and brute-force fibers of pi
-through branch square roots.
+This module owns the spectral membership predicates over simple sets, the
+map pi(w) = (u, v^2, vuv) with its local sections, and brute-force fibers
+of pi through branch square roots.  The disc geometry itself lives in
+geometry; SimpleSet, default_radius and propose_simple_set are re-exported
+here, next to the function-style aliases of its methods.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import ClusteringError, DimensionMismatchError, UnsupportedError
-from .linalg import (cluster_eigenvalues, commutator_norm, in_I, in_Q,
-                     op_norm, spectrum)
+from .errors import DimensionMismatchError, UnsupportedError
+from .funcalc import BranchSpec, involution_I, sqrt_branch_S
+from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
+                       propose_simple_set)
+from .linalg import commutator_norm, in_I, in_Q, op_norm, spectrum
+from .sqrtlib import all_square_roots
 from .words import FreePoly, MatrixTuple
-
-CONTAINMENT_MARGIN = 1e-8  # discs are shrunk by this fraction of r for tests
-
-
-@dataclass(frozen=True)
-class SimpleSet:
-    """Union of open discs centers + radius * D, all with one radius."""
-
-    centers: tuple
-    radius: float
-
-    def __init__(self, centers: Iterable[complex], radius: float):
-        centers = tuple(sorted((complex(c) for c in centers),
-                               key=lambda z: (z.real, z.imag)))
-        if not centers:
-            raise ValueError("a simple set needs at least one center")
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radius", float(radius))
-
-    @property
-    def k(self) -> int:
-        return len(self.centers)
-
-    def separation(self) -> float:
-        """Min pairwise center distance; +inf for a singleton."""
-        if len(self.centers) < 2:
-            return math.inf
-        return min(abs(c - d) for c, d in
-                   itertools.combinations(self.centers, 2))
-
-    def is_t_isolated(self, t: float) -> bool:
-        return self.radius < t * self.separation()
-
-    def is_quarter_isolated(self) -> bool:
-        return self.is_t_isolated(0.25)
-
-    def is_subordinate_to(self, other: "SimpleSet") -> bool:
-        """Each disc here meets at most one disc of the other set."""
-        for c in self.centers:
-            hits = sum(1 for d in other.centers
-                       if abs(c - d) < self.radius + other.radius)
-            if hits > 1:
-                return False
-        return True
-
-    def locate(self, z: complex, margin: float = 0.0) -> Optional[int]:
-        """Index of the disc containing z, or None."""
-        r = self.radius * (1.0 - margin)
-        for i, c in enumerate(self.centers):
-            if abs(z - c) < r:
-                return i
-        return None
-
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return self.locate(z, margin) is not None
-
-    def covers(self, points: Iterable[complex],
-               margin: float = CONTAINMENT_MARGIN) -> bool:
-        return all(self.contains(z, margin) for z in points)
-
-    def avoids_zero(self) -> bool:
-        return self.radius < min(abs(c) for c in self.centers)
 
 
 def separation(delta: SimpleSet) -> float:
@@ -97,49 +34,6 @@ def is_t_isolated(delta: SimpleSet, t: float) -> bool:
 def is_subordinate(delta2: SimpleSet, delta1: SimpleSet) -> bool:
     """True iff each disc of delta2 meets at most one disc of delta1."""
     return delta2.is_subordinate_to(delta1)
-
-
-def default_radius(centers: Iterable[complex]) -> float:
-    """Half of min(min |c|, sep/4): keeps 0 outside and quarter-isolation."""
-    centers = tuple(complex(c) for c in centers)
-    closest = min(abs(c) for c in centers)
-    if closest == 0.0:
-        raise ValueError("0 is a center; no admissible radius exists")
-    if len(centers) < 2:
-        return 0.5 * closest
-    sep = min(abs(c - d) for c, d in itertools.combinations(centers, 2))
-    return 0.5 * min(closest, 0.25 * sep)
-
-
-def propose_simple_set(eigenvalues: Sequence[complex],
-                       gap: Optional[float] = None,
-                       forbid_zero: bool = True) -> SimpleSet:
-    """Quarter-isolated simple set covering the eigenvalues, or raise.
-
-    Single-linkage groups at the given absolute gap become disc centers
-    (group means) with the default radius; the proposal is rejected when a
-    group's spread does not fit inside that radius.
-    """
-    eigs = [complex(z) for z in eigenvalues]
-    if not eigs:
-        raise ClusteringError("no eigenvalues to cover")
-    if gap is None:
-        gap = 1e-6 * (1.0 + max(abs(z) for z in eigs))
-    clusters = cluster_eigenvalues(eigs, gap)
-    centers = [c.center for c in clusters]
-    if forbid_zero and min(abs(c) for c in centers) <= gap:
-        raise ClusteringError(
-            "a cluster sits at 0; no disc around it can avoid the origin")
-    try:
-        radius = default_radius(centers)
-    except ValueError as exc:
-        raise ClusteringError(str(exc)) from exc
-    worst = max(c.spread for c in clusters)
-    if worst >= radius * (1.0 - CONTAINMENT_MARGIN):
-        raise ClusteringError(
-            f"cluster spread {worst:.3g} does not fit inside the "
-            f"quarter-isolated radius {radius:.3g}; adjust the gap")
-    return SimpleSet(centers, radius)
 
 
 # -- membership predicates ----------------------------------------------------
@@ -164,8 +58,6 @@ def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
     a Zariski-open condition, so false negatives near the commutation
     variety are expected at the working tolerance.
     """
-    from .funcalc import BranchSpec, involution_I
-
     if not in_D_gamma(x, delta):
         return False
     k = delta.k
@@ -190,8 +82,6 @@ def in_S_o(w: MatrixTuple, tol: float = 1e-10) -> bool:
 
 def variety_residual_V(u: np.ndarray, x: np.ndarray, spec) -> float:
     """Commutator norm against the branch involution of the given spec."""
-    from .funcalc import involution_I
-
     return commutator_norm(u, involution_I(x, spec))
 
 
@@ -222,16 +112,12 @@ def pi(w: MatrixTuple) -> MatrixTuple:
 
 def phi(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
     """(u, x, S u S) for the branch square root S of the spec."""
-    from .funcalc import sqrt_branch_S
-
     s = sqrt_branch_S(x, spec)
     return MatrixTuple((u, x, s @ u @ s))
 
 
 def omega(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
     """(u + S, u - S): the local section with pi(omega(u, x)) = phi(u, x)."""
-    from .funcalc import sqrt_branch_S
-
     s = sqrt_branch_S(x, spec)
     return MatrixTuple((u + s, u - s))
 
@@ -251,8 +137,6 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     (v invertible and in Q); for generic u the result is exactly
     [w, w.flip()].
     """
-    from .sqrtlib import all_square_roots
-
     _require_pair(w)
     u, v = uv_parts(w)
     if not in_I(v):

@@ -14,16 +14,15 @@ and square-root branches per disc.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .domains import SimpleSet, propose_simple_set
 from .errors import (IllConditionedInterpolationError,
                      SpectrumOutsideDomainError)
+from .geometry import SimpleSet, propose_simple_set
 from .linalg import cluster_eigenvalues, spectrum
 
 MERGE_RTOL = 1e-6  # eigenvalues closer than this (rel. spectral radius) confluesce
@@ -78,11 +77,6 @@ class BranchSpec:
         ss = propose_simple_set(eigs, gap=gap)
         return cls(ss.centers, ss.radius, tau)
 
-    @classmethod
-    def all_sign_choices(cls, centers, radius) -> list:
-        return [cls(centers, radius, tau)
-                for tau in itertools.product((1, -1), repeat=len(tuple(centers)))]
-
 
 class ScalarBranch:
     """Scalar germ on a simple set: values and derivatives on demand.
@@ -127,18 +121,6 @@ def _sqrt_derivs(z: complex, m: int, center: complex, sign: int) -> list:
         coeff *= 0.5 - (k - 1)
         out.append(coeff * s / z ** k)
     return out
-
-
-def base_sqrt_germ(domain: SimpleSet) -> ScalarBranch:
-    """The reference square-root branch: principal at each center."""
-
-    def derivs(z, m):
-        i = domain.locate(z)
-        if i is None:
-            raise SpectrumOutsideDomainError(f"{z} lies in no disc")
-        return _sqrt_derivs(z, m, domain.centers[i], 1)
-
-    return ScalarBranch(domain, derivs)
 
 
 def sqrt_germ(spec: BranchSpec) -> ScalarBranch:

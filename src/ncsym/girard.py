@@ -25,16 +25,13 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .domains import pi
-from .errors import DomainError, SingularityError
+from .errors import DomainError, PreconditionError, SingularityError
 from .linalg import op_norm, random_tuple
 from .ratexpr import (RatExpr, Scalar, Variable, add, as_ncpoly, evaluate,
                       from_freepoly, inv, mul, scale)
 from .report import Report
+from .symbasis import ALPHA, BETA, GAMMA
 from .words import MatrixTuple, s_even, s_odd
-
-ALPHA = Variable("alpha")
-BETA = Variable("beta")
-GAMMA = Variable("gamma")
 
 
 @dataclass(frozen=True)
@@ -158,7 +155,13 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
 
     Inadmissible draws (singular inverses for negative indices) are
     resampled up to the cap per trial; exhausting it raises DomainError.
+    No levels or no trials would give a verdict without a sample, so
+    either raises PreconditionError.
     """
+    levels = tuple(levels)
+    if len(levels) * trials < 1:
+        raise PreconditionError(
+            f"no samples to judge: levels={levels}, trials={trials}")
     rng = rng if rng is not None else np.random.default_rng(seed)
     report = Report(seed=seed, tolerances={"residual": tol})
     for level in levels:

@@ -17,7 +17,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, GenerationError, NumericalError)
+from .errors import (DimensionMismatchError, GenerationError, NumericalError,
+                     PreconditionError)
 from .words import FreePoly, MatrixTuple
 
 DEFAULT_TOL = 1e-10
@@ -45,13 +46,6 @@ class Spectrum:
     @property
     def n(self) -> int:
         return len(self.eigenvalues)
-
-    def radius(self) -> float:
-        return max((abs(z) for z in self.eigenvalues), default=0.0)
-
-    def distinct(self, tol: float) -> list:
-        """Representatives of eigenvalue groups merged at absolute gap tol."""
-        return [g.center for g in cluster_eigenvalues(self.eigenvalues, tol)]
 
 
 def spectrum(x: np.ndarray) -> Spectrum:
@@ -309,9 +303,12 @@ def matrix_to_lists(m: np.ndarray) -> list:
 
 
 def matrix_from_lists(data) -> np.ndarray:
+    """[n][n][2] nested lists to a matrix; ValueError on malformed data."""
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise ValueError(f"expected [n][n][2] matrix data, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix data has a non-finite entry")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -321,8 +318,14 @@ def tuple_to_json_dict(t: MatrixTuple) -> dict:
 
 
 def tuple_from_json_dict(data: dict) -> MatrixTuple:
-    entries = [matrix_from_lists(e) for e in data["entries"]]
-    t = MatrixTuple(entries)
+    """Read the matrix-tuple JSON format; malformed input is a
+    PreconditionError."""
+    try:
+        t = MatrixTuple([matrix_from_lists(e) for e in data["entries"]])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed matrix-tuple JSON: {exc}") \
+            from exc
     if t.n != data.get("n", t.n) or t.d != data.get("d", t.d):
-        raise ValueError("matrix-tuple JSON header disagrees with entries")
+        raise PreconditionError(
+            "matrix-tuple JSON header disagrees with entries")
     return t

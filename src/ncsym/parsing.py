@@ -20,7 +20,7 @@ from typing import Union
 from .errors import MixedChartError, ParseError
 from .ratexpr import RatExpr, Scalar, Variable, add, inv, mul, power, scale
 from .symbasis import U_ATOM, GenPoly
-from .words import CHART_UV, CHART_XY, FreePoly
+from .words import CHART_UV, CHART_XY, FreePoly, add_terms, mul_terms
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?i?)
@@ -206,32 +206,38 @@ def parse(text: str) -> Union[FreePoly, RatExpr, GenPoly]:
             raise ParseError(
                 "inv and negative powers do not apply to generator "
                 "polynomials", 0)
-        return _build_genpoly(ast)
+        return GenPoly(_build_terms(
+            ast, lambda name: U_ATOM if name == "U" else int(name[1:])))
     if flags["rational"] or used & _ABG:
         return _build_ratexpr(ast)
     if used & _UV:
         letters, chart = {"u": 0, "v": 1}, CHART_UV
     else:
         letters, chart = {"x": 0, "y": 1}, CHART_XY
-    return _build_freepoly(ast, letters, chart)
+    return FreePoly(2, _build_terms(ast, letters.__getitem__), chart=chart)
 
 
-def _build_freepoly(node, letters, chart) -> FreePoly:
+def _build_terms(node, atom) -> dict:
+    """Word-polynomial terms of a parse tree; atom maps a name to a letter."""
     tag = node[0]
     if tag == "num":
-        return FreePoly(2, {(): node[1]}, chart=chart)
+        return add_terms({}, {(): node[1]})
     if tag == "var":
-        return FreePoly.letter(letters[node[1]], 2, chart=chart)
+        return {(atom(node[1]),): 1.0 + 0j}
     if tag == "neg":
-        return -_build_freepoly(node[1], letters, chart)
+        return add_terms({}, _build_terms(node[1], atom), -1)
     if tag == "add":
-        return _build_freepoly(node[1], letters, chart) \
-            + _build_freepoly(node[2], letters, chart)
+        return add_terms(_build_terms(node[1], atom),
+                         _build_terms(node[2], atom))
     if tag == "mul":
-        return _build_freepoly(node[1], letters, chart) \
-            * _build_freepoly(node[2], letters, chart)
+        return mul_terms(_build_terms(node[1], atom),
+                         _build_terms(node[2], atom))
     if tag == "pow":
-        return _build_freepoly(node[1], letters, chart) ** node[2]
+        base = _build_terms(node[1], atom)
+        out = {(): 1.0 + 0j}
+        for _ in range(node[2]):
+            out = mul_terms(out, base)
+        return out
     raise ParseError(f"unsupported construct {tag!r}")  # pragma: no cover
 
 
@@ -251,25 +257,4 @@ def _build_ratexpr(node) -> RatExpr:
         return power(_build_ratexpr(node[1]), node[2])
     if tag == "inv":
         return inv(_build_ratexpr(node[1]))
-    raise ParseError(f"unsupported construct {tag!r}")  # pragma: no cover
-
-
-def _build_genpoly(node) -> GenPoly:
-    tag = node[0]
-    if tag == "num":
-        return GenPoly({(): node[1]})
-    if tag == "var":
-        atom = U_ATOM if node[1] == "U" else int(node[1][1:])
-        return GenPoly({(atom,): 1.0})
-    if tag == "neg":
-        return _build_genpoly(node[1]) * (-1.0)
-    if tag == "add":
-        return _build_genpoly(node[1]) + _build_genpoly(node[2])
-    if tag == "mul":
-        return _build_genpoly(node[1]) * _build_genpoly(node[2])
-    if tag == "pow":
-        out = GenPoly({(): 1.0})
-        for _ in range(node[2]):
-            out = out * _build_genpoly(node[1])
-        return out
     raise ParseError(f"unsupported construct {tag!r}")  # pragma: no cover

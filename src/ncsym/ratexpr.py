@@ -16,13 +16,14 @@ inverses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import (AssignmentError, ExpansionError, InconclusiveError,
-                     SingularityError)
-from .words import FreePoly, format_complex
+                     PreconditionError, SingularityError)
+from .linalg import op_norm, random_unit_norm
+from .words import FreePoly, add_terms, format_complex, mul_terms, render_terms
 
 SINGULARITY_RTOL = 1e-10
 RESAMPLE_CAP = 50
@@ -346,14 +347,6 @@ def as_ncpoly(e: RatExpr) -> dict:
     """
     memo: dict[int, dict] = {}
 
-    def combine(acc: dict, extra: dict, factor: complex = 1.0) -> None:
-        for w, c in extra.items():
-            s = acc.get(w, 0) + factor * c
-            if s == 0:
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-
     def rec(node: RatExpr) -> dict:
         got = memo.get(id(node))
         if got is not None:
@@ -374,26 +367,15 @@ def as_ncpoly(e: RatExpr) -> dict:
             flipped = tuple((name, -e) for name, e in reversed(word))
             out = {flipped: 1.0 / coeff}
         elif isinstance(node, ScalarMul):
-            out = {}
-            combine(out, rec(node.child), node.coeff)
+            out = add_terms({}, rec(node.child), node.coeff)
         elif isinstance(node, Sum):
             out = {}
             for c in node.children:
-                combine(out, rec(c))
+                add_terms(out, rec(c))
         elif isinstance(node, Product):
             out = {(): 1.0 + 0j}
             for c in node.children:
-                nxt: dict = {}
-                part = rec(c)
-                for w1, c1 in out.items():
-                    for w2, c2 in part.items():
-                        w = _reduce_word(w1 + w2)
-                        s = nxt.get(w, 0) + c1 * c2
-                        if s == 0:
-                            nxt.pop(w, None)
-                        else:
-                            nxt[w] = s
-                out = nxt
+                out = mul_terms(out, rec(c), _reduce_word)
         else:  # pragma: no cover
             raise TypeError(f"unknown node {type(node).__name__}")
         memo[id(node)] = out
@@ -409,47 +391,22 @@ def ncpoly_equal(e1: RatExpr, e2: RatExpr) -> bool:
 
 def render_ncpoly(poly: dict) -> str:
     """Deterministic text form of an expanded word polynomial."""
-    if not poly:
-        return "0"
-    parts = []
-    for word in sorted(poly, key=lambda w: (len(w), w)):
-        coeff = poly[word]
-        factors = []
-        run_name, run_exp, run_len = None, 0, 0
-        for name, exp in word + (("", 0),):
-            if (name, exp) == (run_name, run_exp):
-                run_len += 1
-                continue
-            if run_len:
-                base = f"inv({run_name})" if run_exp < 0 else run_name
-                factors.append(f"{base}^{run_len}" if run_len > 1 else base)
-            run_name, run_exp, run_len = name, exp, 1
-        body = "*".join(factors)
-        parts.append(_coeff_times(format_complex(coeff), body))
-    return " + ".join(parts).replace("+ -", "- ")
+    return render_terms(
+        poly, lambda atom: f"inv({atom[0]})" if atom[1] < 0 else atom[0])
 
 
-def _coeff_times(cs: str, body: str) -> str:
-    if not body:
-        return cs
-    if cs == "1":
-        return body
-    if cs == "-1":
-        return f"-{body}"
-    return f"{cs}*{body}"
+def from_terms(terms: Mapping, atom: Callable[[object], RatExpr]) -> RatExpr:
+    """Sum of scaled products in degree-lex word order; atom maps a letter
+    of a word to its factor."""
+    return add(*[scale(terms[w], mul(*map(atom, w)))
+                 for w in sorted(terms, key=lambda w: (len(w), w))])
 
 
 def from_freepoly(p: FreePoly, names: Sequence[str]) -> RatExpr:
     """Word polynomial as an expression over the named variables."""
     if len(names) != p.d:
         raise ValueError(f"need {p.d} names, got {len(names)}")
-    atoms = [Variable(n) for n in names]
-    terms = []
-    for word in sorted(p.terms, key=lambda w: (len(w), w)):
-        coeff = p.terms[word]
-        terms.append(scale(coeff, mul(*[atoms[k] for k in word])
-                           if word else Scalar(1)))
-    return add(*terms) if terms else Scalar(0)
+    return from_terms(p.terms, [Variable(n) for n in names].__getitem__)
 
 
 # -- probabilistic equivalence -----------------------------------------------
@@ -478,13 +435,15 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
     """Compare on random unit-norm complex Gaussian assignments per level.
 
     Resamples on SingularityError up to a retry cap for each (level, trial);
-    raises InconclusiveError if the cap is exhausted (domain too thin).
+    raises InconclusiveError if the cap is exhausted (domain too thin), and
+    PreconditionError when no levels or no trials leave nothing to sample.
     """
-    from .linalg import op_norm, random_unit_norm
-
+    levels = tuple(levels)
+    if len(levels) * trials < 1:
+        raise PreconditionError(
+            f"no samples to judge: levels={levels}, trials={trials}")
     rng = rng or np.random.default_rng()
     names = sorted(free_variables(e1) | free_variables(e2))
-    levels = tuple(levels)
     worst = 0.0
     for level in levels:
         for _ in range(trials):

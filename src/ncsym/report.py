@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclass
@@ -31,6 +31,22 @@ class Report:
         result = CheckResult(name, bool(passed), float(residual), witness)
         self.checks.append(result)
         return result
+
+    def add_worst(self, name: str, measured: Iterable[tuple],
+                  tol: float) -> CheckResult:
+        """One check over (where, residual) pairs; where is a dict.
+
+        Passes iff every residual is within tol.  Records the worst
+        residual, and as witness the where of the first failure with its
+        residual added.
+        """
+        worst, ok, witness = 0.0, True, None
+        for where, r in measured:
+            worst = max(worst, r)
+            if r > tol and witness is None:
+                witness = {**where, "residual": float(r)}
+            ok = ok and r <= tol
+        return self.add(name, ok, worst, witness)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

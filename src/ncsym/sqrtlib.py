@@ -16,9 +16,10 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import SimpleSet, propose_simple_set
 from .errors import ClusteringError, NumericalError, UnsupportedError
-from .funcalc import ScalarBranch, matrix_function, _sqrt_derivs
+from .funcalc import (BranchSpec, ScalarBranch, matrix_function, sqrt_germ,
+                      _sqrt_derivs)
+from .geometry import SimpleSet, propose_simple_set
 from .linalg import (alg_residual, matrix_to_lists, numerical_rank, op_norm,
                      spectrum)
 
@@ -148,8 +149,6 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
         if has_zero:
             germ = _sqrt_with_zero_block_germ(joint, covering, tau)
         else:
-            from .funcalc import BranchSpec, sqrt_germ
-
             germ = sqrt_germ(BranchSpec(covering.centers, covering.radius,
                                         tau))
         y, res = _interpolate_root(x, germ, x_norm, tol)

@@ -10,12 +10,11 @@ alpha, beta, gamma of the symmetrization map.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 from .errors import NotSymmetricError
-from .ratexpr import RatExpr, Scalar, Variable, add, inv, mul, scale
-from .words import CHART_UV, FreePoly, format_complex
+from .ratexpr import RatExpr, Variable, from_terms, inv, mul
+from .words import CHART_UV, FreePoly, add_terms, mul_terms, render_terms
 
 U_ATOM = -1  # atoms in generator words: -1 is U, j >= 0 is M_j
 
@@ -26,17 +25,11 @@ class GenPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, complex] | None = None):
-        clean: dict[tuple, complex] = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
+        self.terms = add_terms({}, {tuple(w): complex(c)
+                                    for w, c in (terms or {}).items()})
+        for word in self.terms:
             if any(a < U_ATOM for a in word):
                 raise ValueError(f"bad generator atom in {word}")
-            c = complex(coeff)
-            if c != 0:
-                clean[word] = clean.get(word, 0) + c
-                if clean[word] == 0:
-                    del clean[word]
-        self.terms = clean
 
     @classmethod
     def zero(cls) -> "GenPoly":
@@ -56,30 +49,14 @@ class GenPoly:
     def __add__(self, other):
         if not isinstance(other, GenPoly):
             return NotImplemented
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return GenPoly(terms)
+        return GenPoly(add_terms(dict(self.terms), other.terms))
 
     def __mul__(self, other):
         if isinstance(other, (int, float, complex)):
             return GenPoly({w: other * c for w, c in self.terms.items()})
         if not isinstance(other, GenPoly):
             return NotImplemented
-        terms: dict[tuple, complex] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = terms.get(w, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
-        return GenPoly(terms)
+        return GenPoly(mul_terms(self.terms, other.terms))
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -90,26 +67,8 @@ class GenPoly:
         return f"GenPoly({self.to_text()!r})"
 
     def to_text(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            factors = []
-            for atom, run in itertools.groupby(w):
-                name = "U" if atom == U_ATOM else f"M{atom}"
-                count = sum(1 for _ in run)
-                factors.append(f"{name}^{count}" if count > 1 else name)
-            body = "*".join(factors)
-            if not body:
-                parts.append(format_complex(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{format_complex(c)}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(
+            self.terms, lambda a: "U" if a == U_ATOM else f"M{a}")
 
     def weighted_degrees(self) -> set:
         """Total u,v-degrees of the terms: U weighs 1, M_j weighs j + 2."""
@@ -117,22 +76,21 @@ class GenPoly:
                 for w in self.terms}
 
     def expand_back(self) -> FreePoly:
-        """Substitute U -> u, M_j -> v u^j v; exact coefficient level."""
-        terms: dict[tuple, complex] = {}
-        for w, c in self.terms.items():
-            letters: list[int] = []
-            for a in w:
-                if a == U_ATOM:
-                    letters.append(0)
-                else:
-                    letters.extend([1] + [0] * a + [1])
-            key = tuple(letters)
-            s = terms.get(key, 0) + c
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return FreePoly(2, terms, chart=CHART_UV)
+        """Substitute U -> u, M_j -> v u^j v; exact coefficient level.
+
+        Distinct generator words expand to distinct u,v words (the
+        factorization of even-v words is unique), so nothing accumulates.
+        """
+        return FreePoly(2, {_expand_atoms(w): c for w, c in self.terms.items()},
+                        chart=CHART_UV)
+
+
+def _expand_atoms(atoms: tuple) -> tuple:
+    """Inverse of _factor_even_word: U -> u, M_j -> v u^j v."""
+    letters: list[int] = []
+    for a in atoms:
+        letters.extend((0,) if a == U_ATOM else (1,) + (0,) * a + (1,))
+    return tuple(letters)
 
 
 def _factor_even_word(word: tuple) -> tuple:
@@ -164,15 +122,7 @@ def decompose_symmetric(p: FreePoly) -> GenPoly:
     if not odd.is_zero():
         raise NotSymmetricError(
             f"polynomial is not symmetric; odd-v part: {odd.to_text()}")
-    terms: dict[tuple, complex] = {}
-    for word, coeff in even.terms.items():
-        key = _factor_even_word(word)
-        s = terms.get(key, 0) + coeff
-        if s == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
-    return GenPoly(terms)
+    return GenPoly({_factor_even_word(w): c for w, c in even.terms.items()})
 
 
 ALPHA = Variable("alpha")
@@ -196,12 +146,7 @@ def reduce_to_pi(g: GenPoly) -> RatExpr:
     beta^-1 beta pairs are left uncancelled; expression hygiene belongs to
     the rational-expression equivalence tools.
     """
-    terms = []
-    for word in sorted(g.terms, key=lambda w: (len(w), w)):
-        coeff = g.terms[word]
-        factors = [generator_image(a) for a in word]
-        terms.append(scale(coeff, mul(*factors) if factors else Scalar(1)))
-    return add(*terms) if terms else Scalar(0)
+    return from_terms(g.terms, generator_image)
 
 
 def factor_through_pi(p: FreePoly) -> RatExpr:

@@ -16,10 +16,14 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from .domains import in_S_o, pi
-from .errors import (ContradictionError, EvaluatorError, PreconditionError)
+from .errors import ContradictionError, EvaluatorError, PreconditionError
+from .girard import verify_girard_random
 from .linalg import (block_diag, conjugate, direct_sum, in_I, op_norm,
-                     random_similarity, rel_dist)
+                     random_similarity, random_tuple, rel_dist,
+                     tuple_to_json_dict)
+from .ratexpr import evaluate
 from .report import Report
+from .symbasis import decompose_symmetric, factor_through_pi
 from .words import FreePoly, MatrixTuple
 
 ENTRY_TOL = 1e-12  # finite-set matrix identity tolerance
@@ -60,8 +64,11 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
 
     f must be defined on the samples, their pairwise direct sums, and
     their similarity orbits; evaluator exceptions surface as
-    EvaluatorError with the offending sample attached.
+    EvaluatorError with the offending sample attached.  An empty sample
+    list raises PreconditionError instead of passing every check.
     """
+    if not samples:
+        raise PreconditionError("no samples to judge")
     rng = rng or np.random.default_rng()
     report = Report(tolerances={"residual": tol})
     values = [_call(f, s) for s in samples]
@@ -73,69 +80,50 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
     if len(samples) > 1:
         pairs.append((len(samples) - 1, 0))
 
-    worst = 0.0
-    ok = True
-    witness = None
-    for i, j in pairs:
-        got = _call(f, direct_sum(samples[i], samples[j]))
-        want = block_diag(values[i], values[j])
-        r = rel_dist(got, want)
-        worst = max(worst, r)
-        if r > tol and witness is None:
-            witness = {"samples": [i, j], "residual": float(r)}
-        ok = ok and r <= tol
-    report.add("direct-sum", ok, worst, witness)
+    def direct_sums():
+        for i, j in pairs:
+            got = _call(f, direct_sum(samples[i], samples[j]))
+            yield {"samples": [i, j]}, rel_dist(
+                got, block_diag(values[i], values[j]))
 
-    worst = 0.0
-    ok = True
-    witness = None
-    for s_idx, sample in enumerate(samples):
-        sim = random_similarity(sample.n, rng)
-        got = _call(f, conjugate(sim, sample))
-        want = np.linalg.inv(sim) @ values[s_idx] @ sim
-        r = rel_dist(got, want)
-        worst = max(worst, r)
-        if r > tol and witness is None:
-            witness = {"sample": s_idx, "residual": float(r)}
-        ok = ok and r <= tol
-    report.add("similarity", ok, worst, witness)
+    def similarities():
+        for s_idx, sample in enumerate(samples):
+            sim = random_similarity(sample.n, rng)
+            got = _call(f, conjugate(sim, sample))
+            want = np.linalg.inv(sim) @ values[s_idx] @ sim
+            yield {"sample": s_idx}, rel_dist(got, want)
 
-    worst = 0.0
-    ok = True
-    witness = None
-    for i, j in pairs:
-        x, y = samples[i], samples[j]
-        fx = values[i]
-        fxy = _call(f, direct_sum(x, y))
-        n, m = x.n, y.n
-        embed = np.zeros((n + m, n), dtype=complex)
-        embed[:n, :n] = np.eye(n)
-        compress = embed.conj().T
-        # [I;0] intertwines x with x (+) y; [I 0] the other way round
-        for left, a, b in ((embed, fx, fxy), (compress, fxy, fx)):
-            r = op_norm(left @ a - b @ left) / (1.0 + op_norm(a))
-            worst = max(worst, r)
-            if r > tol and witness is None:
-                witness = {"samples": [i, j], "residual": float(r)}
-            ok = ok and r <= tol
-        # rank-deficient intertwiners of x with x (+) x: scalar block mixes
-        a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        fxx = _call(f, direct_sum(x, x))
-        eye = np.eye(n, dtype=complex)
-        mixed_embed = np.vstack([a * eye, b * eye])       # x -> x (+) x
-        mixed_compress = np.hstack([a * eye, b * eye])    # x (+) x -> x
-        upper = np.zeros((2 * n, 2 * n), dtype=complex)   # rank n on x (+) x
-        upper[:n, :n] = a * eye
-        upper[:n, n:] = b * eye
-        for left, va, vb in ((mixed_embed, fx, fxx),
-                             (mixed_compress, fxx, fx),
-                             (upper, fxx, fxx)):
-            r = op_norm(left @ va - vb @ left) / (1.0 + op_norm(va))
-            worst = max(worst, r)
-            if r > tol and witness is None:
-                witness = {"samples": [i, j], "residual": float(r)}
-            ok = ok and r <= tol
-    report.add("intertwining", ok, worst, witness)
+    def intertwinings():
+        for i, j in pairs:
+            x, y = samples[i], samples[j]
+            fx = values[i]
+            fxy = _call(f, direct_sum(x, y))
+            n, m = x.n, y.n
+            embed = np.zeros((n + m, n), dtype=complex)
+            embed[:n, :n] = np.eye(n)
+            compress = embed.conj().T
+            # [I;0] intertwines x with x (+) y; [I 0] the other way round
+            for left, a, b in ((embed, fx, fxy), (compress, fxy, fx)):
+                yield {"samples": [i, j]}, \
+                    op_norm(left @ a - b @ left) / (1.0 + op_norm(a))
+            # rank-deficient intertwiners of x with x (+) x: scalar block mixes
+            a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+            fxx = _call(f, direct_sum(x, x))
+            eye = np.eye(n, dtype=complex)
+            mixed_embed = np.vstack([a * eye, b * eye])       # x -> x (+) x
+            mixed_compress = np.hstack([a * eye, b * eye])    # x (+) x -> x
+            upper = np.zeros((2 * n, 2 * n), dtype=complex)   # rank n on x (+) x
+            upper[:n, :n] = a * eye
+            upper[:n, n:] = b * eye
+            for left, va, vb in ((mixed_embed, fx, fxx),
+                                 (mixed_compress, fxx, fx),
+                                 (upper, fxx, fxx)):
+                yield {"samples": [i, j]}, \
+                    op_norm(left @ va - vb @ left) / (1.0 + op_norm(va))
+
+    report.add_worst("direct-sum", direct_sums(), tol)
+    report.add_worst("similarity", similarities(), tol)
+    report.add_worst("intertwining", intertwinings(), tol)
     return report
 
 
@@ -341,8 +329,6 @@ def pascoe_counterexample(r: float = 0.1, scale: float = 0.4) -> Report:
     report = Report(tolerances={"pi-match": 1e-12, "entry": 1e-10})
     p1, p2 = pi(w), pi(w_twisted)
     pi_res = max(op_norm(a - b) for a, b in zip(p1, p2))
-    from .linalg import tuple_to_json_dict
-
     report.add("pi-values-match", pi_res <= 1e-12, pi_res,
                {"w": tuple_to_json_dict(w),
                 "w-twisted": tuple_to_json_dict(w_twisted)})
@@ -380,11 +366,6 @@ def random_symmetric_poly(max_degree: int, rng: np.random.Generator,
 
 def run_suite(name: str, seed: int = 0) -> Report:
     """Named verification suites used by the command-line front end."""
-    from . import girard as girard_mod
-    from .linalg import random_tuple
-    from .ratexpr import evaluate
-    from .symbasis import decompose_symmetric, factor_through_pi
-
     rng = np.random.default_rng(seed)
     report = Report(seed=seed)
 
@@ -416,7 +397,7 @@ def run_suite(name: str, seed: int = 0) -> Report:
     elif name == "girard":
         for n in (-2, -1, 0, 1, 2, 3, 4):
             tol = 1e-7 if n < 0 else 1e-8
-            report.merge(girard_mod.verify_girard_random(
+            report.merge(verify_girard_random(
                 n, levels=(2, 3), trials=5, tol=tol, rng=rng, seed=seed))
     elif name == "pascoe":
         report.merge(pascoe_counterexample())

@@ -12,7 +12,7 @@ that to_uv/from_uv cannot be applied twice by accident.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,59 @@ CHART_XY = "xy"
 CHART_UV = "uv"
 
 _LETTER_NAMES = {CHART_XY: ("x", "y"), CHART_UV: ("u", "v")}
+
+
+# -- the sparse word algebra --------------------------------------------------
+#
+# Free polynomials, generator polynomials and expanded rational expressions
+# all store {word: coefficient} dicts with no exactly-zero coefficient; the
+# three functions below are the only arithmetic on them.
+
+def add_terms(acc: dict, terms: Mapping, factor: complex = 1) -> dict:
+    """acc += factor * terms in place, dropping exact zeros; returns acc."""
+    for w, c in terms.items():
+        s = acc.get(w, 0) + factor * c
+        if s == 0:
+            acc.pop(w, None)
+        else:
+            acc[w] = s
+    return acc
+
+
+def mul_terms(a: Mapping, b: Mapping,
+              reduce: Optional[Callable[[tuple], tuple]] = None) -> dict:
+    """Concatenation product; reduce, if given, rewrites each product word."""
+    out: dict = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = w1 + w2 if reduce is None else reduce(w1 + w2)
+            s = out.get(w, 0) + c1 * c2
+            if s == 0:
+                out.pop(w, None)
+            else:
+                out[w] = s
+    return out
+
+
+def render_terms(terms: Mapping, atom_name: Callable[[object], str]) -> str:
+    """Degree-lex text; a run of one atom prints as name^k."""
+    if not terms:
+        return "0"
+    parts = []
+    for w in sorted(terms, key=lambda w: (len(w), w)):
+        c = terms[w]
+        runs = [(a, sum(1 for _ in run)) for a, run in itertools.groupby(w)]
+        body = "*".join(f"{atom_name(a)}^{k}" if k > 1 else atom_name(a)
+                        for a, k in runs)
+        if not body:
+            parts.append(format_complex(c))
+        elif c == 1:
+            parts.append(body)
+        elif c == -1:
+            parts.append(f"-{body}")
+        else:
+            parts.append(f"{format_complex(c)}*{body}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 class FreePoly:
@@ -39,17 +92,11 @@ class FreePoly:
             raise ChartError("charts only apply to two-variable polynomials")
         self.d = d
         self.chart = chart if d != 2 else (chart or CHART_XY)
-        clean: dict[Word, complex] = {}
-        for word, coeff in (terms or {}).items():
-            word = tuple(word)
+        self.terms = add_terms({}, {tuple(w): complex(c)
+                                    for w, c in (terms or {}).items()})
+        for word in self.terms:
             if any(not (0 <= k < d) for k in word):
                 raise ValueError(f"letter out of range in word {word!r} for d={d}")
-            c = complex(coeff)
-            if c != 0:
-                clean[word] = clean.get(word, 0) + c
-                if clean[word] == 0:
-                    del clean[word]
-        self.terms = clean
 
     # -- constructors ------------------------------------------------------
 
@@ -85,10 +132,6 @@ class FreePoly:
     def coefficient(self, word: Sequence[int]) -> complex:
         return self.terms.get(tuple(word), 0j)
 
-    def homogeneous_part(self, degree: int) -> "FreePoly":
-        return FreePoly(self.d, {w: c for w, c in self.terms.items()
-                                 if len(w) == degree}, chart=self.chart)
-
     # -- arithmetic --------------------------------------------------------
 
     def _check_compatible(self, other: "FreePoly") -> None:
@@ -104,14 +147,8 @@ class FreePoly:
         if not isinstance(other, FreePoly):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            s = terms.get(w, 0) + c
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
-        return FreePoly(self.d, terms, chart=self.chart)
+        return FreePoly(self.d, add_terms(dict(self.terms), other.terms),
+                        chart=self.chart)
 
     __radd__ = __add__
 
@@ -137,16 +174,8 @@ class FreePoly:
         if not isinstance(other, FreePoly):
             return NotImplemented
         self._check_compatible(other)
-        terms: dict[Word, complex] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = terms.get(w, 0) + c1 * c2
-                if s == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
-        return FreePoly(self.d, terms, chart=self.chart)
+        return FreePoly(self.d, mul_terms(self.terms, other.terms),
+                        chart=self.chart)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -184,24 +213,7 @@ class FreePoly:
 
     def to_text(self) -> str:
         """Render in degree-lexicographic word order."""
-        if not self.terms:
-            return "0"
-        names = self.letter_names()
-        parts = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            c = self.terms[w]
-            factors = [f"{names[k]}^{n}" if n > 1 else names[k]
-                       for k, n in _run_lengths(w)]
-            body = "*".join(factors)
-            if not body:
-                parts.append(format_complex(c))
-            elif c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{format_complex(c)}*{body}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return render_terms(self.terms, self.letter_names().__getitem__)
 
     # -- evaluation --------------------------------------------------------
 
@@ -262,15 +274,15 @@ class FreePoly:
         if len(images) != self.d:
             raise DimensionMismatchError(
                 f"need {self.d} images, got {len(images)}")
-        target_d = images[0].d
-        chart = images[0].chart
-        out = FreePoly.zero(target_d, chart=chart)
+        for image in images[1:]:
+            images[0]._check_compatible(image)
+        out: dict[Word, complex] = {}
         for word, coeff in self.terms.items():
-            term = FreePoly(target_d, {(): coeff}, chart=chart)
+            term = {(): coeff}
             for k in word:
-                term = term * images[k]
-            out = out + term
-        return out
+                term = mul_terms(term, images[k].terms)
+            add_terms(out, term)
+        return FreePoly(images[0].d, out, chart=images[0].chart)
 
     def v_parity_split(self) -> tuple["FreePoly", "FreePoly"]:
         """Split by parity of the letter-v count (u,v chart only)."""
@@ -305,11 +317,6 @@ def _s_parity(n: int, parity: int) -> FreePoly:
     terms = {w: 1.0 for w in itertools.product((0, 1), repeat=n)
              if sum(w) % 2 == parity}
     return FreePoly(2, terms, chart=CHART_UV)
-
-
-def _run_lengths(word: Word) -> Iterable[tuple[int, int]]:
-    for k, group in itertools.groupby(word):
-        yield k, sum(1 for _ in group)
 
 
 def format_complex(c: complex) -> str:

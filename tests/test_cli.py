@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ncsym import cli, errors
 from ncsym import ratexpr as rx
 from ncsym.cli import main
 from ncsym.girard import girard_positive
@@ -41,6 +42,12 @@ def test_girard_with_verification(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     report = json.loads(lines[1])
     assert report["passed"] is True
+
+
+def test_girard_verify_without_trials_is_refused(capsys):
+    # zero trials used to print "passed": true with residual 0
+    assert main(["girard", "--n", "-3", "--verify", "--trials", "0"]) == 2
+    assert '"passed"' not in capsys.readouterr().out
 
 
 def test_sqrt_enumerate(files, capsys):
@@ -133,3 +140,57 @@ def test_json_output_is_deterministic(files, capsys):
     first = capsys.readouterr().out
     main(["verify", "--suite", "symbasis", "--seed", "9"])
     assert capsys.readouterr().out == first
+
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 2, "d": 1, "entries": [[[[float("nan"), 0.0], [0.0, 0.0]],
+                                  [[0.0, 0.0], [1.0, 0.0]]]]},
+    {"n": 2, "d": 1, "entries": [[[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]]]},
+    {"n": 2, "d": 1, "entries": [[[[1.0, 0.0], [0.0, 0.0]]]]},
+    {"n": 3, "d": 1, "entries": [[[[1.0, 0.0], [0.0, 0.0]],
+                                  [[0.0, 0.0], [1.0, 0.0]]]]},
+    {"n": 2, "d": 1},
+], ids=["nan-entry", "ragged-row", "non-square", "header-mismatch",
+        "no-entries"])
+def test_malformed_matrix_json_is_a_precondition_violation(data, tmp_path,
+                                                           capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["sqrt", "--matrix", str(path), "--enumerate"]) == 2
+    assert "precondition violation" in capsys.readouterr().err
+
+
+# every package error and the exit code main() maps it to
+_EXIT_CODES = {
+    "ParseError": 3, "MixedChartError": 3,
+    "PreconditionError": 2, "DimensionMismatchError": 2, "ChartError": 2,
+    "AssignmentError": 2, "ExpansionError": 2,
+    "SpectrumOutsideDomainError": 2, "UnsupportedError": 2,
+    "NotSymmetricError": 2, "DomainError": 2,
+    "NumericalError": 1, "SingularityError": 1, "InconclusiveError": 1,
+    "GenerationError": 1, "IllConditionedInterpolationError": 1,
+    "ClusteringError": 1, "ContradictionError": 1, "EvaluatorError": 1,
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_class_maps_to_its_exit_code(monkeypatch, capsys):
+    categories = (errors.ParseError, errors.PreconditionError,
+                  errors.NumericalError)
+    found = set(_subclasses(errors.NcsymError))
+    assert {cls.__name__ for cls in found} == set(_EXIT_CODES)
+    for cls in found:
+        assert sum(issubclass(cls, c) for c in categories) == 1, cls
+
+        def fail(args, cls=cls):
+            raise cls("injected")
+
+        monkeypatch.setattr(cli, "_cmd_pi", fail)
+        assert main(["pi", "--input", "unused.json"]) \
+            == _EXIT_CODES[cls.__name__], cls

@@ -64,8 +64,9 @@ def test_dense_tight_clusters_refuse_at_default_tolerance():
     rng = np.random.default_rng(1)
     centers = cluster_centers_off_cut(rng, 2)
     x, _, _, _ = clustered_matrix(rng, centers, [20, 20], 0.02)
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError) as info:
         sqrtlib.all_square_roots(x, gap=0.5)
+    assert info.type is NumericalError
     rs = sqrtlib.all_square_roots(x, tol=1e-3, alg_tol=1e-3, gap=0.5)
     assert len(rs) == 4
     assert 1e-8 < max(rs.square_residuals) <= 1e-3

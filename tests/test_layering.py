@@ -1,0 +1,45 @@
+"""Static checks on the package's module graph."""
+
+import ast
+import graphlib
+import pathlib
+
+import ncsym
+
+SRC = pathlib.Path(ncsym.__file__).parent
+
+# the numerical stack, lowest first; no module imports one to its right
+LAYERS = ("linalg", "geometry", "funcalc", "sqrtlib", "domains", "girard",
+          "verify", "cli")
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _package_imports(tree) -> set:
+    deps = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            deps |= ({node.module} if node.module
+                     else {alias.name for alias in node.names})
+    return deps
+
+
+def test_no_import_inside_a_function():
+    found = [f"{name}.py:{node.lineno}"
+             for name, tree in _trees().items()
+             for func in ast.walk(tree)
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
+
+
+def test_module_graph_is_acyclic_and_layered():
+    graph = {name: _package_imports(tree) for name, tree in _trees().items()}
+    list(graphlib.TopologicalSorter(graph).static_order())  # CycleError
+    for i, name in enumerate(LAYERS):
+        assert not graph[name] & set(LAYERS[i + 1:]), name

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ncsym import ratexpr as rx
-from ncsym.errors import AssignmentError, ExpansionError, SingularityError
+from ncsym.errors import (AssignmentError, ExpansionError, PreconditionError,
+                          SingularityError)
 from ncsym.linalg import rel_dist
 from ncsym.words import FreePoly
 
@@ -169,6 +170,14 @@ def test_equivalence_inconclusive_on_thin_domain():
     with pytest.raises(InconclusiveError):
         rx.equivalent_probabilistic(dead, A, levels=(2,), trials=1,
                                     rng=np.random.default_rng(10))
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": 0}, {"levels": ()}])
+def test_equivalence_needs_a_sample(kwargs):
+    # x and 2x differ, but zero samples cannot tell them apart
+    x = rx.Variable("x")
+    with pytest.raises(PreconditionError):
+        rx.equivalent_probabilistic(x, 2 * x, **kwargs)
 
 
 def test_expansion_cancels_inverse_pairs():

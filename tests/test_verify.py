@@ -60,6 +60,12 @@ def _diag_tuple(*vals):
     return MatrixTuple((np.diag(np.array(vals, dtype=complex)),))
 
 
+def test_no_samples_is_no_verdict():
+    # with nothing sampled every check would pass vacuously
+    with pytest.raises(PreconditionError):
+        verify.check_nc_properties(lambda t: t[0], [])
+
+
 def test_hat_domain_examples():
     d321 = _diag_tuple(3.0, 2.0, 1.0)
     d3 = _diag_tuple(3.0)
@@ -144,10 +150,12 @@ def test_symmetric_similarity_transfer():
 
     # unrelated pairs violate the hypothesis
     other = random_tuple(3, 2, ("v-invertible",), rng)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         verify.check_symmetric_similarity(p, other, w2, np.eye(3))
-    with pytest.raises(PreconditionError):
+    assert info.type is PreconditionError
+    with pytest.raises(PreconditionError) as info:
         verify.check_symmetric_similarity(X * Y, w1, w2, s)
+    assert info.type is PreconditionError
 
 
 def test_pascoe_counterexample_numbers():
@@ -161,8 +169,9 @@ def test_pascoe_counterexample_numbers():
               if c.name == "entry-1-4-discrepancy")
     assert e0.witness["expected"] == 0.0  # w = W: discrepancy collapses
 
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as info:
         verify.pascoe_counterexample(r=0.5, scale=0.95)  # not contractions
+    assert info.type is PreconditionError
 
 
 def test_run_suites_all_pass():
