@@ -44,8 +44,17 @@ def _parse_complex(text: str) -> complex:
     raise ParseError(f"expected a complex literal, got {text!r}")
 
 
-def _parse_centers(text: str) -> tuple:
-    return tuple(_parse_complex(part) for part in text.split(",") if part)
+def _load_simple_set(args) -> domains.SimpleSet:
+    """The disc system of --centers and --radius; a missing or invalid one
+    is a PreconditionError."""
+    if args.centers is None or args.radius is None:
+        raise PreconditionError("this predicate needs --centers and --radius")
+    centers = tuple(_parse_complex(part)
+                    for part in args.centers.split(",") if part)
+    try:
+        return domains.SimpleSet(centers, args.radius)
+    except ValueError as exc:
+        raise PreconditionError(f"invalid disc system: {exc}") from exc
 
 
 def _cmd_girard(args) -> int:
@@ -130,14 +139,13 @@ def _cmd_check_domain(args) -> int:
         out["residuals"] = {"min-pair-sum": _q_margin(0.5 * (w[0] - w[1]))}
     elif pred == "D":
         m = _load_matrix(args.matrix)
-        ss = domains.SimpleSet(_parse_centers(args.centers), args.radius)
-        out["value"] = domains.in_D_gamma(m, ss)
+        out["value"] = domains.in_D_gamma(m, _load_simple_set(args))
     elif pred == "Ugamma":
         t = _load_tuple(args.tuple)
         if t.d != 2:
             raise PreconditionError("Ugamma expects a pair (u, x)")
-        ss = domains.SimpleSet(_parse_centers(args.centers), args.radius)
-        out["value"] = domains.in_U_gamma(t[0], t[1], ss, tol=args.tol)
+        out["value"] = domains.in_U_gamma(t[0], t[1], _load_simple_set(args),
+                                          tol=args.tol)
     elif pred == "Bdelta":
         t = _load_tuple(args.tuple)
         with open(args.delta) as fh:

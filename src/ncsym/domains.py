@@ -9,16 +9,16 @@ here, next to the function-style aliases of its methods.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, UnsupportedError
-from .funcalc import BranchSpec, involution_I, sqrt_branch_S
+from .errors import DimensionMismatchError, DomainError, UnsupportedError
+from .funcalc import (involution_I, sign_patterns, spectral_idempotents,
+                      sqrt_branch_S)
 from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
                        propose_simple_set)
-from .linalg import commutator_norm, in_I, in_Q, op_norm, spectrum
+from .linalg import commutator_norm, in_I, in_Q, op_norm, op_norms, spectrum
 from .sqrtlib import all_square_roots
 from .words import FreePoly, MatrixTuple
 
@@ -50,26 +50,38 @@ def in_W_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
     return in_D_gamma(x, delta, margin)
 
 
+PATTERN_BLOCK = 256  # sign patterns tested per batch in in_U_gamma
+
+
 def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
                tol: float = 1e-8) -> bool:
     """Genericity: u commutes with no nonconstant branch involution of x.
 
+    The involution of sign pattern tau is I_tau = sum_j tau_j E_j over the
+    spectral idempotents E_j of the discs, so [u, I_tau] = sum_j tau_j C_j
+    with C_j = [u, E_j]: k interpolations serve all 2^k patterns.  tau and
+    -tau give the same norm, so only patterns with tau_0 = 1 are tested.
+    Raises DomainError unless delta is quarter-isolated with 0 outside it.
     Vacuously true for a singleton (no nonconstant sign patterns).  This is
     a Zariski-open condition, so false negatives near the commutation
     variety are expected at the working tolerance.
     """
+    problem = delta.branch_problem()
+    if problem:
+        raise DomainError(problem)
     if not in_D_gamma(x, delta):
         return False
     k = delta.k
     if k == 1:
         return True
-    u_norm = op_norm(u)
-    for tau in itertools.product((1, -1), repeat=k):
-        if all(t == tau[0] for t in tau):
-            continue
-        spec = BranchSpec(delta.centers, delta.radius, tau)
-        inv_mat = involution_I(x, spec)
-        if commutator_norm(u, inv_mat) <= tol * u_norm:
+    u = np.asarray(u, dtype=complex)
+    idem = spectral_idempotents(x, delta)
+    comms = u @ idem - idem @ u
+    threshold = tol * op_norm(u)
+    half = 2 ** (k - 1)
+    for start in range(1, half, PATTERN_BLOCK):
+        signs = sign_patterns(k, start, min(start + PATTERN_BLOCK, half))
+        if (op_norms(np.tensordot(signs, comms, axes=1)) <= threshold).any():
             return False
     return True
 

@@ -59,7 +59,8 @@ class NotSymmetricError(PreconditionError):
 
 
 class DomainError(PreconditionError):
-    """No admissible sample in the expression's domain could be produced."""
+    """No admissible sample in the expression's domain could be produced,
+    or a disc system cannot carry branches (0 inside, not quarter-isolated)."""
 
 
 class SingularityError(NumericalError):

@@ -50,13 +50,9 @@ class BranchSpec:
             raise ValueError("need one sign per center")
         if any(t not in (-1, 1) for t in tau):
             raise ValueError(f"signs must be +1 or -1, got {tau}")
-        ss = SimpleSet(centers, radius)
-        if not ss.avoids_zero():
-            raise ValueError("0 must lie outside every disc "
-                             f"(radius {radius} too large)")
-        if not ss.is_quarter_isolated():
-            raise ValueError("discs are not quarter-isolated "
-                             f"(radius {radius}, separation {ss.separation()})")
+        problem = SimpleSet(centers, radius).branch_problem()
+        if problem:
+            raise ValueError(problem)
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "tau", tau)
@@ -107,6 +103,15 @@ def constant_germ(domain: SimpleSet, values: Sequence[complex]) -> ScalarBranch:
     return ScalarBranch(domain, derivs)
 
 
+def sign_patterns(k: int, start: int = 0,
+                  stop: Optional[int] = None) -> np.ndarray:
+    """Rows start..stop-1 of every tau in {1, -1}^k, in the order of
+    itertools.product((1, -1), repeat=k), as a float array."""
+    rows = np.arange(start, 2 ** k if stop is None else stop)
+    bits = rows[:, None] >> np.arange(k - 1, -1, -1)
+    return 1.0 - 2.0 * (bits & 1)
+
+
 def sign_germ(spec: BranchSpec) -> ScalarBranch:
     """The square roots of 1: +-1 per disc according to the spec's signs."""
     return constant_germ(spec.simple_set, spec.tau)
@@ -132,6 +137,20 @@ def sqrt_germ(spec: BranchSpec) -> ScalarBranch:
         if i is None:
             raise SpectrumOutsideDomainError(f"{z} lies in no disc")
         return _sqrt_derivs(z, m, spec.centers[i], spec.tau[i])
+
+    return ScalarBranch(domain, derivs)
+
+
+def sqrt_piece_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
+    """Reference square root (principal at the center) on one disc, 0 on
+    the others.  sqrt_germ(spec) is the sum of spec.tau[i] times these."""
+    center = domain.centers[disc]
+
+    def derivs(z, m):
+        i = domain.locate(z)
+        if i is None:
+            raise SpectrumOutsideDomainError(f"{z} lies in no disc")
+        return _sqrt_derivs(z, m, center, 1) if i == disc else [0j] * m
 
     return ScalarBranch(domain, derivs)
 
@@ -234,6 +253,16 @@ def matrix_function(x: np.ndarray, branch: ScalarBranch,
     for j in range(len(coeffs) - 2, -1, -1):
         out = out @ (x - zs[j] * eye) + coeffs[j] * eye
     return out
+
+
+def spectral_idempotents(x: np.ndarray, domain: SimpleSet,
+                         discs: Optional[Sequence[int]] = None) -> np.ndarray:
+    """(len(discs), n, n) stack of E_j, the spectral projector of x onto
+    the eigenvalues in disc j (1 on that disc, 0 on the others); all discs
+    of the domain by default."""
+    discs = range(domain.k) if discs is None else discs
+    return np.stack([matrix_function(x, constant_germ(
+        domain, [float(i == j) for i in range(domain.k)])) for j in discs])
 
 
 def involution_I(x: np.ndarray, spec: BranchSpec) -> np.ndarray:

@@ -79,6 +79,19 @@ class SimpleSet:
     def avoids_zero(self) -> bool:
         return self.radius < min(abs(c) for c in self.centers)
 
+    def branch_problem(self) -> Optional[str]:
+        """Why these discs cannot carry square-root branches, or None.
+
+        Branches need 0 outside every disc and quarter-isolated discs.
+        """
+        if not self.avoids_zero():
+            return (f"0 must lie outside every disc "
+                    f"(radius {self.radius} too large)")
+        if not self.is_quarter_isolated():
+            return (f"discs are not quarter-isolated "
+                    f"(radius {self.radius}, separation {self.separation()})")
+        return None
+
 
 def default_radius(centers: Iterable[complex]) -> float:
     """Half of min(min |c|, sep/4): keeps 0 outside and quarter-isolation."""

@@ -32,6 +32,14 @@ def op_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x, 2))
 
 
+def op_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix in an (m, n, n) stack."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.shape[-1] == 0:
+        return np.zeros(stack.shape[:-2])
+    return np.linalg.norm(stack, 2, axis=(-2, -1))
+
+
 def rel_dist(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b|| / (1 + ||b||) with the operator norm."""
     return op_norm(np.asarray(a) - np.asarray(b)) / (1.0 + op_norm(b))
@@ -157,11 +165,13 @@ def numerical_rank(x: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(s > threshold))
 
 
-def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12) -> float:
+def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12):
     """Relative distance of y from span{I, x, ..., x^{n-1}}.
 
-    Projection uses an SVD-derived orthonormal basis so rank deficiency of
-    the power basis (minimal polynomial of degree < n) is harmless.
+    y is one matrix (the result is a float) or an (m, n, n) stack (an
+    array of m distances, all projected onto one basis).  Projection uses
+    an SVD-derived orthonormal basis so rank deficiency of the power basis
+    (minimal polynomial of degree < n) is harmless.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -173,9 +183,18 @@ def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12) -> float
     u, s, _ = np.linalg.svd(basis, full_matrices=False)
     keep = s > rank_tol * s[0]
     u = u[:, keep]
-    vec = y.ravel()
-    resid = vec - u @ (u.conj().T @ vec)
-    return float(np.linalg.norm(resid) / (1.0 + np.linalg.norm(vec)))
+    vecs = y.reshape(-1, n * n)
+    resid = (vecs @ u.conj()) @ u.T
+    np.subtract(vecs, resid, out=resid)
+    out = _row_norms(resid) / (1.0 + _row_norms(vecs))
+    return float(out[0]) if y.ndim == 2 else out
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex matrix; np.linalg.norm
+    would allocate a complex temporary as large as the matrix."""
+    flat = np.ascontiguousarray(rows).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,27 +1,24 @@
 """The matrix square root as a multivalued function inside alg(x).
 
 Existence is decided by the rank test ker x = ker x^2 (no nilpotent Jordan
-cell of size >= 2).  Enumeration covers two cases: invertible x with a
-quarter-isolated spectral covering (2^k roots, one per sign pattern), and
-singular x whose 0-eigenvalue part is semisimple, where the 0-block maps to
-0 and the count is 2^k over the nonzero clusters; the latter is flagged as
-an extension in the result metadata.
+cell of size >= 2).  Enumeration finds 2^k roots, one per sign pattern on
+the k clusters of a quarter-isolated covering of the nonzero spectrum; a
+semisimple 0-block maps to 0, which the result flags as an extension.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ClusteringError, NumericalError, UnsupportedError
-from .funcalc import (BranchSpec, ScalarBranch, matrix_function, sqrt_germ,
-                      _sqrt_derivs)
+from .funcalc import (matrix_function, sign_patterns, spectral_idempotents,
+                      sqrt_piece_germ)
 from .geometry import SimpleSet, propose_simple_set
 from .linalg import (alg_residual, matrix_to_lists, numerical_rank, op_norm,
-                     spectrum)
+                     op_norms, spectrum)
 
 RANK_RTOL = 1e-10
 ZERO_EIG_RTOL = 1e-8
@@ -47,7 +44,14 @@ def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL) -> bool:
 
 @dataclass(frozen=True)
 class RootSet:
-    """All square roots of the base matrix inside alg(base)."""
+    """All square roots of the base matrix inside alg(base).
+
+    Root i has sign pattern i of itertools.product((1, -1), repeat=k) over
+    the covering discs in (real, imag) order of their centers.  merge_rtols
+    holds the merge-ladder rung of each root; distinct_margin bounds the
+    distance of any two roots from below, set by sign margin_disc (None:
+    the bound was inconclusive and distinct_margin is the distance).
+    """
 
     base: np.ndarray
     roots: tuple
@@ -55,6 +59,9 @@ class RootSet:
     extension: bool = False      # True when a semisimple 0-block was present
     square_residuals: tuple = ()
     alg_residuals: tuple = ()
+    merge_rtols: tuple = ()
+    distinct_margin: Optional[float] = None
+    margin_disc: Optional[int] = None
 
     def __len__(self):
         return len(self.roots)
@@ -67,6 +74,9 @@ class RootSet:
             "roots": [matrix_to_lists(r) for r in self.roots],
             "square_residuals": [float(r) for r in self.square_residuals],
             "alg_residuals": [float(r) for r in self.alg_residuals],
+            "merge_rtols": [float(r) for r in self.merge_rtols],
+            "distinct_margin": self.distinct_margin,
+            "margin_disc": self.margin_disc,
         }
 
 
@@ -87,26 +97,8 @@ def _zero_extended_domain(nonzero: SimpleSet, eigenvalues) -> SimpleSet:
     return domain
 
 
-def _sqrt_with_zero_block_germ(domain: SimpleSet, nonzero: SimpleSet,
-                               tau) -> ScalarBranch:
-    """Signed square-root discs plus one disc at 0 mapped to 0.
-
-    Valid only when the 0-eigenvalue part is semisimple: the interpolant
-    then needs nothing beyond the value 0 at the 0-node, and higher
-    derivative slots are irrelevant to the primary function.
-    """
-
-    def derivs(z, m):
-        i = domain.locate(z)
-        if i is None:
-            raise NumericalError(f"{z} escaped the covering discs")
-        c = domain.centers[i]
-        if c == 0:
-            return [0j] * m
-        j = nonzero.centers.index(c)
-        return _sqrt_derivs(z, m, c, tau[j])
-
-    return ScalarBranch(domain, derivs)
+MERGE_LADDER = (1e-6, 1e-4, 1e-2)
+ROOT_BLOCK = 64  # roots squared per batch, which bounds the temporaries
 
 
 def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
@@ -114,13 +106,21 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
                      gap: Optional[float] = None) -> RootSet:
     """Enumerate every square root of x in alg(x): exactly 2^k of them.
 
-    Refuses inputs whose spectrum cannot be covered by a quarter-isolated
-    simple set at the working tolerance (ClusteringError) and singular
-    inputs with a defective 0-eigenvalue (UnsupportedError): a partial list
-    would betray the 2^k contract.
+    The Hermite interpolant is linear in the germ, so root tau is the
+    signed sum S_tau = sum_i tau_i R_i of k spectral pieces (R_i is the
+    reference root on nonzero disc i, 0 elsewhere, a 0-block included).
+    Each root takes the first rung of MERGE_LADDER that passes its square
+    check: merging the eigenvalues packed in one disc into a single
+    derivative-matched node is stabler than a tableau over all of them.
+
+    Refuses a spectrum with no quarter-isolated covering at the working
+    tolerance (ClusteringError), a defective 0-eigenvalue
+    (UnsupportedError), and roots failing a check (NumericalError): a
+    partial list would betray the 2^k contract.  A looser tol opts in to
+    degraded accuracy, which the result records per root.
     """
     x = np.asarray(x, dtype=complex)
-    n = x.shape[0]
+    x_norm = op_norm(x)
     eigs = np.asarray(spectrum(x).eigenvalues)
     scale = float(np.abs(eigs).max(initial=0.0))
     zero_thr = ZERO_EIG_RTOL * (1.0 + scale)
@@ -133,72 +133,81 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     nonzero_eigs = eigs[~zero_mask]
     if nonzero_eigs.size == 0:
         # semisimple at 0 with nothing else: x is numerically 0, root 0
-        zero = np.zeros_like(x)
-        return RootSet(x, (zero,), 0, extension=True,
-                       square_residuals=(op_norm(zero @ zero - x) /
-                                         (1.0 + op_norm(x)),),
+        return RootSet(x, (np.zeros_like(x),), 0, extension=True,
+                       square_residuals=(x_norm / (1.0 + x_norm),),
                        alg_residuals=(0.0,))
     covering = propose_simple_set(nonzero_eigs, gap=gap)
-    k = covering.k
-    joint = _zero_extended_domain(covering, eigs) if has_zero else None
-    roots = []
-    sq_res = []
-    alg_res = []
-    x_norm = op_norm(x)
-    for tau in itertools.product((1, -1), repeat=k):
-        if has_zero:
-            germ = _sqrt_with_zero_block_germ(joint, covering, tau)
-        else:
-            germ = sqrt_germ(BranchSpec(covering.centers, covering.radius,
-                                        tau))
-        y, res = _interpolate_root(x, germ, x_norm, tol)
-        ar = alg_residual(y, x)
-        if ar > alg_tol:
-            raise NumericalError(
-                f"branch root drifted out of alg(x): residual {ar:.3g}")
-        roots.append(y)
-        sq_res.append(res)
-        alg_res.append(ar)
-    _check_pairwise_distinct(roots, tol)
-    return RootSet(x, tuple(roots), k, extension=has_zero,
+    domain = _zero_extended_domain(covering, eigs) if has_zero else covering
+    discs = [domain.centers.index(c) for c in covering.centers]
+    signs = sign_patterns(covering.k)
+    roots = np.empty((len(signs),) + x.shape, dtype=complex)
+    sq_res = np.full(len(signs), np.inf)
+    rungs = np.zeros(len(signs))
+    pieces_at = {}
+    pending = np.arange(len(signs))
+    for rung in MERGE_LADDER:
+        pieces = np.stack([matrix_function(
+            x, sqrt_piece_germ(domain, j), merge_rtol=rung) for j in discs])
+        pieces_at[rung] = pieces
+        for rows in np.array_split(pending, -(-pending.size // ROOT_BLOCK)):
+            trial = np.tensordot(signs[rows], pieces, axes=1)
+            roots[rows] = trial
+            res = op_norms(trial @ trial - x) / (1.0 + x_norm)
+            sq_res[rows] = np.minimum(sq_res[rows], res)
+        rungs[pending] = rung
+        pending = pending[sq_res[pending] > tol]
+        if not pending.size:
+            break
+    # roots are judged in order: the first that fails either check is named
+    failed = np.flatnonzero(sq_res > tol)
+    first = failed[0] if failed.size else len(roots)
+    alg_res = alg_residual(roots[:first], x) if first else np.zeros(0)
+    drifted = np.flatnonzero(alg_res > alg_tol)
+    if drifted.size:
+        raise NumericalError(f"branch root drifted out of alg(x): residual "
+                             f"{alg_res[drifted[0]]:.3g}")
+    if failed.size:
+        raise NumericalError(
+            f"branch root failed its square check at every confluence "
+            f"level: best residual {sq_res[first]:.3g} exceeds {tol:.3g}")
+    margin, disc = _distinctness_margin(
+        spectral_idempotents(x, domain, discs),
+        [pieces_at[r] for r in MERGE_LADDER if (rungs == r).any()])
+    threshold = tol * (1.0 + op_norms(roots).max())
+    if margin <= threshold:  # inconclusive, for x far from normal: measure
+        margin, disc = float(min(op_norms(roots[i + 1:] - roots[i]).min()
+                                 for i in range(len(roots) - 1))), None
+    if margin <= threshold:
+        raise NumericalError(
+            f"enumerated roots coincide numerically: distance {margin:.3g} "
+            f"is within tolerance")
+    return RootSet(x, tuple(roots), covering.k, extension=has_zero,
                    square_residuals=tuple(sq_res),
-                   alg_residuals=tuple(alg_res))
+                   alg_residuals=tuple(alg_res),
+                   merge_rtols=tuple(rungs),
+                   distinct_margin=margin, margin_disc=disc)
 
 
-MERGE_LADDER = (1e-6, 1e-4, 1e-2)
+def _distinctness_margin(idem: np.ndarray, pieces_used) -> tuple:
+    """Lower bound on min ||S_tau - S_tau'|| over pairs tau != tau'.
 
-
-def _interpolate_root(x, germ, x_norm: float, tol: float):
-    """Interpolate a branch root, coarsening the confluence on failure.
-
-    Many distinct eigenvalues packed inside one disc wreck the
-    divided-difference tableau; merging them into one derivative-matched
-    node is both stabler and more accurate there (the germs carry exact
-    analytic derivatives), so escalate the merge threshold until the
-    square residual passes.  Inputs that fail at every level (very high
-    interpolation degree) are refused rather than returned degraded; a
-    looser tol opts in to the degraded accuracy, which the result records
-    per root.
+    idem[j] is E_j, the spectral idempotent of the disc of piece R_j.  As
+    R_i E_j = 0 for i != j up to rounding, S_tau E_j = tau_j A_j (A_j is
+    R_j E_j at the first rung used) up to dev_j, the norms of the cross
+    terms plus the drift of R_j E_j over the rungs used.  Roots differing
+    at sign j are thus at least 2 (||A_j|| - dev_j) / ||E_j|| apart; for
+    one eigenvalue c that is near 2 |sqrt c|, however large ||E_j|| is.
     """
-    best_res = np.inf
-    for merge_rtol in MERGE_LADDER:
-        y = matrix_function(x, germ, merge_rtol=merge_rtol)
-        res = op_norm(y @ y - x) / (1.0 + x_norm)
-        if res <= tol:
-            return y, res
-        best_res = min(best_res, res)
-    raise NumericalError(
-        f"branch root failed its square check at every confluence level: "
-        f"best residual {best_res:.3g} exceeds {tol:.3g}")
-
-
-def _check_pairwise_distinct(roots, tol: float) -> None:
-    scale = 1.0 + max(op_norm(r) for r in roots)
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if op_norm(roots[i] - roots[j]) <= tol * scale:
-                raise NumericalError(
-                    f"enumerated roots {i} and {j} coincide numerically")
+    diag = np.arange(len(idem))
+    anchor = pieces_used[0] @ idem
+    dev = np.zeros(len(idem))
+    for pieces in pieces_used:
+        prods = pieces[:, None] @ idem  # prods[i, j] = R_i E_j
+        prods[diag, diag] -= anchor
+        dev = np.maximum(dev, op_norms(prods).sum(axis=0))
+    bounds = 2.0 * (op_norms(anchor) - dev) / op_norms(idem)
+    disc = int(np.argmin(bounds))
+    return float(bounds[disc]), disc
 
 
 def riemann_fiber(m: np.ndarray, tol: float = SQ_TOL,

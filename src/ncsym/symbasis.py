@@ -14,7 +14,8 @@ from typing import Mapping
 
 from .errors import NotSymmetricError
 from .ratexpr import RatExpr, Variable, from_terms, inv, mul
-from .words import CHART_UV, FreePoly, add_terms, mul_terms, render_terms
+from .words import (CHART_UV, CHART_XY, FreePoly, add_terms, mul_terms,
+                    render_terms)
 
 U_ATOM = -1  # atoms in generator words: -1 is U, j >= 0 is M_j
 
@@ -113,13 +114,16 @@ def _factor_even_word(word: tuple) -> tuple:
 def decompose_symmetric(p: FreePoly) -> GenPoly:
     """Rewrite a symmetric polynomial in x, y over the generators U, M_j.
 
-    Raises NotSymmetricError when the odd-v part of the u,v form is
-    nonzero.  For a homogeneous input of degree d only M_j with j <= d-2
-    can occur.
+    Raises NotSymmetricError when the polynomial is not symmetric: in the
+    x,y chart when some word's coefficient differs from that of its
+    letter-swapped word, which is exact, in the u,v chart when the odd-v
+    part is nonzero.  The odd-v part of a symmetric x,y input is zero up
+    to the rounding of to_uv and is dropped.  For a homogeneous input of
+    degree d only M_j with j <= d-2 can occur.
     """
     q = p if p.chart == CHART_UV else p.to_uv()
     even, odd = q.v_parity_split()
-    if not odd.is_zero():
+    if not (p.is_symmetric() if p.chart == CHART_XY else odd.is_zero()):
         raise NotSymmetricError(
             f"polynomial is not symmetric; odd-v part: {odd.to_text()}")
     return GenPoly({_factor_even_word(w): c for w, c in even.terms.items()})

@@ -76,9 +76,8 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
     graded = all(v.shape == (s.n, s.n) for v, s in zip(values, samples))
     report.add("graded", graded)
 
-    pairs = list(zip(range(len(samples) - 1), range(1, len(samples))))
-    if len(samples) > 1:
-        pairs.append((len(samples) - 1, 0))
+    # each sample with the next, cyclically: one sample pairs with itself
+    pairs = [(i, (i + 1) % len(samples)) for i in range(len(samples))]
 
     def direct_sums():
         for i, j in pairs:

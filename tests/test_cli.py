@@ -84,6 +84,15 @@ def test_decompose(capsys):
     assert main(["decompose", "--expr", "alpha"]) == 2  # wrong kind
 
 
+def test_decompose_decimal_coefficients(capsys):
+    # the float change of variables leaves a 2.8e-17 odd-v part; symmetry
+    # is decided exactly on the x,y coefficients instead
+    assert main(["decompose", "--expr",
+                 "0.35*x*y + 0.35*y*x + 0.15*x^3 + 0.05*x*y^2 + 0.05*y*x^2"
+                 " + 0.15*y^3"]) == 0
+    assert "U^3" in json.loads(capsys.readouterr().out)["genpoly"]
+
+
 def test_verify_suite(capsys):
     assert main(["verify", "--suite", "pascoe", "--seed", "7"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -128,6 +137,27 @@ def test_check_domain_ugamma(files, capsys, tmp_path):
     assert main(["check-domain", "--pred", "Ugamma", "--tuple", str(path),
                  "--centers", "1,4", "--radius", "0.4"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] is True
+
+
+@pytest.mark.parametrize("pred, centers, radius", [
+    ("Ugamma", "1,1.5", "0.2"),   # discs not quarter-isolated
+    ("Ugamma", "1,4", "2"),       # 0 inside a disc
+    ("Ugamma", "1,4", "-1"),
+    ("D", "1", "-1"),
+    ("D", "1", None),
+])
+def test_check_domain_bad_disc_system_is_a_precondition_violation(
+        pred, centers, radius, tmp_path, capsys):
+    x = np.diag([1.0, 1.5]).astype(complex)
+    mats = (np.eye(2, dtype=complex), x) if pred == "Ugamma" else (x,)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(tuple_to_json_dict(MatrixTuple(mats))))
+    argv = ["check-domain", "--pred", pred, "--centers", centers,
+            "--tuple" if pred == "Ugamma" else "--matrix", str(path)]
+    if radius is not None:
+        argv += ["--radius", radius]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_json_output_is_deterministic(files, capsys):

@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ncsym import domains
-from ncsym.errors import ClusteringError, UnsupportedError
-from ncsym.funcalc import BranchSpec
-from ncsym.linalg import direct_sum, random_tuple, rel_dist
+from ncsym.errors import ClusteringError, DomainError, UnsupportedError
+from ncsym.funcalc import BranchSpec, involution_I
+from ncsym.linalg import (commutator_norm, direct_sum, op_norm, random_tuple,
+                          rel_dist)
 from ncsym.words import FreePoly, MatrixTuple
 
-from helpers import cluster_centers_off_cut, clustered_matrix, ginibre
+from helpers import (cluster_centers_off_cut, clustered_matrix, ginibre,
+                     well_conditioned)
 
 
 def test_separation_and_isolation_examples():
@@ -90,6 +94,51 @@ def test_in_U_gamma_examples():
     singleton = domains.SimpleSet((1.0,), 0.3)
     assert domains.in_U_gamma(np.zeros((2, 2)), np.eye(2, dtype=complex),
                               singleton) is True  # vacuous for k = 1
+
+
+def _masked_pair(level, blocks, rng):
+    """(u, x = v^2) with u block-diagonal over `blocks` groups of v's
+    eigenvectors: generic for one block, commuting with a nonconstant
+    involution for more."""
+    while True:
+        lam = rng.uniform(0.5, 1.5, level) \
+            * np.exp(1j * rng.uniform(0, 2 * np.pi, level))
+        sq = lam ** 2
+        gaps = np.abs(sq[:, None] - sq[None, :]) + np.eye(level)
+        sums = np.abs(lam[:, None] + lam[None, :])
+        if gaps.min() > 0.1 and sums.min() > 0.05:
+            break
+    a = ginibre(level, rng)
+    group = np.arange(level) % blocks
+    a[group[:, None] != group[None, :]] = 0.0
+    p = well_conditioned(level, rng)
+    p_inv = np.linalg.inv(p)
+    return p @ a @ p_inv, p @ np.diag(sq) @ p_inv, sq
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_in_U_gamma_matches_the_involution_loop(level):
+    rng = np.random.default_rng(level)
+    for blocks in (1, 2, 3):
+        u, x, centers = _masked_pair(level, blocks, rng)
+        delta = domains.SimpleSet(centers, domains.default_radius(centers))
+        u_norm = op_norm(u)
+        brute = not any(
+            commutator_norm(u, involution_I(x, BranchSpec(
+                delta.centers, delta.radius, tau))) <= 1e-8 * u_norm
+            for tau in itertools.product((1, -1), repeat=delta.k)
+            if len(set(tau)) > 1)
+        assert brute is (blocks == 1)
+        assert domains.in_U_gamma(u, x, delta) is brute
+
+
+@pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 1.5), 0.2),
+                                   domains.SimpleSet((1.0, 4.0), 2.0),
+                                   domains.SimpleSet((1.0,), 1.5)])
+def test_in_U_gamma_needs_an_admissible_disc_system(delta):
+    x = np.diag([1.0, 1.5]).astype(complex)
+    with pytest.raises(DomainError):
+        domains.in_U_gamma(np.eye(2, dtype=complex), x, delta)
 
 
 def test_direct_sum_keeps_genericity():

@@ -3,11 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from ncsym import sqrtlib
+from ncsym import funcalc, sqrtlib
 from ncsym.errors import ClusteringError, UnsupportedError
-from ncsym.linalg import commutator_norm, op_norm, rel_dist
+from ncsym.funcalc import BranchSpec, sqrt_branch_S
+from ncsym.linalg import block_diag, commutator_norm, op_norm, rel_dist
 
-from helpers import cluster_centers_off_cut, clustered_matrix
+from helpers import cluster_centers_off_cut, clustered_matrix, well_conditioned
 
 
 def test_existence_examples():
@@ -138,6 +139,71 @@ def _assert_same_root_sets(got, expected, tol=1e-7):
         assert j not in taken, "two oracle roots matched one output"
         taken.add(j)
     assert len(taken) == len(got)
+
+
+@pytest.mark.parametrize("zeros", [0, 2])
+def test_roots_are_the_branch_roots_in_sign_order(zeros):
+    # root i is sqrt_branch_S for sign pattern i; a semisimple 0-block
+    # maps to 0
+    rng = np.random.default_rng(4)
+    for k in range(1, 6):
+        centers = cluster_centers_off_cut(rng, k)
+        sizes = [int(rng.integers(1, 3)) for _ in range(k)]
+        nonzero, _, _, _ = clustered_matrix(rng, centers, sizes, 0.02)
+        n = nonzero.shape[0]
+        p = well_conditioned(n + zeros, rng)
+        p_inv = np.linalg.inv(p)
+        x = p @ block_diag(nonzero, np.zeros((zeros, zeros))) @ p_inv
+        rs = sqrtlib.all_square_roots(x, gap=0.5)
+        assert rs.extension == bool(zeros) and len(rs) == 2 ** k
+        for tau, root in zip(itertools.product((1, -1), repeat=k), rs.roots):
+            branch = sqrt_branch_S(nonzero, BranchSpec.for_matrix(
+                nonzero, tau, gap=0.5))
+            want = p @ block_diag(branch, np.zeros((zeros, zeros))) @ p_inv
+            assert rel_dist(root, want) <= 1e-10
+        assert rs.merge_rtols == (sqrtlib.MERGE_LADDER[0],) * 2 ** k
+        assert rs.distinct_margin > 0 and 0 <= rs.margin_disc < k
+        assert rs.distinct_margin <= min(
+            op_norm(a - b) for a, b in itertools.combinations(rs.roots, 2))
+        data = rs.to_json_dict()
+        assert data["merge_rtols"] == list(rs.merge_rtols)
+        assert data["distinct_margin"] == rs.distinct_margin
+
+
+@pytest.mark.parametrize("t, certified", [(1e5, True), (1e9, False)])
+def test_far_from_normal_roots_are_enumerated(t, certified):
+    # ||E_1|| is about t/3, so ||S_tau|| and the refusal threshold grow
+    # with t while two roots are 2 (or far more) apart; past the reach of
+    # the certificate the roots are measured pair by pair
+    x = np.array([[1.0, t], [0.0, 4.0]], dtype=complex)
+    rs = sqrtlib.all_square_roots(x)
+    assert len(rs) == 4
+    for root in rs.roots:
+        assert rel_dist(root @ root, x) <= 1e-12
+    distance = min(op_norm(a - b)
+                   for a, b in itertools.combinations(rs.roots, 2))
+    assert (rs.margin_disc is not None) == certified
+    assert rs.distinct_margin <= distance * (1 + 1e-12)
+    assert rs.distinct_margin > (1.0 if certified else 0.5 * t)
+
+
+def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
+    # k pieces and k idempotents per rung used, for all 2^k roots
+    calls = []
+    original = funcalc.matrix_function
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(funcalc, "matrix_function", counting)
+    monkeypatch.setattr(sqrtlib, "matrix_function", counting)
+    rng = np.random.default_rng(5)
+    k = 8
+    x, _, _, _ = clustered_matrix(
+        rng, 3.0 * np.exp(1j * np.linspace(-2.4, 2.4, k)), [1] * k, 0.02)
+    assert len(sqrtlib.all_square_roots(x, gap=0.3)) == 2 ** k
+    assert 0 < len(calls) <= 2 * k * len(sqrtlib.MERGE_LADDER)
 
 
 def test_roots_commute_with_base():

@@ -5,6 +5,7 @@ from ncsym import ratexpr as rx
 from ncsym.domains import pi
 from ncsym.errors import NotSymmetricError
 from ncsym.linalg import random_tuple, rel_dist
+from ncsym.parsing import parse
 from ncsym.symbasis import (GenPoly, U_ATOM, decompose_symmetric,
                             factor_through_pi, generator_image, reduce_to_pi)
 from ncsym.words import FreePoly
@@ -46,6 +47,20 @@ def test_decompose_quartic_reduces_to_known_rational_form():
 def test_not_symmetric_is_rejected():
     with pytest.raises(NotSymmetricError):
         decompose_symmetric(X * Y)
+
+
+def test_decimal_coefficients_decompose():
+    # to_uv rounds: the odd-v part of this symmetric input is 2.8e-17, not 0
+    p = parse("0.35*x*y + 0.35*y*x + 0.15*x^3 + 0.05*x*y^2 + 0.05*y*x^2"
+              " + 0.15*y^3")
+    got = decompose_symmetric(p).terms
+    u = U_ATOM
+    want = {(u, u): 0.7, (0,): -0.7, (u, u, u): 0.4, (u, 0): 0.4,
+            (0, u): 0.2, (1,): 0.2}
+    assert set(got) == set(want)
+    assert all(abs(got[w] - c) < 1e-15 for w, c in want.items())
+    with pytest.raises(NotSymmetricError):
+        decompose_symmetric(p + 1e-3 * X * Y)
 
 
 def test_generator_images():

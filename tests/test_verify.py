@@ -31,18 +31,29 @@ def test_conjugation_map_fails_similarity_with_witness():
     assert not sim.passed and sim.residual > 1e-6
 
 
+def _truncating(t):  # graded but not direct-sum compatible
+    out = np.zeros((t.n, t.n), dtype=complex)
+    out[0, 0] = t[0][0, 0]
+    return out
+
+
 def test_truncation_map_fails_direct_sums_only():
     rng = np.random.default_rng(2)
-
-    def truncating(t):
-        out = np.zeros((t.n, t.n), dtype=complex)
-        out[0, 0] = t[0][0, 0]
-        return out
-
-    report = verify.check_nc_properties(truncating, _samples(rng), rng=rng)
+    report = verify.check_nc_properties(_truncating, _samples(rng), rng=rng)
     names = {c.name: c.passed for c in report.checks}
     assert names["graded"]
     assert not names["direct-sum"]
+
+
+def test_one_sample_is_paired_with_itself():
+    # with no pairs, direct-sum and intertwining used to pass unexamined
+    rng = np.random.default_rng(0)
+    sample = random_tuple(2, 2, (), rng)
+    report = verify.check_nc_properties(_truncating, [sample], rng=rng)
+    names = {c.name: c.passed for c in report.checks}
+    assert names["graded"]
+    assert not names["direct-sum"]
+    assert not names["intertwining"]
 
 
 def test_evaluator_errors_carry_the_sample():
