@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -25,13 +26,25 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
-def _load_tuple(path: str) -> MatrixTuple:
-    with open(path) as fh:
-        return linalg.tuple_from_json_dict(json.load(fh))
+def _load_json(path: Optional[str], option: str):
+    """The JSON document at path; a missing option, an unreadable file or
+    invalid JSON is a PreconditionError."""
+    if path is None:
+        raise PreconditionError(f"this command needs {option}")
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise PreconditionError(f"cannot read {option} {path!r}: {exc}") \
+            from exc
 
 
-def _load_matrix(path: str) -> np.ndarray:
-    t = _load_tuple(path)
+def _load_tuple(path: Optional[str], option: str) -> MatrixTuple:
+    return linalg.tuple_from_json_dict(_load_json(path, option))
+
+
+def _load_matrix(path: Optional[str]) -> np.ndarray:
+    t = _load_tuple(path, "--matrix")
     if t.d != 1:
         raise PreconditionError(f"expected a single matrix (d=1), got d={t.d}")
     return t[0]
@@ -101,13 +114,13 @@ def _cmd_sqrt(args) -> int:
 
 
 def _cmd_pi(args) -> int:
-    w = _load_tuple(args.input)
+    w = _load_tuple(args.input, "--input")
     _emit(linalg.tuple_to_json_dict(domains.pi(w)))
     return 0
 
 
 def _cmd_fiber(args) -> int:
-    w = _load_tuple(args.input)
+    w = _load_tuple(args.input, "--input")
     points = domains.fiber(w, tol=args.tol, gap=args.gap)
     _emit({"count": len(points),
            "fiber": [linalg.tuple_to_json_dict(p) for p in points]})
@@ -134,22 +147,26 @@ def _cmd_check_domain(args) -> int:
             out["residuals"] = {"sv-ratio":
                                 float(s[-1] / s[0]) if s[0] else 0.0}
     elif pred == "So":
-        w = _load_tuple(args.tuple)
+        w = _load_tuple(args.tuple, "--tuple")
         out["value"] = domains.in_S_o(w, args.tol)
         out["residuals"] = {"min-pair-sum": _q_margin(0.5 * (w[0] - w[1]))}
     elif pred == "D":
         m = _load_matrix(args.matrix)
         out["value"] = domains.in_D_gamma(m, _load_simple_set(args))
     elif pred == "Ugamma":
-        t = _load_tuple(args.tuple)
+        t = _load_tuple(args.tuple, "--tuple")
         if t.d != 2:
             raise PreconditionError("Ugamma expects a pair (u, x)")
         out["value"] = domains.in_U_gamma(t[0], t[1], _load_simple_set(args),
                                           tol=args.tol)
     elif pred == "Bdelta":
-        t = _load_tuple(args.tuple)
-        with open(args.delta) as fh:
-            rows = json.load(fh)
+        t = _load_tuple(args.tuple, "--tuple")
+        rows = _load_json(args.delta, "--delta")
+        if not (isinstance(rows, list) and rows and all(
+                isinstance(row, list) and row and len(row) == len(rows[0])
+                and all(isinstance(cell, str) for cell in row)
+                for row in rows)):
+            raise PreconditionError("--delta must be a 2-D array of strings")
         delta = [[_as_poly(parse(cell), t.d) for cell in row] for row in rows]
         norm = linalg.op_norm(linalg.eval_delta(delta, t))
         out["value"] = norm < 1.0

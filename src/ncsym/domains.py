@@ -158,11 +158,9 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
                                "(spectrum disjoint from its negative)")
     target = v @ u @ v
     scale = 1.0 + op_norm(target)
-    out = []
-    for cand in all_square_roots(v @ v, gap=gap).roots:
-        if op_norm(cand @ u @ cand - target) <= tol * scale:
-            out.append(MatrixTuple((u + cand, u - cand)))
-    return out
+    cands = np.asarray(all_square_roots(v @ v, gap=gap).roots)
+    keep = op_norms(cands @ u @ cands - target) <= tol * scale
+    return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
 
 
 def _require_pair(w: MatrixTuple) -> None:

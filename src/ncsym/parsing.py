@@ -5,22 +5,26 @@ alpha, beta, gamma (coordinates of the symmetrization map), U and M0, M1,
 ... (generator polynomials).  Complex literals use an i suffix (2i, 1+2i
 parses as a sum).  Operators: + - *, integer ^ powers, inv(...), and
 juxtaposition against a parenthesized factor.  Precedence is inv/^ over
-unary minus over * over +/-.
+unary minus over * over +/-.  Parentheses and inv(...) nest at most
+MAX_NESTING levels deep.
 
 parse() classifies the result by the names it uses: a word polynomial in
 x,y or u,v; a rational expression whenever inv, a negative power, or one
-of alpha/beta/gamma appears; a generator polynomial for U/Mj.
+of alpha/beta/gamma appears; a generator polynomial for U/Mj.  Text is
+parsed straight into a RatExpr DAG; polynomial results are its expansion.
 """
 
 from __future__ import annotations
 
+import cmath
 import re
 from typing import Union
 
 from .errors import MixedChartError, ParseError
-from .ratexpr import RatExpr, Scalar, Variable, add, inv, mul, power, scale
+from .ratexpr import (RatExpr, Scalar, Variable, add, as_ncpoly, inv, mul,
+                      power, scale)
 from .symbasis import U_ATOM, GenPoly
-from .words import CHART_UV, CHART_XY, FreePoly, add_terms, mul_terms
+from .words import CHART_UV, CHART_XY, FreePoly
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?i?)
@@ -48,6 +52,8 @@ def _tokenize(text: str) -> list:
                 value = complex(0.0, float(raw[:-1]))
             else:
                 value = complex(float(raw), 0.0)
+            if not cmath.isfinite(value):
+                raise ParseError(f"number out of range: {raw}", pos)
             tokens.append(("num", value, pos))
         elif m.lastgroup == "ident":
             tokens.append(("ident", m.group("ident"), pos))
@@ -58,11 +64,22 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+# levels of ( and inv(; at about 5 frames per level the descent stays well
+# below the default recursion limit of 1000
+MAX_NESTING = 100
+
+
 class _Parser:
+    """Recursive descent that builds the RatExpr DAG directly.  It records
+    the last position of each name and whether inv or a negative power
+    occurs, which decide the kind of result."""
+
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        self.names: dict[str, int] = {}
+        self.rational = False
 
     def peek(self):
         return self.tokens[self.i]
@@ -77,56 +94,58 @@ class _Parser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, found {val!r}", pos)
 
-    def parse(self):
+    def parse(self) -> RatExpr:
         node = self.expr()
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"trailing input starting at {val!r}", pos)
         return node
 
-    def expr(self):
-        node = self.term()
+    def expr(self) -> RatExpr:
+        terms = [self.term()]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
                 rhs = self.term()
-                node = ("add", node, rhs) if val == "+" else \
-                    ("add", node, ("neg", rhs))
+                terms.append(rhs if val == "+" else scale(-1, rhs))
             else:
-                return node
+                return add(*terms)
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> RatExpr:
+        factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "*":
                 self.next()
-                node = ("mul", node, self.factor())
+                factors.append(self.factor())
             elif kind == "op" and val == "(":
                 # juxtaposition against a parenthesized factor
-                node = ("mul", node, self.factor())
+                factors.append(self.factor())
             else:
-                return node
+                return mul(*factors)
 
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+    def factor(self) -> RatExpr:
+        negate = False
+        while self.peek()[:2] == ("op", "-"):
             self.next()
-            return ("neg", self.factor())
-        return self.postfix()
+            negate = not negate
+        node = self.postfix()
+        return scale(-1, node) if negate else node
 
-    def postfix(self):
+    def postfix(self) -> RatExpr:
         node = self.primary()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val == "^":
                 self.next()
-                node = ("pow", node, self.signed_int())
+                k = self.signed_int()
+                self.rational = self.rational or k < 0
+                node = power(node, k)
             else:
                 return node
 
-    def signed_int(self):
+    def signed_int(self) -> int:
         sign = 1
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
@@ -137,54 +156,36 @@ class _Parser:
             raise ParseError("exponent must be an integer", pos)
         return sign * int(val.real)
 
-    def primary(self):
+    def primary(self) -> RatExpr:
         kind, val, pos = self.next()
         if kind == "num":
-            return ("num", val)
-        if kind == "ident":
+            return Scalar(val)
+        if kind == "ident" and val != "inv":
+            self.names[val] = pos
+            return Variable(val)
+        if kind == "ident" or (kind == "op" and val == "("):
             if val == "inv":
                 self.expect_op("(")
-                node = self.expr()
-                self.expect_op(")")
-                return ("inv", node)
-            return ("var", val, pos)
-        if kind == "op" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"nesting deeper than {MAX_NESTING} levels", pos)
             node = self.expr()
             self.expect_op(")")
+            self.depth -= 1
+            if val == "inv":
+                self.rational = True
+                return inv(node)
             return node
         raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def _scan(node, names, flags):
-    tag = node[0]
-    if tag == "num":
-        return
-    if tag == "var":
-        names[node[1]] = node[2]
-        return
-    if tag == "inv":
-        flags["rational"] = True
-        _scan(node[1], names, flags)
-        return
-    if tag == "pow":
-        if node[2] < 0:
-            flags["rational"] = True
-        _scan(node[1], names, flags)
-        return
-    if tag == "neg":
-        _scan(node[1], names, flags)
-        return
-    _scan(node[1], names, flags)
-    _scan(node[2], names, flags)
 
 
 def parse(text: str) -> Union[FreePoly, RatExpr, GenPoly]:
     """Parse text into a word polynomial, rational expression, or
     generator polynomial, depending on the names and operations used."""
-    ast = _Parser(text).parse()
-    names: dict[str, int] = {}
-    flags = {"rational": False}
-    _scan(ast, names, flags)
+    parser = _Parser(text)
+    e = parser.parse()
+    names = parser.names
 
     used = set(names)
     gens = {n for n in used if _GEN_RE.match(n)}
@@ -202,59 +203,23 @@ def parse(text: str) -> Union[FreePoly, RatExpr, GenPoly]:
             raise ParseError(
                 f"generator symbols cannot mix with {sorted(others)}",
                 min(names[n] for n in others))
-        if flags["rational"]:
+        if parser.rational:
             raise ParseError(
                 "inv and negative powers do not apply to generator "
                 "polynomials", 0)
-        return GenPoly(_build_terms(
-            ast, lambda name: U_ATOM if name == "U" else int(name[1:])))
-    if flags["rational"] or used & _ABG:
-        return _build_ratexpr(ast)
+        return GenPoly(_letter_terms(
+            e, lambda name: U_ATOM if name == "U" else int(name[1:])))
+    if parser.rational or used & _ABG:
+        return e
     if used & _UV:
         letters, chart = {"u": 0, "v": 1}, CHART_UV
     else:
         letters, chart = {"x": 0, "y": 1}, CHART_XY
-    return FreePoly(2, _build_terms(ast, letters.__getitem__), chart=chart)
+    return FreePoly(2, _letter_terms(e, letters.__getitem__), chart=chart)
 
 
-def _build_terms(node, atom) -> dict:
-    """Word-polynomial terms of a parse tree; atom maps a name to a letter."""
-    tag = node[0]
-    if tag == "num":
-        return add_terms({}, {(): node[1]})
-    if tag == "var":
-        return {(atom(node[1]),): 1.0 + 0j}
-    if tag == "neg":
-        return add_terms({}, _build_terms(node[1], atom), -1)
-    if tag == "add":
-        return add_terms(_build_terms(node[1], atom),
-                         _build_terms(node[2], atom))
-    if tag == "mul":
-        return mul_terms(_build_terms(node[1], atom),
-                         _build_terms(node[2], atom))
-    if tag == "pow":
-        base = _build_terms(node[1], atom)
-        out = {(): 1.0 + 0j}
-        for _ in range(node[2]):
-            out = mul_terms(out, base)
-        return out
-    raise ParseError(f"unsupported construct {tag!r}")  # pragma: no cover
-
-
-def _build_ratexpr(node) -> RatExpr:
-    tag = node[0]
-    if tag == "num":
-        return Scalar(node[1])
-    if tag == "var":
-        return Variable(node[1])
-    if tag == "neg":
-        return scale(-1, _build_ratexpr(node[1]))
-    if tag == "add":
-        return add(_build_ratexpr(node[1]), _build_ratexpr(node[2]))
-    if tag == "mul":
-        return mul(_build_ratexpr(node[1]), _build_ratexpr(node[2]))
-    if tag == "pow":
-        return power(_build_ratexpr(node[1]), node[2])
-    if tag == "inv":
-        return inv(_build_ratexpr(node[1]))
-    raise ParseError(f"unsupported construct {tag!r}")  # pragma: no cover
+def _letter_terms(e: RatExpr, letter) -> dict:
+    """Expanded terms of an inverse-free expression, with each atom
+    (name, 1) mapped to letter(name)."""
+    return {tuple(letter(name) for name, _ in word): c
+            for word, c in as_ncpoly(e).items()}

@@ -11,10 +11,14 @@ that sub-expression.  Expansion to a word polynomial over variables and
 their formal inverses (with adjacent x*inv(x) pairs cancelled) provides
 exact symbolic comparison for expressions that are polynomial in atomic
 inverses.
+
+Every walk over a DAG is one loop over _postorder, which lists each shared
+node once without recursion, so nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -169,12 +173,12 @@ def mul(*factors) -> RatExpr:
 
 def scale(coeff: complex, e: RatExpr) -> RatExpr:
     coeff = complex(coeff)
+    if isinstance(e, ScalarMul):
+        coeff, e = coeff * e.coeff, e.child
     if coeff == 0:
         return Scalar(0)
     if isinstance(e, Scalar):
         return Scalar(coeff * e.value)
-    if isinstance(e, ScalarMul):
-        return scale(coeff * e.coeff, e.child)
     if coeff == 1:
         return e
     return ScalarMul(coeff, e)
@@ -190,11 +194,10 @@ def inv(e) -> RatExpr:
 def power(e: RatExpr, k: int) -> RatExpr:
     if not isinstance(k, int):
         raise TypeError("exponents must be integers")
-    if k < 0:
-        return inv(power(e, -k))
     if k == 0:
         return Scalar(1)
-    return mul(*([e] * k))
+    p = mul(*([e] * abs(k)))
+    return p if k > 0 else inv(p)
 
 
 def variables(*names: str) -> tuple:
@@ -202,23 +205,36 @@ def variables(*names: str) -> tuple:
 
 
 def free_variables(e: RatExpr) -> frozenset:
-    seen: set[int] = set()
-    out: set[str] = set()
-    stack = [e]
+    return frozenset(node.name for node in _postorder(e)
+                     if isinstance(node, Variable))
+
+
+def _children(node: RatExpr) -> tuple:
+    if isinstance(node, (Sum, Product)):
+        return node.children
+    if isinstance(node, (ScalarMul, Inverse)):
+        return (node.child,)
+    return ()
+
+
+def _postorder(e: RatExpr) -> list:
+    """Each distinct node of the DAG once, children before parents, in the
+    order a depth-first walk over the children left to right finishes
+    them."""
+    order: list = []
+    seen = {id(e)}
+    stack = [(e, iter(_children(e)))]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Variable):
-            out.add(node.name)
-        elif isinstance(node, (Sum, Product)):
-            stack.extend(node.children)
-        elif isinstance(node, ScalarMul):
-            stack.append(node.child)
-        elif isinstance(node, Inverse):
-            stack.append(node.child)
-    return frozenset(out)
+        node, todo = stack[-1]
+        for child in todo:
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append((child, iter(_children(child))))
+                break
+        else:
+            stack.pop()
+            order.append(node)
+    return order
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -254,12 +270,8 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
     else:
         raise AssignmentError("no assignment values and no explicit size")
     eye = np.eye(level, dtype=complex)
-    memo: dict[int, np.ndarray] = {}
-
-    def rec(node: RatExpr) -> np.ndarray:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    vals: dict[int, np.ndarray] = {}
+    for node in _postorder(e):
         if isinstance(node, Variable):
             try:
                 val = mats[node.name]
@@ -269,29 +281,25 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
         elif isinstance(node, Scalar):
             val = node.value * eye
         elif isinstance(node, Sum):
-            val = rec(node.children[0]).copy()
+            val = vals[id(node.children[0])].copy()
             for c in node.children[1:]:
-                val += rec(c)
+                val += vals[id(c)]
         elif isinstance(node, Product):
-            val = rec(node.children[0])
+            val = vals[id(node.children[0])]
             for c in node.children[1:]:
-                val = val @ rec(c)
+                val = val @ vals[id(c)]
         elif isinstance(node, ScalarMul):
-            val = node.coeff * rec(node.child)
-        elif isinstance(node, Inverse):
-            child = rec(node.child)
+            val = node.coeff * vals[id(node.child)]
+        else:
+            child = vals[id(node.child)]
             s = np.linalg.svd(child, compute_uv=False)
             if s[0] == 0.0 or s[-1] <= singular_rtol * s[0]:
                 raise SingularityError(
                     f"singular inverse at sub-expression {to_text(node)}",
                     expression=node)
             val = np.linalg.inv(child)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = val
-        return val
-
-    return rec(e)
+        vals[id(node)] = val
+    return vals[id(e)]
 
 
 def substitute(e: RatExpr, mapping: Mapping[str, RatExpr]) -> RatExpr:
@@ -299,43 +307,34 @@ def substitute(e: RatExpr, mapping: Mapping[str, RatExpr]) -> RatExpr:
 
     Node sharing is preserved: each reachable node is rebuilt once.
     """
-    memo: dict[int, RatExpr] = {}
-
-    def rec(node: RatExpr) -> RatExpr:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    out: dict[int, RatExpr] = {}
+    for node in _postorder(e):
         if isinstance(node, Variable):
-            out = mapping.get(node.name, node)
+            new = mapping.get(node.name, node)
         elif isinstance(node, Scalar):
-            out = node
+            new = node
         elif isinstance(node, Sum):
-            out = add(*[rec(c) for c in node.children])
+            new = add(*[out[id(c)] for c in node.children])
         elif isinstance(node, Product):
-            out = mul(*[rec(c) for c in node.children])
+            new = mul(*[out[id(c)] for c in node.children])
         elif isinstance(node, ScalarMul):
-            out = scale(node.coeff, rec(node.child))
-        elif isinstance(node, Inverse):
-            out = inv(rec(node.child))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = out
-        return out
-
-    return rec(e)
+            new = scale(node.coeff, out[id(node.child)])
+        else:
+            new = inv(out[id(node.child)])
+        out[id(node)] = new
+    return out[id(e)]
 
 
 # -- symbolic expansion -------------------------------------------------------
 
-def _reduce_word(word: tuple) -> tuple:
-    """Cancel adjacent (name, e), (name, -e) atom pairs (stack reduction)."""
-    out: list = []
-    for atom in word:
-        if out and out[-1][0] == atom[0] and out[-1][1] == -atom[1]:
-            out.pop()
-        else:
-            out.append(atom)
-    return tuple(out)
+def _join(w1: tuple, w2: tuple) -> tuple:
+    """Concatenation of two reduced words, cancelling the (name, e),
+    (name, -e) atom pairs where they meet; the result is reduced."""
+    k = 0
+    while (k < min(len(w1), len(w2)) and w1[-1 - k][0] == w2[k][0]
+           and w1[-1 - k][1] == -w2[k][1]):
+        k += 1
+    return w1[:len(w1) - k] + w2[k:]
 
 
 def as_ncpoly(e: RatExpr) -> dict:
@@ -345,12 +344,10 @@ def as_ncpoly(e: RatExpr) -> dict:
     ExpansionError.  Words are reduced by cancelling adjacent inverse
     pairs, which is sound wherever the inverses are defined.
     """
-    memo: dict[int, dict] = {}
-
-    def rec(node: RatExpr) -> dict:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
+    order = _postorder(e)
+    join = _join if any(isinstance(n, Inverse) for n in order) else None
+    terms: dict[int, dict] = {}
+    for node in order:
         if isinstance(node, Variable):
             out = {((node.name, 1),): 1.0 + 0j}
         elif isinstance(node, Scalar):
@@ -358,7 +355,7 @@ def as_ncpoly(e: RatExpr) -> dict:
         elif isinstance(node, Inverse):
             # invertible atoms only: a scaled single word flips to the
             # reversed word of inverted atoms
-            inner = rec(node.child)
+            inner = terms[id(node.child)]
             if len(inner) != 1:
                 raise ExpansionError(
                     "cannot expand an inverse of a compound expression: "
@@ -367,21 +364,17 @@ def as_ncpoly(e: RatExpr) -> dict:
             flipped = tuple((name, -e) for name, e in reversed(word))
             out = {flipped: 1.0 / coeff}
         elif isinstance(node, ScalarMul):
-            out = add_terms({}, rec(node.child), node.coeff)
+            out = add_terms({}, terms[id(node.child)], node.coeff)
         elif isinstance(node, Sum):
             out = {}
             for c in node.children:
-                add_terms(out, rec(c))
-        elif isinstance(node, Product):
+                add_terms(out, terms[id(c)])
+        else:
             out = {(): 1.0 + 0j}
             for c in node.children:
-                out = mul_terms(out, rec(c), _reduce_word)
-        else:  # pragma: no cover
-            raise TypeError(f"unknown node {type(node).__name__}")
-        memo[id(node)] = out
-        return out
-
-    return rec(e)
+                out = mul_terms(out, terms[id(c)], join)
+        terms[id(node)] = out
+    return terms[id(e)]
 
 
 def ncpoly_equal(e1: RatExpr, e2: RatExpr) -> bool:
@@ -478,39 +471,49 @@ _PREC_ATOM = 3
 
 def to_text(e: RatExpr) -> str:
     """Structural text form using the expression grammar (inv(...), ^)."""
-    return _render(e, _PREC_SUM)
+    # each node's text unwrapped, with its precedence; a parent wraps it
+    # in parentheses where the context binds tighter.  A text is dropped
+    # once its last parent is rendered, so a deep chain does not hold
+    # every suffix of the output at once.
+    text: dict[int, tuple] = {}
+    order = _postorder(e)
+    pending = Counter(id(c) for node in order for c in _children(node))
 
+    def wrapped(node: RatExpr, context: int) -> str:
+        body, prec = text[id(node)]
+        return f"({body})" if prec < context else body
 
-def _render(e: RatExpr, context: int) -> str:
-    if isinstance(e, Variable):
-        return e.name
-    if isinstance(e, Scalar):
-        return _wrap(format_complex(e.value), _PREC_ATOM, context)
-    if isinstance(e, Inverse):
-        return f"inv({_render(e.child, _PREC_SUM)})"
-    if isinstance(e, ScalarMul):
-        child = _render(e.child, _PREC_PROD)
-        cs = format_complex(e.coeff)
-        body = f"-{child}" if cs == "-1" else f"{cs}*{child}"
-        return _wrap(body, _PREC_PROD, context)
-    if isinstance(e, Product):
-        factors = []
-        run: list = []
-        for child in e.children + (None,):
-            if run and child is run[-1]:
-                run.append(child)
-                continue
-            if run:
-                base = _render(run[-1], _PREC_ATOM)
-                factors.append(f"{base}^{len(run)}" if len(run) > 1 else base)
-            run = [child]
-        return _wrap("*".join(factors), _PREC_PROD, context)
-    if isinstance(e, Sum):
-        parts = [_render(c, _PREC_SUM + 1) for c in e.children]
-        return _wrap(" + ".join(parts).replace("+ -", "- "), _PREC_SUM,
-                     context)
-    raise TypeError(f"unknown node {type(e).__name__}")  # pragma: no cover
-
-
-def _wrap(text: str, prec: int, context: int) -> str:
-    return f"({text})" if prec < context else text
+    for node in order:
+        if isinstance(node, Variable):
+            text[id(node)] = node.name, _PREC_ATOM
+        elif isinstance(node, Scalar):
+            text[id(node)] = format_complex(node.value), _PREC_ATOM
+        elif isinstance(node, Inverse):
+            text[id(node)] = f"inv({wrapped(node.child, _PREC_SUM)})", \
+                _PREC_ATOM
+        elif isinstance(node, ScalarMul):
+            child = wrapped(node.child, _PREC_PROD)
+            cs = format_complex(node.coeff)
+            text[id(node)] = (f"-{child}" if cs == "-1" else f"{cs}*{child}",
+                              _PREC_PROD)
+        elif isinstance(node, Product):
+            factors = []
+            run: list = []
+            for child in node.children + (None,):
+                if run and child is run[-1]:
+                    run.append(child)
+                    continue
+                if run:
+                    base = wrapped(run[-1], _PREC_ATOM)
+                    factors.append(f"{base}^{len(run)}" if len(run) > 1
+                                   else base)
+                run = [child]
+            text[id(node)] = "*".join(factors), _PREC_PROD
+        else:
+            parts = [wrapped(c, _PREC_SUM + 1) for c in node.children]
+            text[id(node)] = " + ".join(parts).replace("+ -", "- "), _PREC_SUM
+        for c in _children(node):
+            pending[id(c)] -= 1
+            if not pending[id(c)]:
+                del text[id(c)]
+    return wrapped(e, _PREC_SUM)

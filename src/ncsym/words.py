@@ -44,12 +44,13 @@ def add_terms(acc: dict, terms: Mapping, factor: complex = 1) -> dict:
 
 
 def mul_terms(a: Mapping, b: Mapping,
-              reduce: Optional[Callable[[tuple], tuple]] = None) -> dict:
-    """Concatenation product; reduce, if given, rewrites each product word."""
+              join: Optional[Callable[[tuple, tuple], tuple]] = None) -> dict:
+    """Concatenation product; join, if given, replaces the concatenation
+    of each pair of words."""
     out: dict = {}
     for w1, c1 in a.items():
         for w2, c2 in b.items():
-            w = w1 + w2 if reduce is None else reduce(w1 + w2)
+            w = w1 + w2 if join is None else join(w1, w2)
             s = out.get(w, 0) + c1 * c2
             if s == 0:
                 out.pop(w, None)
@@ -322,10 +323,10 @@ def _s_parity(n: int, parity: int) -> FreePoly:
 def format_complex(c: complex) -> str:
     if c.imag == 0:
         r = c.real
-        return str(int(r)) if r == int(r) else repr(r)
+        return str(int(r)) if r.is_integer() else repr(r)
     if c.real == 0:
         i = c.imag
-        return (str(int(i)) if i == int(i) else repr(i)) + "i"
+        return (str(int(i)) if i.is_integer() else repr(i)) + "i"
     re = format_complex(complex(c.real))
     im = format_complex(complex(0, abs(c.imag)))
     sign = "+" if c.imag > 0 else "-"

@@ -93,6 +93,20 @@ def test_decompose_decimal_coefficients(capsys):
     assert "U^3" in json.loads(capsys.readouterr().out)["genpoly"]
 
 
+@pytest.mark.parametrize("expr, code", [
+    ("+".join(["x*y", "y*x"] * 600), 0),
+    ("(" * 3000 + "x" + ")" * 3000, 3),
+    ("inv(" * 3000 + "x" + ")" * 3000, 3),
+    ("1e999*x*y + 1e999*y*x", 3),
+    ("1e300*1e300*x*y + 1e300*1e300*y*x", 2),
+], ids=["1200-terms", "3000-parentheses", "3000-inv", "inf-literal",
+        "overflowing-product"])
+def test_decompose_long_deep_and_huge_inputs(expr, code, capsys):
+    assert main(["decompose", "--expr", expr]) == code
+    err = capsys.readouterr().err
+    assert ("parse error" in err) == (code == 3)
+
+
 def test_verify_suite(capsys):
     assert main(["verify", "--suite", "pascoe", "--seed", "7"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -188,6 +202,32 @@ def test_malformed_matrix_json_is_a_precondition_violation(data, tmp_path,
     path = tmp_path / "m.json"
     path.write_text(json.dumps(data))
     assert main(["sqrt", "--matrix", str(path), "--enumerate"]) == 2
+    assert "precondition violation" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-domain", "--pred", "Q"],
+    ["check-domain", "--pred", "Q", "--matrix", "{missing}"],
+    ["pi", "--input", "{dir}"],
+    ["fiber", "--input", "{invalid}"],
+    ["check-domain", "--pred", "So", "--tuple", "{invalid}"],
+    ["check-domain", "--pred", "Bdelta", "--tuple", "{nil}"],
+    ["check-domain", "--pred", "Bdelta", "--tuple", "{nil}",
+     "--delta", "{invalid}"],
+    ["check-domain", "--pred", "Bdelta", "--tuple", "{nil}",
+     "--delta", "{numbers}"],
+], ids=["no-matrix", "missing-file", "directory", "invalid-json-input",
+        "invalid-json-tuple", "no-delta", "invalid-json-delta",
+        "delta-not-strings"])
+def test_unreadable_input_files_are_precondition_violations(argv, files,
+                                                            capsys):
+    tmp = files["tmp"]
+    (tmp / "invalid.json").write_text('{"n": 1,')
+    (tmp / "numbers.json").write_text("[[1, 0], [0, 1]]")
+    paths = {"missing": str(tmp / "missing.json"), "dir": str(tmp),
+             "invalid": str(tmp / "invalid.json"),
+             "numbers": str(tmp / "numbers.json"), "nil": files["nil"]}
+    assert main([arg.format(**paths) for arg in argv]) == 2
     assert "precondition violation" in capsys.readouterr().err
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from ncsym import ratexpr as rx
 from ncsym.errors import MixedChartError, ParseError
-from ncsym.parsing import parse
+from ncsym.parsing import MAX_NESTING, parse
 from ncsym.symbasis import GenPoly, U_ATOM
 from ncsym.words import CHART_UV, CHART_XY, FreePoly
 
@@ -102,3 +102,30 @@ def test_round_trip_rational_structural():
             e, again, levels=(1, 2), trials=4,
             rng=np.random.default_rng(1))
         assert verdict.equal_on_samples
+
+
+def test_long_sums_and_products_are_flat():
+    p = parse("+".join(["x*y", "y*x"] * 600))
+    assert p.terms == {(0, 1): 600.0, (1, 0): 600.0}
+    assert parse("*".join(["x"] * 3000)) == FreePoly.word((0,) * 3000, 2)
+    e = parse("+".join(["alpha*beta"] * 3000))
+    assert isinstance(e, rx.Sum) and len(e.children) == 3000
+
+
+def test_nesting_budget():
+    deepest = MAX_NESTING
+    assert parse("(" * deepest + "x" + ")" * deepest) == parse("x")
+    for opener in ("(", "inv("):
+        text = opener * (deepest + 1) + "x" + ")" * (deepest + 1)
+        with pytest.raises(ParseError, match="nesting") as info:
+            parse(text)
+        assert info.value.position == len(opener) * deepest
+    # unary minus is a loop, not a nesting level
+    assert parse("-" * 3001 + "x") == parse("-x")
+    assert parse("-" * 3000 + "x") == parse("x")
+
+
+def test_non_finite_literal_is_a_parse_error():
+    with pytest.raises(ParseError, match="out of range") as info:
+        parse("x + 1e999*y")
+    assert info.value.position == 4

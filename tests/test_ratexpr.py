@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -218,3 +221,60 @@ def _numeric_equal(e1, e2):
     verdict = rx.equivalent_probabilistic(e1, e2, levels=(1, 2), trials=4,
                                           rng=np.random.default_rng(9))
     return verdict.equal_on_samples
+
+
+def test_walks_leave_no_reference_cycles():
+    # every walk is a loop over one post-order list: nothing it builds is
+    # left for the cycle collector
+    from ncsym.girard import girard_positive
+    from ncsym.parsing import parse
+
+    p = girard_positive(10).P
+    point = {name: well_conditioned(3, np.random.default_rng(i))
+             for i, name in enumerate(("alpha", "beta", "gamma"))}
+    gc.collect()
+    gc.disable()
+    try:
+        rx.as_ncpoly(p)
+        rx.evaluate(p, point)
+        rx.substitute(p, {"alpha": G})
+        rx.to_text(p)
+        for text in ("2*inv(alpha - beta*inv(gamma)*beta)",
+                     "3*x*y - x*(2*y - x)^2", "2*U - 3*M0*M2"):
+            parse(text)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_deep_dag_walks_without_recursion():
+    x, y = rx.variables("x", "y")
+    e = x
+    for _ in range(3000):
+        e = rx.inv(1 + y * e)
+    half = 0.5 * np.eye(2)
+    # f = 1/(1 + f/2) has the fixed point sqrt(3) - 1
+    value = rx.evaluate(e, {"x": half, "y": half})
+    assert np.allclose(value, (np.sqrt(3) - 1) * np.eye(2))
+    assert rx.free_variables(e) == {"x", "y"}
+    assert rx.free_variables(rx.substitute(e, {"x": y})) == {"y"}
+    # each rendered child is dropped after its last parent: holding them
+    # all would take 150 MB for this 33 kB text
+    tracemalloc.start()
+    try:
+        text = rx.to_text(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("inv(") == 3000
+    assert peak < 16e6
+    with pytest.raises(ExpansionError):
+        rx.as_ncpoly(e)
+
+
+def test_expansion_cancels_inverse_pairs_at_every_seam():
+    e = rx.mul(A, B, rx.inv(rx.mul(A, B)), rx.inv(G), G, A)
+    assert rx.as_ncpoly(e) == {(("alpha", 1),): 1.0}
+    e = rx.mul(rx.add(A, rx.inv(B)), rx.add(B, rx.inv(A)))
+    assert rx.as_ncpoly(e) == {(("alpha", 1), ("beta", 1)): 1.0, (): 2.0,
+                               (("beta", -1), ("alpha", -1)): 1.0}
