@@ -1,10 +1,11 @@
 """Membership predicates and the symmetrization map.
 
 This module owns the spectral membership predicates over simple sets, the
-map pi(w) = (u, v^2, vuv) with its local sections, and brute-force fibers
-of pi through branch square roots.  The disc geometry itself lives in
-geometry; SimpleSet, default_radius and propose_simple_set are re-exported
-here, next to the function-style aliases of its methods.
+map pi(w) = (u, v^2, vuv) with its local sections, and the fibers of pi.
+Fibers and genericity are both read off the coupling graph of a matrix
+over the spectral idempotents of the discs.  The disc geometry itself
+lives in geometry; SimpleSet, default_radius and propose_simple_set are
+re-exported here, next to the function-style aliases of its methods.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError, UnsupportedError
-from .funcalc import (involution_I, sign_patterns, spectral_idempotents,
-                      sqrt_branch_S)
+from .errors import (DimensionMismatchError, DomainError, NumericalError,
+                     UnsupportedError)
+from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
+                      spectral_idempotents, sqrt_branch_S)
 from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
                        propose_simple_set)
 from .linalg import commutator_norm, in_I, in_Q, op_norm, op_norms, spectrum
-from .sqrtlib import all_square_roots
+from .sqrtlib import SQ_TOL, certify_distinct
 from .words import FreePoly, MatrixTuple
 
 
@@ -50,7 +52,37 @@ def in_W_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
     return in_D_gamma(x, delta, margin)
 
 
-PATTERN_BLOCK = 256  # sign patterns tested per batch in in_U_gamma
+def _coupling_components(m: np.ndarray, idem: np.ndarray,
+                         bound: float) -> np.ndarray:
+    """Connected components of the coupling graph of m over idempotents.
+
+    Disc i ~ disc j when ||E_i m E_j|| or ||E_j m E_i|| exceeds
+    bound * ||E_i|| ||E_j||.  Returns a (c, k) 0/1 membership matrix whose
+    rows are the components in the order of their first disc.
+    """
+    k, n = idem.shape[:2]
+    norms = op_norms(idem)
+    limit = bound * np.outer(norms, norms)
+    prods = idem[:, None] @ m @ idem[None]
+    # ||A||_F / sqrt(n) <= ||A|| <= ||A||_F: take 2-norms only in between
+    blocks = np.sqrt((prods.real ** 2 + prods.imag ** 2).sum(axis=(2, 3)))
+    unsure = (blocks > limit) & (blocks <= limit * np.sqrt(n))
+    blocks[unsure] = op_norms(prods[unsure])
+    edges = blocks > limit
+    edges |= edges.T
+    label = np.full(k, -1)
+    c = 0
+    for seed in range(k):
+        if label[seed] >= 0:
+            continue
+        label[seed] = c
+        todo = [seed]
+        while todo:
+            reached = np.flatnonzero(edges[todo.pop()] & (label < 0))
+            label[reached] = c
+            todo.extend(reached)
+        c += 1
+    return (label == np.arange(c)[:, None]).astype(float)
 
 
 def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
@@ -58,29 +90,38 @@ def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
     """Genericity: u commutes with no nonconstant branch involution of x.
 
     The involution of sign pattern tau is I_tau = sum_j tau_j E_j over the
-    spectral idempotents E_j of the discs, so [u, I_tau] = sum_j tau_j C_j
-    with C_j = [u, E_j]: k interpolations serve all 2^k patterns.  tau and
-    -tau give the same norm, so only patterns with tau_0 = 1 are tested.
-    Raises DomainError unless delta is quarter-isolated with 0 outside it.
-    Vacuously true for a singleton (no nonconstant sign patterns).  This is
-    a Zariski-open condition, so false negatives near the commutation
-    variety are expected at the working tolerance.
+    spectral idempotents E_j of the discs, and E_i [u, I_tau] E_j is
+    (tau_j - tau_i) E_i u E_j.  A pattern that passes the test
+    ||[u, I_tau]|| <= tol ||u|| is therefore constant on the components of
+    the coupling graph of u with bound tol ||u|| / 2: u is generic when
+    the graph is connected, and otherwise only the nonconstant patterns
+    over components (up to a global sign) are tested.  A disc that holds
+    no eigenvalue has E_j = 0, and flipping it alone leaves I_tau = I, so
+    such a disc makes u non-generic.  Raises DomainError unless delta is
+    quarter-isolated with 0 outside it.  Vacuously true for a singleton.
+    This is a Zariski-open condition, so false negatives near the
+    commutation variety are expected at the working tolerance.
     """
     problem = delta.branch_problem()
     if problem:
         raise DomainError(problem)
     if not in_D_gamma(x, delta):
         return False
-    k = delta.k
-    if k == 1:
+    if delta.k == 1:
         return True
     u = np.asarray(u, dtype=complex)
     idem = spectral_idempotents(x, delta)
-    comms = u @ idem - idem @ u
+    # a nonzero idempotent has norm at least 1, an empty disc's is 0
+    if (np.linalg.norm(idem, axis=(1, 2)) < 0.5).any():
+        return False
     threshold = tol * op_norm(u)
-    half = 2 ** (k - 1)
-    for start in range(1, half, PATTERN_BLOCK):
-        signs = sign_patterns(k, start, min(start + PATTERN_BLOCK, half))
+    member = _coupling_components(u, idem, 0.5 * threshold)
+    comms = np.tensordot(member, u @ idem - idem @ u, axes=1)
+    # patterns 1 .. half - 1 are the nonconstant ones with tau_0 = 1
+    c = len(comms)
+    half = 2 ** (c - 1)
+    for start in range(1, half, SIGN_BLOCK):
+        signs = sign_patterns(c, start, min(start + SIGN_BLOCK, half))
         if (op_norms(np.tensordot(signs, comms, axes=1)) <= threshold).any():
             return False
     return True
@@ -142,12 +183,15 @@ def omega_inverse(w: MatrixTuple) -> tuple:
 
 def fiber(w: MatrixTuple, tol: float = 1e-8,
           gap: Optional[float] = None) -> list:
-    """All pairs with the same pi-value, via branch square roots of v^2.
+    """All pairs with the same pi-value: (u + v I_s, u - v I_s).
 
-    Candidates v' sweep the full root enumeration of v^2; survivors must
-    reproduce the third slot v u v.  Supported on the clean locus only
-    (v invertible and in Q); for generic u the result is exactly
-    [w, w.flip()].
+    I_s = sum_j s_j E_j over the spectral idempotents of the discs of v^2,
+    so (v I_s)^2 = v^2, and the third slot v I_s u v I_s = v u v holds when
+    I_s M I_s = M for M = vuv.  A pattern s that passes that test is
+    constant on the components of the coupling graph of M with bound
+    tol (1 + ||M||) / 2, so only those 2^c candidates are tested, with w
+    itself first.  Supported on the clean locus only (v invertible and in
+    Q); for generic u the result is exactly [w, w.flip()].
     """
     _require_pair(w)
     u, v = uv_parts(w)
@@ -156,9 +200,24 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     if not in_S_o(w):
         raise UnsupportedError("fiber enumeration needs v in Q "
                                "(spectrum disjoint from its negative)")
+    x = v @ v
     target = v @ u @ v
     scale = 1.0 + op_norm(target)
-    cands = np.asarray(all_square_roots(v @ v, gap=gap).roots)
+    covering = propose_simple_set(spectrum(x).eigenvalues, gap=gap)
+    idem = spectral_idempotents(x, covering)
+    member = _coupling_components(target, idem, 0.5 * tol * scale)
+    parts = np.tensordot(member, idem, axes=1)  # E_C per component C
+    v_parts = v @ parts
+    cands = np.tensordot(sign_patterns(len(member)), v_parts, axes=1)
+    sq_res = op_norms(cands @ cands - x) / (1.0 + op_norm(x))
+    if (sq_res > SQ_TOL).any():
+        raise NumericalError(
+            f"fiber candidate failed its square check: residual "
+            f"{sq_res.max():.3g} exceeds {SQ_TOL:.3g}")
+    # candidates differing on component C differ by 2 v E_C there
+    certify_distinct(cands, float((2.0 * op_norms(v_parts)
+                                   / op_norms(parts)).min()),
+                     what="fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
 

@@ -103,6 +103,9 @@ def constant_germ(domain: SimpleSet, values: Sequence[complex]) -> ScalarBranch:
     return ScalarBranch(domain, derivs)
 
 
+SIGN_BLOCK = 64  # sign patterns summed per batch, which bounds temporaries
+
+
 def sign_patterns(k: int, start: int = 0,
                   stop: Optional[int] = None) -> np.ndarray:
     """Rows start..stop-1 of every tau in {1, -1}^k, in the order of
@@ -192,67 +195,83 @@ def germ_product(a: ScalarBranch, b: ScalarBranch) -> ScalarBranch:
 
 # -- Hermite interpolation ----------------------------------------------------
 
-def _newton_coefficients(nodes: Sequence[tuple]) -> tuple:
-    """Divided differences for confluent nodes.
+def _newton_coefficients(centers: Sequence[complex], sizes: Sequence[int],
+                         germs: Sequence[ScalarBranch]) -> tuple:
+    """Divided differences of every germ on one confluent node set.
 
-    nodes: list of (z, derivative-list); the derivative list at z supplies
-    the repeated-node diagonal entries f^(j)(z)/j!.
+    Node g sits at centers[g] with multiplicity sizes[g]; there a germ
+    supplies its first sizes[g] derivatives, which give the repeated-node
+    entries f^(j)(z)/j!.  Returns the nodes with repetition, shape (N,),
+    and the Newton coefficients, shape (len(germs), N).
     """
-    zs: list = []
-    ders: list = []
-    gids: list = []
-    for gid, (z, dl) in enumerate(nodes):
-        for _ in dl:
-            zs.append(z)
-            ders.append(dl)
-            gids.append(gid)
+    gids = np.repeat(np.arange(len(sizes)), sizes)
+    zs = np.asarray(centers, dtype=complex)[gids]
     n = len(zs)
-    prev = [ders[i][0] for i in range(n)]
-    coeffs = [prev[0]]
+    width = max(sizes)
+    # ders[h, i, j] = f_h^(j)(zs[i]), for j below the multiplicity of zs[i]
+    ders = np.array([[row for center, size in zip(centers, sizes)
+                      for row in [germ.derivs(center, size)
+                                  + [0j] * (width - size)] * size]
+                     for germ in germs], dtype=complex)
+    prev = ders[:, :, 0]
+    coeffs = [prev[:, 0]]
     factorial = 1.0
     for j in range(1, n):
         factorial *= j
-        cur = []
-        for i in range(n - j):
-            if gids[i + j] == gids[i]:
-                cur.append(ders[i][j] / factorial)
-            else:
-                cur.append((prev[i + 1] - prev[i]) / (zs[i + j] - zs[i]))
-        coeffs.append(cur[0])
+        step = zs[j:] - zs[:-j]
+        if j < width:  # some node is still repeated j + 1 times
+            same = gids[j:] == gids[:-j]
+            cur = np.where(same, ders[:, :n - j, j] / factorial,
+                           (prev[:, 1:] - prev[:, :-1])
+                           / np.where(same, 1.0, step))
+        else:
+            cur = (prev[:, 1:] - prev[:, :-1]) / step
+        coeffs.append(cur[:, 0])
         prev = cur
-    return tuple(zs), tuple(coeffs)
+    return zs, np.stack(coeffs, axis=1)
 
 
-def matrix_function(x: np.ndarray, branch: ScalarBranch,
+def matrix_function(x: np.ndarray, germs,
                     merge_rtol: float = MERGE_RTOL) -> np.ndarray:
-    """Hermite-interpolated primary function of x for the given germ.
+    """Hermite-interpolated primary function of x: an (n, n) matrix for
+    one germ, an (m, n, n) stack for a sequence of m germs.
 
     Eigenvalues closer than merge_rtol times the spectral radius are merged
     into one confluent node (derivative matching) to avoid catastrophic
     divided-difference cancellation; the node multiplicity bounds the size
     of any Jordan block, so the match is exact for the primary function.
+    The spectrum, its clustering and the nodes depend on x alone, so they
+    are computed once per call; each germ adds its Newton coefficients, and
+    one Horner loop evaluates all the interpolants.
     """
+    one = isinstance(germs, ScalarBranch)
+    germs = [germs] if one else list(germs)
     x = np.asarray(x, dtype=complex)
     eigs = spectrum(x).eigenvalues
-    if not branch.domain.covers(eigs):
-        raise SpectrumOutsideDomainError(
-            f"spectrum {np.round(np.asarray(eigs), 6)} not covered by discs "
-            f"around {branch.domain.centers} with radius {branch.domain.radius}")
+    for domain in {germ.domain for germ in germs}:
+        if not domain.covers(eigs):
+            raise SpectrumOutsideDomainError(
+                f"spectrum {np.round(np.asarray(eigs), 6)} not covered by "
+                f"discs around {domain.centers} with radius {domain.radius}")
     rho = max(abs(z) for z in eigs)
     clusters = cluster_eigenvalues(eigs, merge_rtol * (rho if rho > 0 else 1.0))
-    nodes = [(c.center, branch.derivs(c.center, len(c.indices)))
-             for c in clusters]
-    zs, coeffs = _newton_coefficients(nodes)
-    if not all(np.isfinite([c.real, c.imag]).all() for c in coeffs):
+    zs, coeffs = _newton_coefficients(
+        [c.center for c in clusters], [len(c.indices) for c in clusters],
+        germs)
+    if not np.isfinite(coeffs).all():
         raise IllConditionedInterpolationError(
             "divided differences degenerated; nodes too close for the "
             "working precision")
-    n = x.shape[0]
+    m, n = len(germs), x.shape[0]
     eye = np.eye(n, dtype=complex)
-    out = coeffs[-1] * eye
-    for j in range(len(coeffs) - 2, -1, -1):
-        out = out @ (x - zs[j] * eye) + coeffs[j] * eye
-    return out
+    out = np.zeros((m * n, n), dtype=complex)
+    diag = out.reshape(m, n * n)[:, ::n + 1]  # a view of every diagonal
+    diag += coeffs[:, -1, None]
+    for j in range(len(zs) - 2, -1, -1):
+        np.matmul(out.copy(), x - zs[j] * eye, out=out)
+        diag += coeffs[:, j, None]
+    out = out.reshape(m, n, n)
+    return out[0] if one else out
 
 
 def spectral_idempotents(x: np.ndarray, domain: SimpleSet,
@@ -261,8 +280,8 @@ def spectral_idempotents(x: np.ndarray, domain: SimpleSet,
     the eigenvalues in disc j (1 on that disc, 0 on the others); all discs
     of the domain by default."""
     discs = range(domain.k) if discs is None else discs
-    return np.stack([matrix_function(x, constant_germ(
-        domain, [float(i == j) for i in range(domain.k)])) for j in discs])
+    return matrix_function(x, [constant_germ(
+        domain, [float(i == j) for i in range(domain.k)]) for j in discs])
 
 
 def involution_I(x: np.ndarray, spec: BranchSpec) -> np.ndarray:

@@ -169,20 +169,31 @@ def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12):
     """Relative distance of y from span{I, x, ..., x^{n-1}}.
 
     y is one matrix (the result is a float) or an (m, n, n) stack (an
-    array of m distances, all projected onto one basis).  Projection uses
-    an SVD-derived orthonormal basis so rank deficiency of the power basis
-    (minimal polynomial of degree < n) is harmless.
+    array of m distances, all projected onto one basis).  The basis is
+    the orthonormal Krylov (Arnoldi) basis: each new direction is x times
+    the last one, orthogonalized twice by Gram-Schmidt against the basis
+    so far, and the loop stops once that direction is below
+    rank_tol (1 + ||x||), where the span has become invariant under x.
+    Unlike the power basis, this stays well conditioned for clustered
+    spectra.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n = x.shape[0]
-    powers = [np.eye(n, dtype=complex)]
+    floor = rank_tol * (1.0 + op_norm(x))
+    q = np.eye(n, dtype=complex) / np.sqrt(n)
+    basis = [q.ravel()]
     for _ in range(n - 1):
-        powers.append(powers[-1] @ x)
-    basis = np.stack([p.ravel() for p in powers], axis=1)
-    u, s, _ = np.linalg.svd(basis, full_matrices=False)
-    keep = s > rank_tol * s[0]
-    u = u[:, keep]
+        vec = (x @ q).ravel()
+        done = np.stack(basis)
+        for _ in range(2):
+            vec = vec - (done.conj() @ vec) @ done
+        norm = float(np.linalg.norm(vec))
+        if norm <= floor:
+            break
+        q = (vec / norm).reshape(n, n)
+        basis.append(q.ravel())
+    u = np.stack(basis, axis=1)
     vecs = y.reshape(-1, n * n)
     resid = (vecs @ u.conj()) @ u.T
     np.subtract(vecs, resid, out=resid)

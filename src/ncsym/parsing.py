@@ -21,8 +21,8 @@ import re
 from typing import Union
 
 from .errors import MixedChartError, ParseError
-from .ratexpr import (RatExpr, Scalar, Variable, add, as_ncpoly, inv, mul,
-                      power, scale)
+from .ratexpr import (RatExpr, Scalar, ScalarMul, Sum, Variable, add,
+                      as_ncpoly, inv, mul, power, scale)
 from .symbasis import U_ATOM, GenPoly
 from .words import CHART_UV, CHART_XY, FreePoly
 
@@ -72,7 +72,8 @@ MAX_NESTING = 100
 class _Parser:
     """Recursive descent that builds the RatExpr DAG directly.  It records
     the last position of each name and whether inv or a negative power
-    occurs, which decide the kind of result."""
+    occurs, which decide the kind of result, and the start of every sum
+    and term, children before parents."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -80,6 +81,7 @@ class _Parser:
         self.depth = 0
         self.names: dict[str, int] = {}
         self.rational = False
+        self.spans: list = []  # (start position, node)
 
     def peek(self):
         return self.tokens[self.i]
@@ -102,6 +104,7 @@ class _Parser:
         return node
 
     def expr(self) -> RatExpr:
+        pos = self.peek()[2]
         terms = [self.term()]
         while True:
             kind, val, _ = self.peek()
@@ -110,9 +113,12 @@ class _Parser:
                 rhs = self.term()
                 terms.append(rhs if val == "+" else scale(-1, rhs))
             else:
-                return add(*terms)
+                node = _finite(add(*terms), pos)
+                self.spans.append((pos, node))
+                return node
 
     def term(self) -> RatExpr:
+        pos = self.peek()[2]
         factors = [self.factor()]
         while True:
             kind, val, _ = self.peek()
@@ -123,7 +129,9 @@ class _Parser:
                 # juxtaposition against a parenthesized factor
                 factors.append(self.factor())
             else:
-                return mul(*factors)
+                node = _finite(mul(*factors), pos)
+                self.spans.append((pos, node))
+                return node
 
     def factor(self) -> RatExpr:
         negate = False
@@ -180,6 +188,19 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", pos)
 
 
+def _finite(node: RatExpr, pos: int) -> RatExpr:
+    """node, unless folding its constants overflowed.  Every constant is
+    folded by the add or mul of some sum or term, which leaves it at the
+    top of the node: a Scalar, a ScalarMul coefficient, or a Sum child."""
+    for top in node.children if isinstance(node, Sum) else (node,):
+        value = top.value if isinstance(top, Scalar) else \
+            top.coeff if isinstance(top, ScalarMul) else 0
+        if not cmath.isfinite(value):
+            raise ParseError(f"number out of range: constants fold to "
+                             f"{value}", pos)
+    return node
+
+
 def parse(text: str) -> Union[FreePoly, RatExpr, GenPoly]:
     """Parse text into a word polynomial, rational expression, or
     generator polynomial, depending on the names and operations used."""
@@ -208,18 +229,30 @@ def parse(text: str) -> Union[FreePoly, RatExpr, GenPoly]:
                 "inv and negative powers do not apply to generator "
                 "polynomials", 0)
         return GenPoly(_letter_terms(
-            e, lambda name: U_ATOM if name == "U" else int(name[1:])))
+            e, lambda name: U_ATOM if name == "U" else int(name[1:]),
+            parser.spans))
     if parser.rational or used & _ABG:
         return e
     if used & _UV:
         letters, chart = {"u": 0, "v": 1}, CHART_UV
     else:
         letters, chart = {"x": 0, "y": 1}, CHART_XY
-    return FreePoly(2, _letter_terms(e, letters.__getitem__), chart=chart)
+    return FreePoly(2, _letter_terms(e, letters.__getitem__, parser.spans),
+                    chart=chart)
 
 
-def _letter_terms(e: RatExpr, letter) -> dict:
+def _letter_terms(e: RatExpr, letter, spans) -> dict:
     """Expanded terms of an inverse-free expression, with each atom
-    (name, 1) mapped to letter(name)."""
+    (name, 1) mapped to letter(name).  A non-finite coefficient is a
+    ParseError at the first of the parser's spans whose expansion has one:
+    the first sum or term to overflow, as spans list children first."""
+    terms = as_ncpoly(e)
+    if not all(cmath.isfinite(c) for c in terms.values()):
+        for pos, node in spans:
+            bad = [c for c in as_ncpoly(node).values()
+                   if not cmath.isfinite(c)]
+            if bad:
+                raise ParseError(f"number out of range: the expansion has "
+                                 f"coefficient {bad[0]}", pos)
     return {tuple(letter(name) for name, _ in word): c
-            for word, c in as_ncpoly(e).items()}
+            for word, c in terms.items()}

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ClusteringError, NumericalError, UnsupportedError
-from .funcalc import (matrix_function, sign_patterns, spectral_idempotents,
-                      sqrt_piece_germ)
+from .funcalc import (SIGN_BLOCK, matrix_function, sign_patterns,
+                      spectral_idempotents, sqrt_piece_germ)
 from .geometry import SimpleSet, propose_simple_set
 from .linalg import (alg_residual, matrix_to_lists, numerical_rank, op_norm,
                      op_norms, spectrum)
@@ -98,7 +98,6 @@ def _zero_extended_domain(nonzero: SimpleSet, eigenvalues) -> SimpleSet:
 
 
 MERGE_LADDER = (1e-6, 1e-4, 1e-2)
-ROOT_BLOCK = 64  # roots squared per batch, which bounds the temporaries
 
 
 def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
@@ -143,13 +142,13 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     roots = np.empty((len(signs),) + x.shape, dtype=complex)
     sq_res = np.full(len(signs), np.inf)
     rungs = np.zeros(len(signs))
+    germs = [sqrt_piece_germ(domain, j) for j in discs]
     pieces_at = {}
     pending = np.arange(len(signs))
     for rung in MERGE_LADDER:
-        pieces = np.stack([matrix_function(
-            x, sqrt_piece_germ(domain, j), merge_rtol=rung) for j in discs])
+        pieces = matrix_function(x, germs, merge_rtol=rung)
         pieces_at[rung] = pieces
-        for rows in np.array_split(pending, -(-pending.size // ROOT_BLOCK)):
+        for rows in np.array_split(pending, -(-pending.size // SIGN_BLOCK)):
             trial = np.tensordot(signs[rows], pieces, axes=1)
             roots[rows] = trial
             res = op_norms(trial @ trial - x) / (1.0 + x_norm)
@@ -170,22 +169,38 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
         raise NumericalError(
             f"branch root failed its square check at every confluence "
             f"level: best residual {sq_res[first]:.3g} exceeds {tol:.3g}")
-    margin, disc = _distinctness_margin(
+    bound, disc = _distinctness_margin(
         spectral_idempotents(x, domain, discs),
         [pieces_at[r] for r in MERGE_LADDER if (rungs == r).any()])
-    threshold = tol * (1.0 + op_norms(roots).max())
-    if margin <= threshold:  # inconclusive, for x far from normal: measure
-        margin, disc = float(min(op_norms(roots[i + 1:] - roots[i]).min()
-                                 for i in range(len(roots) - 1))), None
-    if margin <= threshold:
-        raise NumericalError(
-            f"enumerated roots coincide numerically: distance {margin:.3g} "
-            f"is within tolerance")
+    margin, measured = certify_distinct(roots, bound, tol, "enumerated roots")
+    if measured:
+        disc = None
     return RootSet(x, tuple(roots), covering.k, extension=has_zero,
                    square_residuals=tuple(sq_res),
                    alg_residuals=tuple(alg_res),
                    merge_rtols=tuple(rungs),
                    distinct_margin=margin, margin_disc=disc)
+
+
+def certify_distinct(cands: np.ndarray, bound: float, tol: float = SQ_TOL,
+                     what: str = "enumerated roots") -> tuple:
+    """(margin, measured): a certificate that the stacked candidates are
+    pairwise distinct, given a lower bound on their pairwise distances.
+
+    The bound certifies when it exceeds tol (1 + max ||cand||); when it is
+    inconclusive, as for a base far from normal, the pairwise distances are
+    measured instead (O(m^2) norms) and measured is True.  Raises
+    NumericalError, naming what, when the candidates coincide numerically.
+    """
+    threshold = tol * (1.0 + op_norms(cands).max())
+    measured = bound <= threshold
+    if measured:
+        bound = float(min(op_norms(cands[i + 1:] - cands[i]).min()
+                          for i in range(len(cands) - 1)))
+    if bound <= threshold:
+        raise NumericalError(f"{what} coincide numerically: distance "
+                             f"{bound:.3g} is within tolerance")
+    return float(bound), measured
 
 
 def _distinctness_margin(idem: np.ndarray, pieces_used) -> tuple:

@@ -3,6 +3,9 @@
 import numpy as np
 
 from ncsym import ratexpr as rx
+from ncsym.domains import uv_parts
+from ncsym.linalg import op_norm, op_norms
+from ncsym.sqrtlib import all_square_roots
 from ncsym.words import FreePoly, MatrixTuple
 
 
@@ -95,3 +98,14 @@ def rel_err(a, b):
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     return np.linalg.norm(a - b, 2) / (1.0 + np.linalg.norm(b, 2))
+
+
+def brute_force_fiber(w, tol=1e-8, gap=None):
+    """Enumerate-and-filter fiber of pi through w: every square root of
+    v^2 in alg(v^2) that reproduces the third slot v u v."""
+    u, v = uv_parts(w)
+    target = v @ u @ v
+    scale = 1.0 + op_norm(target)
+    cands = np.asarray(all_square_roots(v @ v, gap=gap).roots)
+    keep = op_norms(cands @ u @ cands - target) <= tol * scale
+    return [MatrixTuple((u + c, u - c)) for c in cands[keep]]

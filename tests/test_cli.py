@@ -98,13 +98,36 @@ def test_decompose_decimal_coefficients(capsys):
     ("(" * 3000 + "x" + ")" * 3000, 3),
     ("inv(" * 3000 + "x" + ")" * 3000, 3),
     ("1e999*x*y + 1e999*y*x", 3),
-    ("1e300*1e300*x*y + 1e300*1e300*y*x", 2),
+    ("1e300*1e300*x*y + 1e300*1e300*y*x", 3),
 ], ids=["1200-terms", "3000-parentheses", "3000-inv", "inf-literal",
         "overflowing-product"])
 def test_decompose_long_deep_and_huge_inputs(expr, code, capsys):
     assert main(["decompose", "--expr", expr]) == code
     err = capsys.readouterr().err
     assert ("parse error" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("expr, position", [
+    ("1e300*1e300*x*y + 1e300*1e300*y*x", 0),
+    ("(1e200)^2*x*y + y*x", 0),
+    ("inv(1e-320)*x*y + y*x", 0),
+    ("y*x + inv(1e-320)*x*y", 6),
+    ("(1e308 + x) + 1e308", 0),
+    ("(1e200*x + y)*(1e200*y + x)", 0),
+    ("y*x + (1e200*x + y)*(1e200*y + x)", 6),
+    ("x + (y + 1e300*(1e300*x*y + x))", 9),
+    ("inv(1e300*1e300*alpha)", 4),
+])
+def test_overflowing_constants_are_parse_errors(expr, position, capsys):
+    # constants that fold, or expand, to a non-finite value are named as
+    # such, at the sum or term that overflows, instead of failing a
+    # symmetry test on nan coefficients
+    assert main(["decompose", "--expr", expr]) == 3
+    err = capsys.readouterr().err
+    assert "parse error: number out of range" in err
+    with pytest.raises(errors.ParseError) as info:
+        parse(expr)
+    assert info.value.position == position
 
 
 def test_verify_suite(capsys):

@@ -10,8 +10,8 @@ from ncsym.linalg import (commutator_norm, direct_sum, op_norm, random_tuple,
                           rel_dist)
 from ncsym.words import FreePoly, MatrixTuple
 
-from helpers import (cluster_centers_off_cut, clustered_matrix, ginibre,
-                     well_conditioned)
+from helpers import (brute_force_fiber, cluster_centers_off_cut,
+                     clustered_matrix, ginibre, well_conditioned)
 
 
 def test_separation_and_isolation_examples():
@@ -97,9 +97,9 @@ def test_in_U_gamma_examples():
 
 
 def _masked_pair(level, blocks, rng):
-    """(u, x = v^2) with u block-diagonal over `blocks` groups of v's
-    eigenvectors: generic for one block, commuting with a nonconstant
-    involution for more."""
+    """(u, v, eigenvalues of v^2) with u block-diagonal over `blocks`
+    groups of v's eigenvectors: generic for one block, commuting with a
+    nonconstant involution for more."""
     while True:
         lam = rng.uniform(0.5, 1.5, level) \
             * np.exp(1j * rng.uniform(0, 2 * np.pi, level))
@@ -113,23 +113,101 @@ def _masked_pair(level, blocks, rng):
     a[group[:, None] != group[None, :]] = 0.0
     p = well_conditioned(level, rng)
     p_inv = np.linalg.inv(p)
-    return p @ a @ p_inv, p @ np.diag(sq) @ p_inv, sq
+    return p @ a @ p_inv, p @ np.diag(lam) @ p_inv, sq
 
 
 @pytest.mark.parametrize("level", [3, 4, 5, 6])
 def test_in_U_gamma_matches_the_involution_loop(level):
     rng = np.random.default_rng(level)
     for blocks in (1, 2, 3):
-        u, x, centers = _masked_pair(level, blocks, rng)
+        u, v, centers = _masked_pair(level, blocks, rng)
+        x = v @ v
         delta = domains.SimpleSet(centers, domains.default_radius(centers))
-        u_norm = op_norm(u)
-        brute = not any(
-            commutator_norm(u, involution_I(x, BranchSpec(
-                delta.centers, delta.radius, tau))) <= 1e-8 * u_norm
-            for tau in itertools.product((1, -1), repeat=delta.k)
-            if len(set(tau)) > 1)
+        brute = _generic_by_involutions(u, x, delta)
         assert brute is (blocks == 1)
         assert domains.in_U_gamma(u, x, delta) is brute
+
+
+def _generic_by_involutions(u, x, delta):
+    u_norm = op_norm(u)
+    return not any(
+        commutator_norm(u, involution_I(x, BranchSpec(
+            delta.centers, delta.radius, tau))) <= 1e-8 * u_norm
+        for tau in itertools.product((1, -1), repeat=delta.k)
+        if len(set(tau)) > 1)
+
+
+_LAM = np.array([1.0, 1.5, 2.0, 2.5, 3.0]) * np.exp(0.3j)
+
+
+def _coupled(weight, factor, bound):
+    """(q, a) with q unitary and a block-diagonal over two groups of
+    indices except for a[1, 0], set so that ||E_1 M E_0|| for the matrix
+    M = q (weight * a) q^H is factor times bound(M).  The eigenbasis is
+    unitary, so ||E_i|| = 1 and bound(M) is where the coupling graph gains
+    its one edge between the groups (found from either end)."""
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(ginibre(5, rng))
+    a = ginibre(5, rng)
+    group = np.arange(5) % 2
+    a[group[:, None] != group[None, :]] = 0.0
+    for _ in range(3):  # bound(M) moves with the coupling, by about 1e-9
+        m = q @ (weight * a) @ q.conj().T
+        a[1, 0] = factor * bound(m) / abs(weight[1, 0])
+    return q, a
+
+
+@pytest.mark.parametrize("factor, generic", [(0.9, False), (1.1, True)])
+def test_in_U_gamma_at_the_edge_bound(factor, generic):
+    # ||[u, I_tau]|| = 2 ||E_1 u E_0|| for the pattern splitting the
+    # groups, so genericity flips exactly at the edge bound tol ||u|| / 2
+    q, a = _coupled(np.ones((5, 5)), factor, lambda u: 0.5e-8 * op_norm(u))
+    x = q @ np.diag(_LAM ** 2) @ q.conj().T
+    u = q @ a @ q.conj().T
+    delta = domains.SimpleSet(_LAM ** 2, domains.default_radius(_LAM ** 2))
+    assert _generic_by_involutions(u, x, delta) is generic
+    assert domains.in_U_gamma(u, x, delta) is generic
+
+
+@pytest.mark.parametrize("factor, points", [(0.9, 4), (1.1, 2)])
+def test_fiber_at_the_edge_bound(factor, points):
+    # M = vuv has blocks lam_i lam_j a_ij, and the third slot of the
+    # pattern splitting the groups misses by 2 ||E_1 M E_0||, so the
+    # fiber halves exactly at the edge bound tol (1 + ||M||) / 2
+    q, a = _coupled(np.outer(_LAM, _LAM), factor,
+                    lambda m: 0.5e-8 * (1.0 + op_norm(m)))
+    v = q @ np.diag(_LAM) @ q.conj().T
+    u = q @ a @ q.conj().T
+    w = MatrixTuple((u + v, u - v))
+    got = domains.fiber(w)
+    assert len(got) == points
+    _assert_same_points(got, brute_force_fiber(w))
+
+
+@pytest.mark.parametrize("cut", [False, True])
+def test_in_U_gamma_past_the_first_block_of_patterns(cut):
+    # nine discs, each its own component: every coupling is 0.9 times the
+    # edge bound, but every cut of them sums past the test; with disc 1
+    # cut loose, flipping it alone commutes, and that is pattern 128
+    k = 9
+    x = np.diag(3.0 * np.arange(1, k + 1)).astype(complex)
+    delta = domains.SimpleSet(3.0 * np.arange(1, k + 1), 0.5)
+    u = np.diag(np.arange(1, k + 1)).astype(complex)
+    couple = np.ones((k, k)) - np.eye(k)
+    if cut:
+        couple[1, :] = couple[:, 1] = 0.0
+    u += 0.45e-8 * op_norm(u) * couple
+    assert _generic_by_involutions(u, x, delta) is not cut
+    assert domains.in_U_gamma(u, x, delta) is not cut
+
+
+def test_in_U_gamma_with_more_discs_than_eigenvalues():
+    # 38 discs hold no eigenvalue, and flipping one of them alone commutes
+    x = np.diag([10.0, 20.0]).astype(complex)
+    delta = domains.SimpleSet(10.0 * np.arange(1, 41), 1.0)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert domains.in_U_gamma(swap, x, delta) is False
+    assert domains.in_U_gamma(swap, x, domains.SimpleSet((10.0, 20.0), 1.0))
 
 
 @pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 1.5), 0.2),
@@ -217,6 +295,34 @@ def test_fiber_generic_is_two_point():
             assert len(points) == 2
             assert any(p.close_to(w, 1e-8) for p in points)
             assert any(p.close_to(w.flip(), 1e-8) for p in points)
+
+
+def _assert_same_points(got, want, tol=1e-8):
+    assert len(got) == len(want)
+    scale = 1.0 + max(op_norm(p[0]) for p in want)
+    for p in want:
+        dists = [op_norm(p[0] - g[0]) / scale for g in got]
+        assert min(dists) <= tol, f"unmatched point (gap {min(dists):.2e})"
+    for g in got:
+        assert min(op_norm(p[0] - g[0]) for p in want) <= tol * scale
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+def test_fiber_matches_the_enumeration_oracle(level):
+    rng = np.random.default_rng(100 + level)
+    for blocks in range(1, min(level, 3) + 1):
+        u, v, _ = _masked_pair(level, blocks, rng)
+        w = MatrixTuple((u + v, u - v))
+        points = domains.fiber(w)
+        _assert_same_points(points, brute_force_fiber(w))
+        assert len(points) == 2 ** blocks
+        assert points[0].close_to(w, 1e-12)
+        assert points[-1].close_to(w.flip(), 1e-12)
+    w = MatrixTuple((v, -v))  # u = 0: every sign pattern survives
+    points = domains.fiber(w)
+    _assert_same_points(points, brute_force_fiber(w))
+    assert len(points) == 2 ** level
+    assert points[0].close_to(w, 1e-12)
 
 
 def test_fiber_requires_clean_locus():

@@ -54,6 +54,19 @@ def test_moderately_large_matrix():
     assert max(alg_residual(y, x) for y in rs.roots) < 1e-6
 
 
+def test_wide_clusters_of_ten_stay_in_alg():
+    # the power basis of alg(x) is too ill-conditioned here and refused
+    # good roots as "drifted out of alg(x)" (residual 1.2e-5); the
+    # orthonormal Krylov basis measures them at rounding level
+    rng = np.random.default_rng(1)
+    centers = 3.0 * np.exp(1j * np.array([2.5, -2.5]))
+    x, _, _, _ = clustered_matrix(rng, centers, [10, 10], 0.1)
+    rs = sqrtlib.all_square_roots(x, gap=0.5)
+    assert len(rs) == 4
+    assert max(rs.square_residuals) < 1e-12
+    assert max(rs.alg_residuals) < 1e-13
+
+
 def test_dense_tight_clusters_refuse_at_default_tolerance():
     # 20 distinct eigenvalues per cluster push the interpolation degree
     # past what the working precision supports: the enumeration must

@@ -144,6 +144,17 @@ def test_alg_residual():
     assert linalg.alg_residual(outside, x) > 1e-3
 
 
+def test_alg_residual_of_a_commuting_matrix_outside_alg():
+    # E_12 commutes with diag(1, 1, 2) but is orthogonal to alg(x), the
+    # diagonal matrices with equal first two entries; the Krylov basis
+    # stops at dimension 2 and keeps the whole of E_12 as residual
+    x = np.diag([1.0, 1.0, 2.0]).astype(complex)
+    e12 = np.zeros((3, 3), dtype=complex)
+    e12[0, 1] = 1.0
+    assert linalg.alg_residual(e12, x) == pytest.approx(0.5, abs=1e-12)
+    assert linalg.alg_residual(x @ x - 3.0 * x, x) < 1e-15
+
+
 def test_tuple_json_round_trip_bit_exact():
     rng = np.random.default_rng(8)
     t = MatrixTuple((ginibre(3, rng), ginibre(3, rng)))

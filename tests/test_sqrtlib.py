@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncsym import funcalc, sqrtlib
-from ncsym.errors import ClusteringError, UnsupportedError
+from ncsym.errors import ClusteringError, NumericalError, UnsupportedError
 from ncsym.funcalc import BranchSpec, sqrt_branch_S
 from ncsym.linalg import block_diag, commutator_norm, op_norm, rel_dist
 
@@ -188,22 +188,40 @@ def test_far_from_normal_roots_are_enumerated(t, certified):
 
 
 def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
-    # k pieces and k idempotents per rung used, for all 2^k roots
-    calls = []
-    original = funcalc.matrix_function
+    # k pieces and k idempotents per rung used, for all 2^k roots, and
+    # the germs of one call share one eigensolve
+    germs, eigensolves = [], []
+    batched, solve = funcalc.matrix_function, funcalc.spectrum
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(x, branches, *args, **kwargs):
+        germs.append(len(branches))
+        return batched(x, branches, *args, **kwargs)
+
+    def counting_spectrum(x):
+        eigensolves.append(1)
+        return solve(x)
 
     monkeypatch.setattr(funcalc, "matrix_function", counting)
     monkeypatch.setattr(sqrtlib, "matrix_function", counting)
+    monkeypatch.setattr(funcalc, "spectrum", counting_spectrum)
     rng = np.random.default_rng(5)
     k = 8
     x, _, _, _ = clustered_matrix(
         rng, 3.0 * np.exp(1j * np.linspace(-2.4, 2.4, k)), [1] * k, 0.02)
     assert len(sqrtlib.all_square_roots(x, gap=0.3)) == 2 ** k
-    assert 0 < len(calls) <= 2 * k * len(sqrtlib.MERGE_LADDER)
+    assert 0 < sum(germs) <= 2 * k * len(sqrtlib.MERGE_LADDER)
+    assert germs == [k, k]  # the pieces of one rung, then the idempotents
+    assert len(eigensolves) == len(germs)
+
+
+def test_distinctness_certificate_measures_only_when_the_bound_fails():
+    a = np.diag([1.0, 2.0]).astype(complex)
+    cands = np.stack([a, -a, 2 * a])
+    assert sqrtlib.certify_distinct(cands, 1.5) == (1.5, False)
+    assert sqrtlib.certify_distinct(cands, 0.0) == (2.0, True)
+    with pytest.raises(NumericalError, match="fiber candidates coincide"):
+        sqrtlib.certify_distinct(np.stack([a, a + 1e-12, -a]), 0.0,
+                                 what="fiber candidates")
 
 
 def test_roots_commute_with_base():
