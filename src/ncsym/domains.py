@@ -21,7 +21,7 @@ from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
 from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
                        propose_simple_set)
 from .linalg import commutator_norm, in_I, in_Q, op_norm, op_norms, spectrum
-from .sqrtlib import SQ_TOL, certify_distinct
+from .sqrtlib import SQ_TOL, certify_distinct, check_stack
 from .words import FreePoly, MatrixTuple
 
 
@@ -206,6 +206,7 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     covering = propose_simple_set(spectrum(x).eigenvalues, gap=gap)
     idem = spectral_idempotents(x, covering)
     member = _coupling_components(target, idem, 0.5 * tol * scale)
+    check_stack(len(member), x.shape[0], "fiber candidates")
     parts = np.tensordot(member, idem, axes=1)  # E_C per component C
     v_parts = v @ parts
     cands = np.tensordot(sign_patterns(len(member)), v_parts, axes=1)

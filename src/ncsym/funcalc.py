@@ -1,11 +1,13 @@
 """Primary matrix functions via Hermite interpolation on the spectrum.
 
-The contour-integral functional calculus is replaced by the Hermite
-interpolant that matches the scalar function's value and derivatives at
-each eigenvalue up to its multiplicity; the two agree for functions
-holomorphic on the covering discs, and the interpolant is exactly
-computable.  Outputs are polynomials in the argument, hence commute with
-it and lie in span{I, x, ..., x^{n-1}}.
+A function holomorphic on a simple set is one function per disc, and a
+germ (ScalarBranch) gives the derivatives of each disc's function.  The
+contour-integral functional calculus is replaced by the Hermite
+interpolant that matches, at each eigenvalue and up to its multiplicity,
+the value and derivatives of the function of the disc holding it; the two
+agree for functions holomorphic on the covering discs, and the
+interpolant is exactly computable.  Outputs are polynomials in the
+argument, hence commute with it and lie in span{I, x, ..., x^{n-1}}.
 
 Branch data (centers, radius, signs) selects locally constant involutions
 and square-root branches per disc.
@@ -14,6 +16,7 @@ and square-root branches per disc.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -74,33 +77,32 @@ class BranchSpec:
         return cls(ss.centers, ss.radius, tau)
 
 
+@dataclass(frozen=True)
 class ScalarBranch:
-    """Scalar germ on a simple set: values and derivatives on demand.
+    """Scalar germ on a simple set, given disc by disc.
 
-    derivs(z, m) must return the first m derivatives [f(z), ..., f^(m-1)(z)]
-    of the chosen holomorphic function at z.
+    pieces[i](z, m) must return the first m derivatives
+    [f(z), ..., f^(m-1)(z)] of the germ's holomorphic function on disc i,
+    for z in that disc.
     """
 
-    def __init__(self, domain: SimpleSet,
-                 derivs: Callable[[complex, int], Sequence[complex]]):
-        self.domain = domain
-        self._derivs = derivs
+    domain: SimpleSet
+    pieces: tuple
 
-    def derivs(self, z: complex, m: int) -> list:
-        return list(self._derivs(z, m))
+
+def _constant(value: complex) -> Callable:
+    value = complex(value)
+    return lambda z, m: [value] + [0j] * (m - 1)
 
 
 def constant_germ(domain: SimpleSet, values: Sequence[complex]) -> ScalarBranch:
     """Locally constant function: values[i] on disc i."""
-    values = tuple(complex(v) for v in values)
+    return ScalarBranch(domain, tuple(_constant(v) for v in values))
 
-    def derivs(z, m):
-        i = domain.locate(z)
-        if i is None:
-            raise SpectrumOutsideDomainError(f"{z} lies in no disc")
-        return [values[i]] + [0j] * (m - 1)
 
-    return ScalarBranch(domain, derivs)
+def idempotent_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
+    """1 on one disc and 0 on the others: the spectral projector's germ."""
+    return constant_germ(domain, [float(i == disc) for i in range(domain.k)])
 
 
 SIGN_BLOCK = 64  # sign patterns summed per batch, which bounds temporaries
@@ -113,11 +115,6 @@ def sign_patterns(k: int, start: int = 0,
     rows = np.arange(start, 2 ** k if stop is None else stop)
     bits = rows[:, None] >> np.arange(k - 1, -1, -1)
     return 1.0 - 2.0 * (bits & 1)
-
-
-def sign_germ(spec: BranchSpec) -> ScalarBranch:
-    """The square roots of 1: +-1 per disc according to the spec's signs."""
-    return constant_germ(spec.simple_set, spec.tau)
 
 
 def _sqrt_derivs(z: complex, m: int, center: complex, sign: int) -> list:
@@ -133,36 +130,17 @@ def _sqrt_derivs(z: complex, m: int, center: complex, sign: int) -> list:
 
 def sqrt_germ(spec: BranchSpec) -> ScalarBranch:
     """Signed square-root branch: tau[i] * (principal-at-center) on disc i."""
-    domain = spec.simple_set
-
-    def derivs(z, m):
-        i = domain.locate(z)
-        if i is None:
-            raise SpectrumOutsideDomainError(f"{z} lies in no disc")
-        return _sqrt_derivs(z, m, spec.centers[i], spec.tau[i])
-
-    return ScalarBranch(domain, derivs)
+    return ScalarBranch(spec.simple_set, tuple(
+        functools.partial(_sqrt_derivs, center=c, sign=t)
+        for c, t in zip(spec.centers, spec.tau)))
 
 
 def sqrt_piece_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
     """Reference square root (principal at the center) on one disc, 0 on
     the others.  sqrt_germ(spec) is the sum of spec.tau[i] times these."""
-    center = domain.centers[disc]
-
-    def derivs(z, m):
-        i = domain.locate(z)
-        if i is None:
-            raise SpectrumOutsideDomainError(f"{z} lies in no disc")
-        return _sqrt_derivs(z, m, center, 1) if i == disc else [0j] * m
-
-    return ScalarBranch(domain, derivs)
-
-
-def identity_germ(domain: SimpleSet) -> ScalarBranch:
-    def derivs(z, m):
-        return [complex(z)] + ([1.0 + 0j] if m > 1 else []) + [0j] * (m - 2)
-
-    return ScalarBranch(domain, derivs)
+    return ScalarBranch(domain, tuple(
+        functools.partial(_sqrt_derivs, center=c, sign=1) if i == disc
+        else _constant(0.0) for i, c in enumerate(domain.centers)))
 
 
 def polynomial_germ(domain: SimpleSet, coeffs: Sequence[complex]) -> ScalarBranch:
@@ -178,39 +156,46 @@ def polynomial_germ(domain: SimpleSet, coeffs: Sequence[complex]) -> ScalarBranc
             out.append(acc)
         return out
 
-    return ScalarBranch(domain, derivs)
+    return ScalarBranch(domain, (derivs,) * domain.k)
+
+
+def identity_germ(domain: SimpleSet) -> ScalarBranch:
+    return polynomial_germ(domain, (0.0, 1.0))
 
 
 def germ_product(a: ScalarBranch, b: ScalarBranch) -> ScalarBranch:
-    """Pointwise product, derivatives by the Leibniz rule."""
+    """Pointwise product, derivatives by the Leibniz rule on each disc."""
 
-    def derivs(z, m):
-        fa = a.derivs(z, m)
-        fb = b.derivs(z, m)
-        return [sum(math.comb(k, j) * fa[j] * fb[k - j] for j in range(k + 1))
-                for k in range(m)]
+    def leibniz(fa, fb):
+        def derivs(z, m):
+            da, db = fa(z, m), fb(z, m)
+            return [sum(math.comb(k, j) * da[j] * db[k - j]
+                        for j in range(k + 1)) for k in range(m)]
+        return derivs
 
-    return ScalarBranch(a.domain, derivs)
+    return ScalarBranch(a.domain, tuple(map(leibniz, a.pieces, b.pieces)))
 
 
 # -- Hermite interpolation ----------------------------------------------------
 
-def _newton_coefficients(centers: Sequence[complex], sizes: Sequence[int],
+def _newton_coefficients(nodes: Sequence[tuple],
                          germs: Sequence[ScalarBranch]) -> tuple:
     """Divided differences of every germ on one confluent node set.
 
-    Node g sits at centers[g] with multiplicity sizes[g]; there a germ
-    supplies its first sizes[g] derivatives, which give the repeated-node
-    entries f^(j)(z)/j!.  Returns the nodes with repetition, shape (N,),
-    and the Newton coefficients, shape (len(germs), N).
+    Node (center, size, disc) sits at center with multiplicity size; there
+    a germ's piece on that disc supplies its first size derivatives, which
+    give the repeated-node entries f^(j)(z)/j!.  Returns the nodes with
+    repetition, shape (N,), and the Newton coefficients, shape
+    (len(germs), N).
     """
+    centers, sizes, _ = zip(*nodes)
     gids = np.repeat(np.arange(len(sizes)), sizes)
     zs = np.asarray(centers, dtype=complex)[gids]
     n = len(zs)
     width = max(sizes)
     # ders[h, i, j] = f_h^(j)(zs[i]), for j below the multiplicity of zs[i]
-    ders = np.array([[row for center, size in zip(centers, sizes)
-                      for row in [germ.derivs(center, size)
+    ders = np.array([[row for center, size, disc in nodes
+                      for row in [germ.pieces[disc](center, size)
                                   + [0j] * (width - size)] * size]
                      for germ in germs], dtype=complex)
     prev = ders[:, :, 0]
@@ -234,30 +219,36 @@ def _newton_coefficients(centers: Sequence[complex], sizes: Sequence[int],
 def matrix_function(x: np.ndarray, germs,
                     merge_rtol: float = MERGE_RTOL) -> np.ndarray:
     """Hermite-interpolated primary function of x: an (n, n) matrix for
-    one germ, an (m, n, n) stack for a sequence of m germs.
+    one germ, an (m, n, n) stack for a sequence of m germs on one domain.
 
-    Eigenvalues closer than merge_rtol times the spectral radius are merged
-    into one confluent node (derivative matching) to avoid catastrophic
+    Each eigenvalue is assigned once to the disc that holds it
+    (SpectrumOutsideDomainError if one lies in no disc), and a germ gives
+    its derivatives there from its piece on that disc.  Eigenvalues of one
+    disc closer than merge_rtol times the spectral radius are merged into
+    one confluent node (derivative matching) to avoid catastrophic
     divided-difference cancellation; the node multiplicity bounds the size
     of any Jordan block, so the match is exact for the primary function.
+    Nodes never merge across discs, where the germ is another function.
     The spectrum, its clustering and the nodes depend on x alone, so they
     are computed once per call; each germ adds its Newton coefficients, and
     one Horner loop evaluates all the interpolants.
     """
     one = isinstance(germs, ScalarBranch)
     germs = [germs] if one else list(germs)
+    (domain,) = {germ.domain for germ in germs}  # else ValueError
     x = np.asarray(x, dtype=complex)
-    eigs = spectrum(x).eigenvalues
-    for domain in {germ.domain for germ in germs}:
-        if not domain.covers(eigs):
-            raise SpectrumOutsideDomainError(
-                f"spectrum {np.round(np.asarray(eigs), 6)} not covered by "
-                f"discs around {domain.centers} with radius {domain.radius}")
-    rho = max(abs(z) for z in eigs)
-    clusters = cluster_eigenvalues(eigs, merge_rtol * (rho if rho > 0 else 1.0))
-    zs, coeffs = _newton_coefficients(
-        [c.center for c in clusters], [len(c.indices) for c in clusters],
-        germs)
+    eigs = np.asarray(spectrum(x).eigenvalues)
+    disc = domain.assign(eigs)
+    if (disc < 0).any():
+        raise SpectrumOutsideDomainError(
+            f"spectrum {np.round(eigs, 6)} not covered by "
+            f"discs around {domain.centers} with radius {domain.radius}")
+    rho = np.abs(eigs).max()
+    gap = merge_rtol * (rho if rho > 0 else 1.0)
+    nodes = sorted(((c.center, len(c.indices), d) for d in range(domain.k)
+                    for c in cluster_eigenvalues(eigs[disc == d], gap)),
+                   key=lambda node: (node[0].real, node[0].imag))
+    zs, coeffs = _newton_coefficients(nodes, germs)
     if not np.isfinite(coeffs).all():
         raise IllConditionedInterpolationError(
             "divided differences degenerated; nodes too close for the "
@@ -274,19 +265,16 @@ def matrix_function(x: np.ndarray, germs,
     return out[0] if one else out
 
 
-def spectral_idempotents(x: np.ndarray, domain: SimpleSet,
-                         discs: Optional[Sequence[int]] = None) -> np.ndarray:
-    """(len(discs), n, n) stack of E_j, the spectral projector of x onto
-    the eigenvalues in disc j (1 on that disc, 0 on the others); all discs
-    of the domain by default."""
-    discs = range(domain.k) if discs is None else discs
-    return matrix_function(x, [constant_germ(
-        domain, [float(i == j) for i in range(domain.k)]) for j in discs])
+def spectral_idempotents(x: np.ndarray, domain: SimpleSet) -> np.ndarray:
+    """(k, n, n) stack of E_j, the spectral projector of x onto the
+    eigenvalues in disc j (1 on that disc, 0 on the others)."""
+    return matrix_function(
+        x, [idempotent_germ(domain, j) for j in range(domain.k)])
 
 
 def involution_I(x: np.ndarray, spec: BranchSpec) -> np.ndarray:
     """Matrix square root of the identity attached to the sign pattern."""
-    return matrix_function(x, sign_germ(spec))
+    return matrix_function(x, constant_germ(spec.simple_set, spec.tau))
 
 
 def sqrt_branch_S(x: np.ndarray, spec: BranchSpec) -> np.ndarray:

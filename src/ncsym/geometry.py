@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .errors import ClusteringError
 from .linalg import cluster_eigenvalues
 
@@ -61,20 +63,25 @@ class SimpleSet:
                 return False
         return True
 
+    def assign(self, points: Iterable[complex],
+               margin: float = CONTAINMENT_MARGIN) -> np.ndarray:
+        """Index of the first disc containing each point, -1 for none."""
+        points = np.fromiter(points, dtype=complex)
+        inside = (np.abs(points[:, None] - np.asarray(self.centers))
+                  < self.radius * (1.0 - margin))
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
     def locate(self, z: complex, margin: float = 0.0) -> Optional[int]:
         """Index of the disc containing z, or None."""
-        r = self.radius * (1.0 - margin)
-        for i, c in enumerate(self.centers):
-            if abs(z - c) < r:
-                return i
-        return None
+        i = int(self.assign((z,), margin)[0])
+        return None if i < 0 else i
 
     def contains(self, z: complex, margin: float = 0.0) -> bool:
         return self.locate(z, margin) is not None
 
     def covers(self, points: Iterable[complex],
                margin: float = CONTAINMENT_MARGIN) -> bool:
-        return all(self.contains(z, margin) for z in points)
+        return bool((self.assign(points, margin) >= 0).all())
 
     def avoids_zero(self) -> bool:
         return self.radius < min(abs(c) for c in self.centers)

@@ -13,9 +13,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ClusteringError, NumericalError, UnsupportedError
-from .funcalc import (SIGN_BLOCK, matrix_function, sign_patterns,
-                      spectral_idempotents, sqrt_piece_germ)
+from .errors import (ClusteringError, NumericalError, PreconditionError,
+                     UnsupportedError)
+from .funcalc import (SIGN_BLOCK, idempotent_germ, matrix_function,
+                      sign_patterns, sqrt_piece_germ)
 from .geometry import SimpleSet, propose_simple_set
 from .linalg import (alg_residual, matrix_to_lists, numerical_rank, op_norm,
                      op_norms, spectrum)
@@ -24,22 +25,24 @@ RANK_RTOL = 1e-10
 ZERO_EIG_RTOL = 1e-8
 SQ_TOL = 1e-8
 ALG_TOL = 1e-7
+STACK_BUDGET = 2 ** 25  # entries of one stack of 2^k matrices: 512 MiB
 
 
 def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL) -> bool:
     """False iff the Jordan structure at eigenvalue 0 has a block >= 2.
 
-    Implemented as numerical-rank(x) == numerical-rank(x^2); the kernel of
-    x grows under squaring exactly when such a block exists.
+    True for a numerically invertible x; otherwise implemented as
+    numerical-rank(x) == numerical-rank(x^2), since the kernel of x grows
+    under squaring exactly when such a block exists.  Both ranks are taken
+    of x / ||x||, whose square neither overflows nor underflows.
     """
     x = np.asarray(x, dtype=complex)
     s = np.linalg.svd(x, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return True  # the zero matrix squares to itself via 0
-    threshold = tol * s[0]
-    r1 = numerical_rank(x, threshold)
-    r2 = numerical_rank(x @ x, threshold * s[0])
-    return r1 == r2
+    rank = int(np.count_nonzero(s > tol * s[0]))
+    y = x / s[0]
+    return rank == s.size or rank == numerical_rank(y @ y, tol)
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,13 @@ class RootSet:
     """All square roots of the base matrix inside alg(base).
 
     Root i has sign pattern i of itertools.product((1, -1), repeat=k) over
-    the covering discs in (real, imag) order of their centers.  merge_rtols
-    holds the merge-ladder rung of each root; distinct_margin bounds the
-    distance of any two roots from below, set by sign margin_disc (None:
-    the bound was inconclusive and distinct_margin is the distance).
+    the covering discs in (real, imag) order of their centers; it is the
+    signed sum of the k spectral pieces, all interpolated at the merge
+    threshold merge_rtol, the first rung of MERGE_LADDER at which every
+    root passes its square check (None when no interpolation was needed).
+    distinct_margin bounds the distance of any two roots from below, set
+    by sign margin_disc (None: the bound was inconclusive and
+    distinct_margin is the distance).
     """
 
     base: np.ndarray
@@ -59,7 +65,7 @@ class RootSet:
     extension: bool = False      # True when a semisimple 0-block was present
     square_residuals: tuple = ()
     alg_residuals: tuple = ()
-    merge_rtols: tuple = ()
+    merge_rtol: Optional[float] = None
     distinct_margin: Optional[float] = None
     margin_disc: Optional[int] = None
 
@@ -74,7 +80,7 @@ class RootSet:
             "roots": [matrix_to_lists(r) for r in self.roots],
             "square_residuals": [float(r) for r in self.square_residuals],
             "alg_residuals": [float(r) for r in self.alg_residuals],
-            "merge_rtols": [float(r) for r in self.merge_rtols],
+            "merge_rtol": self.merge_rtol,
             "distinct_margin": self.distinct_margin,
             "margin_disc": self.margin_disc,
         }
@@ -108,27 +114,30 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     The Hermite interpolant is linear in the germ, so root tau is the
     signed sum S_tau = sum_i tau_i R_i of k spectral pieces (R_i is the
     reference root on nonzero disc i, 0 elsewhere, a 0-block included).
-    Each root takes the first rung of MERGE_LADDER that passes its square
-    check: merging the eigenvalues packed in one disc into a single
-    derivative-matched node is stabler than a tableau over all of them.
+    Each rung of MERGE_LADDER is one interpolation of the k pieces and the
+    k spectral idempotents, and the set takes the first rung at which
+    every root passes its square check: merging the eigenvalues packed in
+    one disc into a single derivative-matched node is stabler than a
+    tableau over all of them.
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
-    (UnsupportedError), and roots failing a check (NumericalError): a
-    partial list would betray the 2^k contract.  A looser tol opts in to
-    degraded accuracy, which the result records per root.
+    (UnsupportedError), more roots than STACK_BUDGET holds
+    (PreconditionError), and roots failing a check at every rung
+    (NumericalError): a partial list would betray the 2^k contract.  A
+    looser tol opts in to degraded accuracy, which the result records per
+    root.
     """
     x = np.asarray(x, dtype=complex)
     x_norm = op_norm(x)
-    eigs = np.asarray(spectrum(x).eigenvalues)
-    scale = float(np.abs(eigs).max(initial=0.0))
-    zero_thr = ZERO_EIG_RTOL * (1.0 + scale)
-    zero_mask = np.abs(eigs) <= zero_thr
-    has_zero = bool(zero_mask.any())
-    if has_zero and not sqrt_exists(x):
+    if not sqrt_exists(x):
         raise UnsupportedError(
             "no square roots: the 0-eigenvalue part is defective "
             "(nilpotent Jordan cell of size >= 2)")
+    eigs = np.asarray(spectrum(x).eigenvalues)
+    scale = float(np.abs(eigs).max(initial=0.0))
+    zero_mask = np.abs(eigs) <= ZERO_EIG_RTOL * (1.0 + scale)
+    has_zero = bool(zero_mask.any())
     nonzero_eigs = eigs[~zero_mask]
     if nonzero_eigs.size == 0:
         # semisimple at 0 with nothing else: x is numerically 0, root 0
@@ -136,29 +145,24 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
                        square_residuals=(x_norm / (1.0 + x_norm),),
                        alg_residuals=(0.0,))
     covering = propose_simple_set(nonzero_eigs, gap=gap)
+    k = covering.k
+    check_stack(k, x.shape[0], "enumerated roots")
     domain = _zero_extended_domain(covering, eigs) if has_zero else covering
     discs = [domain.centers.index(c) for c in covering.centers]
-    signs = sign_patterns(covering.k)
-    roots = np.empty((len(signs),) + x.shape, dtype=complex)
-    sq_res = np.full(len(signs), np.inf)
-    rungs = np.zeros(len(signs))
-    germs = [sqrt_piece_germ(domain, j) for j in discs]
-    pieces_at = {}
-    pending = np.arange(len(signs))
+    germs = ([sqrt_piece_germ(domain, j) for j in discs]
+             + [idempotent_germ(domain, j) for j in discs])
+    signs = sign_patterns(k)
     for rung in MERGE_LADDER:
-        pieces = matrix_function(x, germs, merge_rtol=rung)
-        pieces_at[rung] = pieces
-        for rows in np.array_split(pending, -(-pending.size // SIGN_BLOCK)):
-            trial = np.tensordot(signs[rows], pieces, axes=1)
-            roots[rows] = trial
-            res = op_norms(trial @ trial - x) / (1.0 + x_norm)
-            sq_res[rows] = np.minimum(sq_res[rows], res)
-        rungs[pending] = rung
-        pending = pending[sq_res[pending] > tol]
-        if not pending.size:
+        pieces, idem = np.split(matrix_function(x, germs, merge_rtol=rung), 2)
+        roots = np.tensordot(signs, pieces, axes=1)
+        sq_res = np.concatenate([
+            op_norms(block @ block - x) for block in
+            np.split(roots, range(SIGN_BLOCK, len(roots), SIGN_BLOCK))
+        ]) / (1.0 + x_norm)
+        failed = np.flatnonzero(~(sq_res <= tol))
+        if not failed.size:
             break
     # roots are judged in order: the first that fails either check is named
-    failed = np.flatnonzero(sq_res > tol)
     first = failed[0] if failed.size else len(roots)
     alg_res = alg_residual(roots[:first], x) if first else np.zeros(0)
     drifted = np.flatnonzero(alg_res > alg_tol)
@@ -168,18 +172,24 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     if failed.size:
         raise NumericalError(
             f"branch root failed its square check at every confluence "
-            f"level: best residual {sq_res[first]:.3g} exceeds {tol:.3g}")
-    bound, disc = _distinctness_margin(
-        spectral_idempotents(x, domain, discs),
-        [pieces_at[r] for r in MERGE_LADDER if (rungs == r).any()])
+            f"level: residual {sq_res[first]:.3g} exceeds {tol:.3g}")
+    bound, disc = _distinctness_margin(idem, pieces)
     margin, measured = certify_distinct(roots, bound, tol, "enumerated roots")
     if measured:
         disc = None
-    return RootSet(x, tuple(roots), covering.k, extension=has_zero,
+    return RootSet(x, tuple(roots), k, extension=has_zero,
                    square_residuals=tuple(sq_res),
-                   alg_residuals=tuple(alg_res),
-                   merge_rtols=tuple(rungs),
+                   alg_residuals=tuple(alg_res), merge_rtol=rung,
                    distinct_margin=margin, margin_disc=disc)
+
+
+def check_stack(k: int, n: int, what: str) -> None:
+    """Raise PreconditionError, naming what, before a stack of 2^k (n, n)
+    matrices would exceed STACK_BUDGET entries."""
+    if 2 ** k * n * n > STACK_BUDGET:
+        raise PreconditionError(
+            f"{what}: 2^{k} matrices of size {n}x{n} exceed the budget of "
+            f"{STACK_BUDGET} entries")
 
 
 def certify_distinct(cands: np.ndarray, bound: float, tol: float = SQ_TOL,
@@ -203,24 +213,20 @@ def certify_distinct(cands: np.ndarray, bound: float, tol: float = SQ_TOL,
     return float(bound), measured
 
 
-def _distinctness_margin(idem: np.ndarray, pieces_used) -> tuple:
+def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
     """Lower bound on min ||S_tau - S_tau'|| over pairs tau != tau'.
 
     idem[j] is E_j, the spectral idempotent of the disc of piece R_j.  As
-    R_i E_j = 0 for i != j up to rounding, S_tau E_j = tau_j A_j (A_j is
-    R_j E_j at the first rung used) up to dev_j, the norms of the cross
-    terms plus the drift of R_j E_j over the rungs used.  Roots differing
-    at sign j are thus at least 2 (||A_j|| - dev_j) / ||E_j|| apart; for
-    one eigenvalue c that is near 2 |sqrt c|, however large ||E_j|| is.
+    R_i E_j = 0 for i != j up to rounding, S_tau E_j = tau_j R_j E_j up to
+    dev_j, the sum of the norms of the cross terms R_i E_j.  Roots
+    differing at sign j are thus at least 2 (||R_j E_j|| - dev_j) / ||E_j||
+    apart, whatever E_j is; for one eigenvalue c that is near 2 |sqrt c|,
+    however large ||E_j|| is.
     """
-    diag = np.arange(len(idem))
-    anchor = pieces_used[0] @ idem
-    dev = np.zeros(len(idem))
-    for pieces in pieces_used:
-        prods = pieces[:, None] @ idem  # prods[i, j] = R_i E_j
-        prods[diag, diag] -= anchor
-        dev = np.maximum(dev, op_norms(prods).sum(axis=0))
-    bounds = 2.0 * (op_norms(anchor) - dev) / op_norms(idem)
+    norms = op_norms(pieces[:, None] @ idem)  # norms[i, j] = ||R_i E_j||
+    own = norms.diagonal().copy()
+    np.fill_diagonal(norms, 0.0)
+    bounds = 2.0 * (own - norms.sum(axis=0)) / op_norms(idem)
     disc = int(np.argmin(bounds))
     return float(bounds[disc]), disc
 

@@ -21,6 +21,11 @@ def well_conditioned(n, rng, spread=0.35, cond_cap=50.0):
             return p
 
 
+def thirty_distinct():
+    """Diagonal matrix with 30 well-separated eigenvalues on |z| = 3."""
+    return np.diag(3.0 * np.exp(2j * np.pi * np.arange(30) / 30 + 0.1j))
+
+
 def clustered_matrix(rng, centers, sizes, spread):
     """Diagonalizable matrix with eigenvalues scattered around the centers.
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from ncsym.girard import girard_positive
 from ncsym.linalg import tuple_to_json_dict
 from ncsym.parsing import parse
 from ncsym.words import MatrixTuple
+
+from helpers import thirty_distinct
 
 
 @pytest.fixture
@@ -62,6 +65,26 @@ def test_sqrt_nonexistent(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["exists"] is False
     assert out["enumeration"]["roots"] == []
+
+
+def _matrix_file(tmp, name, x):
+    path = tmp / name
+    path.write_text(json.dumps(tuple_to_json_dict(MatrixTuple((x,)))))
+    return str(path)
+
+
+def test_sqrt_exists_at_an_extreme_scale(files, capsys):
+    path = _matrix_file(files["tmp"], "huge.json", np.array([[1e200]]))
+    assert main(["sqrt", "--matrix", path]) == 0
+    assert json.loads(capsys.readouterr().out)["exists"] is True
+
+
+def test_sqrt_enumerate_over_the_stack_budget_exits_2(files, capsys):
+    path = _matrix_file(files["tmp"], "wide.json", thirty_distinct())
+    t0 = time.perf_counter()
+    assert main(["sqrt", "--matrix", path, "--enumerate"]) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "budget" in capsys.readouterr().err
 
 
 def test_pi_and_fiber(files, capsys):

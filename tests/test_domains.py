@@ -1,17 +1,20 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from ncsym import domains
-from ncsym.errors import ClusteringError, DomainError, UnsupportedError
+from ncsym.errors import (ClusteringError, DomainError, PreconditionError,
+                          UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
 from ncsym.linalg import (commutator_norm, direct_sum, op_norm, random_tuple,
                           rel_dist)
 from ncsym.words import FreePoly, MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
-                     clustered_matrix, ginibre, well_conditioned)
+                     clustered_matrix, ginibre, thirty_distinct,
+                     well_conditioned)
 
 
 def test_separation_and_isolation_examples():
@@ -284,6 +287,16 @@ def test_fiber_degenerate_u_zero():
     w = MatrixTuple((v, -v))  # u = 0, so the third slot kills nothing
     points = domains.fiber(w)
     assert len(points) == 4
+
+
+def test_fiber_candidates_over_the_budget_are_refused_at_once():
+    # u = 0 leaves 30 components: 2^30 candidates of size 30
+    v = np.sqrt(thirty_distinct())
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="budget") as info:
+        domains.fiber(MatrixTuple((v, -v)))
+    assert info.type is PreconditionError
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_fiber_generic_is_two_point():

@@ -116,6 +116,24 @@ def test_spectrum_outside_domain_is_rejected():
         funcalc.sqrt_branch_S(np.diag([1.0, 4.0]).astype(complex), spec)
 
 
+def test_nodes_never_merge_across_discs():
+    # at merge_rtol 1e-2 the two eigenvalues are within one merge gap, but
+    # they lie in two discs, where the germ has two different pieces
+    d = SimpleSet((3.0, 3.01), 1e-3)
+    x = np.diag([3.0, 3.01]).astype(complex)
+    got = funcalc.matrix_function(x, [funcalc.sqrt_piece_germ(d, 0)],
+                                  merge_rtol=1e-2)
+    assert np.abs(got[0] - np.diag([np.sqrt(3.0), 0.0])).max() <= 1e-14
+
+
+def test_one_domain_per_call():
+    x = np.diag([1.0, 4.0]).astype(complex)
+    germs = [funcalc.identity_germ(SimpleSet((1.0, 4.0), 0.4)),
+             funcalc.identity_germ(SimpleSet((1.0, 4.0), 0.3))]
+    with pytest.raises(ValueError):
+        funcalc.matrix_function(x, germs)
+
+
 def test_defective_inputs_use_derivative_data():
     # single Jordan block: sqrt must reproduce the (1,2) entry 1/(2 sqrt(1))
     j = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)

@@ -50,6 +50,7 @@ def test_moderately_large_matrix():
     x, _, _, _ = clustered_matrix(rng, centers, [10, 10], 0.02)
     rs = sqrtlib.all_square_roots(x, gap=0.5)
     assert len(rs) == 4
+    assert rs.merge_rtol == 1e-2  # every root needs the coarsest rung
     assert max(rs.square_residuals) < 1e-8
     assert max(alg_residual(y, x) for y in rs.roots) < 1e-6
 

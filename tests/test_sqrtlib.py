@@ -1,14 +1,17 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from ncsym import funcalc, sqrtlib
-from ncsym.errors import ClusteringError, NumericalError, UnsupportedError
+from ncsym.errors import (ClusteringError, NumericalError, PreconditionError,
+                          UnsupportedError)
 from ncsym.funcalc import BranchSpec, sqrt_branch_S
 from ncsym.linalg import block_diag, commutator_norm, op_norm, rel_dist
 
-from helpers import cluster_centers_off_cut, clustered_matrix, well_conditioned
+from helpers import (cluster_centers_off_cut, clustered_matrix,
+                     thirty_distinct, well_conditioned)
 
 
 def test_existence_examples():
@@ -18,6 +21,24 @@ def test_existence_examples():
     m = np.eye(3) + 0.4 * (rng.standard_normal((3, 3))
                            + 1j * rng.standard_normal((3, 3)))
     assert sqrtlib.sqrt_exists(m)  # invertible: no zero eigenvalue at all
+    # invertible, though x @ x loses numerical rank
+    assert sqrtlib.sqrt_exists(np.diag([1.0, 1e-6]))
+
+
+_NILPOTENT_PLUS_ZERO = np.diag([1.0, 0.0], k=1).astype(complex)
+
+
+@pytest.mark.parametrize("x, exists", [
+    (np.array([[1e200]]), True),
+    (np.array([[1e-200]]), True),
+    (np.diag([1e160, 2e160]), True),
+    (1e200 * _NILPOTENT_PLUS_ZERO, False),
+    (1e-200 * _NILPOTENT_PLUS_ZERO, False),
+])
+def test_existence_does_not_depend_on_scale(x, exists):
+    # x @ x over- or underflows at these scales; the rank test runs on
+    # x / ||x|| instead
+    assert sqrtlib.sqrt_exists(x) is exists
 
 
 def _jordan_forms(max_size, eigs=(0, 1)):
@@ -161,12 +182,12 @@ def test_roots_are_the_branch_roots_in_sign_order(zeros):
                 nonzero, tau, gap=0.5))
             want = p @ block_diag(branch, np.zeros((zeros, zeros))) @ p_inv
             assert rel_dist(root, want) <= 1e-10
-        assert rs.merge_rtols == (sqrtlib.MERGE_LADDER[0],) * 2 ** k
+        assert rs.merge_rtol == sqrtlib.MERGE_LADDER[0]
         assert rs.distinct_margin > 0 and 0 <= rs.margin_disc < k
         assert rs.distinct_margin <= min(
             op_norm(a - b) for a, b in itertools.combinations(rs.roots, 2))
         data = rs.to_json_dict()
-        assert data["merge_rtols"] == list(rs.merge_rtols)
+        assert data["merge_rtol"] == rs.merge_rtol
         assert data["distinct_margin"] == rs.distinct_margin
 
 
@@ -188,8 +209,8 @@ def test_far_from_normal_roots_are_enumerated(t, certified):
 
 
 def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
-    # k pieces and k idempotents per rung used, for all 2^k roots, and
-    # the germs of one call share one eigensolve
+    # k pieces and k idempotents in one call per rung used, for all 2^k
+    # roots, and the germs of one call share one eigensolve
     germs, eigensolves = [], []
     batched, solve = funcalc.matrix_function, funcalc.spectrum
 
@@ -210,8 +231,8 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
         rng, 3.0 * np.exp(1j * np.linspace(-2.4, 2.4, k)), [1] * k, 0.02)
     assert len(sqrtlib.all_square_roots(x, gap=0.3)) == 2 ** k
     assert 0 < sum(germs) <= 2 * k * len(sqrtlib.MERGE_LADDER)
-    assert germs == [k, k]  # the pieces of one rung, then the idempotents
-    assert len(eigensolves) == len(germs)
+    assert germs == [2 * k]  # the pieces and idempotents of one rung
+    assert len(eigensolves) == 1
 
 
 def test_distinctness_certificate_measures_only_when_the_bound_fails():
@@ -265,6 +286,35 @@ def test_defective_zero_is_refused():
     bad[0, 1] = 1.0  # nilpotent cell of size 2 plus a semisimple 0
     with pytest.raises(UnsupportedError):
         sqrtlib.all_square_roots(bad)
+
+
+def test_defective_zero_just_above_the_zero_threshold_is_refused():
+    # the perturbed nilpotent block has eigenvalues +-1e-7, above the zero
+    # threshold; x is still numerically singular and its kernel grows
+    # under squaring, so it has no square roots
+    bad = np.diag([0.0, 0.0, 2.0, 3.0]).astype(complex)
+    bad[0, 1], bad[1, 0] = 1.0, 1e-14
+    zero_thr = sqrtlib.ZERO_EIG_RTOL * (1.0 + 3.0)
+    assert np.abs(np.linalg.eigvals(bad)).min() > zero_thr
+    assert not sqrtlib.sqrt_exists(bad)
+    with pytest.raises(UnsupportedError):
+        sqrtlib.all_square_roots(bad)
+
+
+def test_tiny_matrix_is_numerically_zero():
+    # every eigenvalue lies below the zero threshold: one root, 0
+    rs = sqrtlib.all_square_roots(np.diag([1e-200, 2e-200]).astype(complex))
+    assert len(rs) == 1 and rs.extension and rs.k == 0
+    assert rs.square_residuals[0] <= sqrtlib.SQ_TOL
+
+
+def test_root_stack_over_the_budget_is_refused_at_once():
+    # 2^30 roots of size 30 would take 2^30 * 900 entries
+    t0 = time.perf_counter()
+    with pytest.raises(PreconditionError, match="budget") as info:
+        sqrtlib.all_square_roots(thirty_distinct())
+    assert info.type is PreconditionError
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_unisolable_clusters_are_refused():
