@@ -130,12 +130,15 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     """
     x = np.asarray(x, dtype=complex)
     x_norm = op_norm(x)
-    if not sqrt_exists(x):
+    eigs = np.asarray(spectrum(x).eigenvalues)
+    scale = float(np.abs(eigs).max(initial=0.0))
+    # a perturbation eps moves a defective zero block's eigenvalues by
+    # about sqrt(eps), so the rank test reaches out to sqrt(ZERO_EIG_RTOL)
+    near_zero = np.abs(eigs) <= np.sqrt(ZERO_EIG_RTOL) * (1.0 + scale)
+    if near_zero.any() and not sqrt_exists(x):
         raise UnsupportedError(
             "no square roots: the 0-eigenvalue part is defective "
             "(nilpotent Jordan cell of size >= 2)")
-    eigs = np.asarray(spectrum(x).eigenvalues)
-    scale = float(np.abs(eigs).max(initial=0.0))
     zero_mask = np.abs(eigs) <= ZERO_EIG_RTOL * (1.0 + scale)
     has_zero = bool(zero_mask.any())
     nonzero_eigs = eigs[~zero_mask]

@@ -9,8 +9,6 @@ import ast
 import importlib
 import pathlib
 
-import ncsym.sqrtlib
-
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
@@ -35,8 +33,3 @@ def test_every_tracer_target_resolves():
             missing.append(name)
     assert targets and missing == []
 
-
-def test_sqrtlib_binds_what_the_perfbench_self_test_checks():
-    # perfbench/test_perfbench.py asserts these module bindings are wrapped
-    assert callable(getattr(ncsym.sqrtlib, "matrix_function", None))
-    assert callable(getattr(ncsym.sqrtlib, "op_norm", None))

@@ -290,8 +290,8 @@ def test_defective_zero_is_refused():
 
 def test_defective_zero_just_above_the_zero_threshold_is_refused():
     # the perturbed nilpotent block has eigenvalues +-1e-7, above the zero
-    # threshold; x is still numerically singular and its kernel grows
-    # under squaring, so it has no square roots
+    # threshold but within reach of the rank test; x is numerically
+    # singular and its kernel grows under squaring, so it has no roots
     bad = np.diag([0.0, 0.0, 2.0, 3.0]).astype(complex)
     bad[0, 1], bad[1, 0] = 1.0, 1e-14
     zero_thr = sqrtlib.ZERO_EIG_RTOL * (1.0 + 3.0)
@@ -299,6 +299,16 @@ def test_defective_zero_just_above_the_zero_threshold_is_refused():
     assert not sqrtlib.sqrt_exists(bad)
     with pytest.raises(UnsupportedError):
         sqrtlib.all_square_roots(bad)
+
+
+def test_ill_conditioned_without_a_zero_eigenvalue_is_enumerated():
+    # cond(x) is about 1e12, so x is numerically singular, but its
+    # eigenvalues are +-1: no zero block, and x @ x = I
+    x = np.array([[1.0, 1e6], [0.0, -1.0]], dtype=complex)
+    rs = sqrtlib.all_square_roots(x)
+    assert len(rs) == 4 and rs.k == 2 and not rs.extension
+    for root in rs.roots:
+        assert rel_dist(root @ root, x) <= 1e-12
 
 
 def test_tiny_matrix_is_numerically_zero():
