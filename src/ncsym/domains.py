@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, NumericalError,
-                     UnsupportedError)
+                     SpectrumOutsideDomainError, UnsupportedError)
 from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
                       spectral_idempotents, sqrt_branch_S)
 from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
@@ -105,12 +105,13 @@ def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
     problem = delta.branch_problem()
     if problem:
         raise DomainError(problem)
-    if not in_D_gamma(x, delta):
-        return False
     if delta.k == 1:
-        return True
+        return in_D_gamma(x, delta)
     u = np.asarray(u, dtype=complex)
-    idem = spectral_idempotents(x, delta)
+    try:  # raised for a spectrum outside delta, as in_D_gamma tests it
+        idem = spectral_idempotents(x, delta)
+    except SpectrumOutsideDomainError:
+        return False
     # a nonzero idempotent has norm at least 1, an empty disc's is 0
     if (np.linalg.norm(idem, axis=(1, 2)) < 0.5).any():
         return False

@@ -1,11 +1,12 @@
 """Primary matrix functions via Hermite interpolation on the spectrum.
 
-A function holomorphic on a simple set is one function per disc, and a
-germ (ScalarBranch) gives the derivatives of each disc's function.  The
-contour-integral functional calculus is replaced by the Hermite
+A function holomorphic on a simple set is one function per disc; each
+one used here is c_i + r_i s_i(z) on disc i, with s_i that disc's
+reference square root, so a germ (ScalarBranch) is the numbers c_i, r_i.
+The contour-integral functional calculus is replaced by the Hermite
 interpolant that matches, at each eigenvalue and up to its multiplicity,
-the value and derivatives of the function of the disc holding it; the two
-agree for functions holomorphic on the covering discs, and the
+the value and derivatives of the function of the disc holding it; the
+two agree for functions holomorphic on the covering discs, and the
 interpolant is exactly computable.  Outputs are polynomials in the
 argument, hence commute with it and lie in span{I, x, ..., x^{n-1}}.
 
@@ -16,10 +17,8 @@ and square-root branches per disc.
 from __future__ import annotations
 
 import cmath
-import functools
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -79,25 +78,21 @@ class BranchSpec:
 
 @dataclass(frozen=True)
 class ScalarBranch:
-    """Scalar germ on a simple set, given disc by disc.
+    """Scalar germ on a simple set: const[i] + root[i] * s_i(z) on disc i.
 
-    pieces[i](z, m) must return the first m derivatives
-    [f(z), ..., f^(m-1)(z)] of the germ's holomorphic function on disc i,
-    for z in that disc.
+    s_i is the reference square root of disc i, principal at its center
+    (see _sqrt_derivs).  Idempotents and involutions are locally constant,
+    and a square-root branch is a signed reference root on each disc.
     """
 
     domain: SimpleSet
-    pieces: tuple
-
-
-def _constant(value: complex) -> Callable:
-    value = complex(value)
-    return lambda z, m: [value] + [0j] * (m - 1)
+    const: tuple
+    root: tuple
 
 
 def constant_germ(domain: SimpleSet, values: Sequence[complex]) -> ScalarBranch:
     """Locally constant function: values[i] on disc i."""
-    return ScalarBranch(domain, tuple(_constant(v) for v in values))
+    return ScalarBranch(domain, tuple(map(complex, values)), (0j,) * domain.k)
 
 
 def idempotent_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
@@ -130,50 +125,14 @@ def _sqrt_derivs(z: complex, m: int, center: complex, sign: int) -> list:
 
 def sqrt_germ(spec: BranchSpec) -> ScalarBranch:
     """Signed square-root branch: tau[i] * (principal-at-center) on disc i."""
-    return ScalarBranch(spec.simple_set, tuple(
-        functools.partial(_sqrt_derivs, center=c, sign=t)
-        for c, t in zip(spec.centers, spec.tau)))
+    return ScalarBranch(spec.simple_set, (0j,) * spec.k, spec.tau)
 
 
 def sqrt_piece_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
     """Reference square root (principal at the center) on one disc, 0 on
     the others.  sqrt_germ(spec) is the sum of spec.tau[i] times these."""
-    return ScalarBranch(domain, tuple(
-        functools.partial(_sqrt_derivs, center=c, sign=1) if i == disc
-        else _constant(0.0) for i, c in enumerate(domain.centers)))
-
-
-def polynomial_germ(domain: SimpleSet, coeffs: Sequence[complex]) -> ScalarBranch:
-    """Polynomial sum(coeffs[k] z^k) as a germ."""
-    coeffs = [complex(c) for c in coeffs]
-
-    def derivs(z, m):
-        out = []
-        for order in range(m):
-            acc = 0j
-            for k in range(order, len(coeffs)):
-                acc += coeffs[k] * math.perm(k, order) * z ** (k - order)
-            out.append(acc)
-        return out
-
-    return ScalarBranch(domain, (derivs,) * domain.k)
-
-
-def identity_germ(domain: SimpleSet) -> ScalarBranch:
-    return polynomial_germ(domain, (0.0, 1.0))
-
-
-def germ_product(a: ScalarBranch, b: ScalarBranch) -> ScalarBranch:
-    """Pointwise product, derivatives by the Leibniz rule on each disc."""
-
-    def leibniz(fa, fb):
-        def derivs(z, m):
-            da, db = fa(z, m), fb(z, m)
-            return [sum(math.comb(k, j) * da[j] * db[k - j]
-                        for j in range(k + 1)) for k in range(m)]
-        return derivs
-
-    return ScalarBranch(a.domain, tuple(map(leibniz, a.pieces, b.pieces)))
+    return ScalarBranch(domain, (0j,) * domain.k,
+                        tuple(complex(i == disc) for i in range(domain.k)))
 
 
 # -- Hermite interpolation ----------------------------------------------------
@@ -182,22 +141,31 @@ def _newton_coefficients(nodes: Sequence[tuple],
                          germs: Sequence[ScalarBranch]) -> tuple:
     """Divided differences of every germ on one confluent node set.
 
-    Node (center, size, disc) sits at center with multiplicity size; there
-    a germ's piece on that disc supplies its first size derivatives, which
-    give the repeated-node entries f^(j)(z)/j!.  Returns the nodes with
-    repetition, shape (N,), and the Newton coefficients, shape
-    (len(germs), N).
+    Node (center, size, disc) sits at center with multiplicity size; the
+    first size derivatives there of the disc's reference root, taken once
+    for all germs, give each germ's repeated-node entries f^(j)(z)/j!.
+    Returns the nodes with repetition, shape (N,), and the Newton
+    coefficients, shape (len(germs), N).
     """
-    centers, sizes, _ = zip(*nodes)
+    centers, sizes, discs = zip(*nodes)
     gids = np.repeat(np.arange(len(sizes)), sizes)
     zs = np.asarray(centers, dtype=complex)[gids]
     n = len(zs)
     width = max(sizes)
+    const = np.array([germ.const for germ in germs])[:, list(discs)]
+    root = np.array([germ.root for germ in germs])[:, list(discs)]
+    # table[i, j] = s^(j)(center of node i) for the reference root s of its
+    # disc, taken only at the nodes where some germ uses s
+    table = np.zeros((len(nodes), width), dtype=complex)
+    reference = germs[0].domain.centers
+    for i in np.flatnonzero(root.any(axis=0)):
+        center, size, disc = nodes[i]
+        table[i, :size] = _sqrt_derivs(center, size, reference[disc], 1)
     # ders[h, i, j] = f_h^(j)(zs[i]), for j below the multiplicity of zs[i]
-    ders = np.array([[row for center, size, disc in nodes
-                      for row in [germ.pieces[disc](center, size)
-                                  + [0j] * (width - size)] * size]
-                     for germ in germs], dtype=complex)
+    ders = np.zeros((len(germs), len(nodes), width), dtype=complex)
+    ders[:, :, 0] = const
+    ders += root[:, :, None] * table
+    ders = np.repeat(ders, sizes, axis=1)
     prev = ders[:, :, 0]
     coeffs = [prev[:, 0]]
     factorial = 1.0
@@ -222,10 +190,10 @@ def matrix_function(x: np.ndarray, germs,
     one germ, an (m, n, n) stack for a sequence of m germs on one domain.
 
     Each eigenvalue is assigned once to the disc that holds it
-    (SpectrumOutsideDomainError if one lies in no disc), and a germ gives
-    its derivatives there from its piece on that disc.  Eigenvalues of one
-    disc closer than merge_rtol times the spectral radius are merged into
-    one confluent node (derivative matching) to avoid catastrophic
+    (SpectrumOutsideDomainError if one lies in no disc), whose reference
+    root gives every germ its derivatives there.  Eigenvalues of one disc
+    closer than merge_rtol times the spectral radius are merged into one
+    confluent node (derivative matching) to avoid catastrophic
     divided-difference cancellation; the node multiplicity bounds the size
     of any Jordan block, so the match is exact for the primary function.
     Nodes never merge across discs, where the germ is another function.

@@ -124,9 +124,12 @@ def propose_simple_set(eigenvalues: Sequence[complex],
     eigs = [complex(z) for z in eigenvalues]
     if not eigs:
         raise ClusteringError("no eigenvalues to cover")
-    if gap is None:
-        gap = 1e-6 * (1.0 + max(abs(z) for z in eigs))
-    clusters = cluster_eigenvalues(eigs, gap)
+    try:
+        if gap is None:
+            gap = 1e-6 * (1.0 + max(abs(z) for z in eigs))
+        clusters = cluster_eigenvalues(eigs, gap)
+    except OverflowError as exc:  # some |z| or |z - w| exceeds the range
+        raise ClusteringError(f"eigenvalues overflow: {exc}") from exc
     centers = [c.center for c in clusters]
     if forbid_zero and min(abs(c) for c in centers) <= gap:
         raise ClusteringError(

@@ -29,7 +29,7 @@ def op_norm(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=complex)
     if x.size == 0:
         return 0.0
-    return float(np.linalg.norm(x, 2))
+    return float(_finite_norms(x))
 
 
 def op_norms(stack: np.ndarray) -> np.ndarray:
@@ -37,7 +37,18 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     if stack.shape[-1] == 0:
         return np.zeros(stack.shape[:-2])
-    return np.linalg.norm(stack, 2, axis=(-2, -1))
+    return _finite_norms(stack, axis=(-2, -1))
+
+
+def _finite_norms(a: np.ndarray, **axes) -> np.ndarray:
+    """2-norms; NumericalError for one not finite (a vacuous bound)."""
+    try:
+        norms = np.linalg.norm(a, 2, **axes)
+    except np.linalg.LinAlgError as exc:  # a non-finite entry
+        raise NumericalError(f"2-norm failed: {exc}") from exc
+    if not np.isfinite(norms).all():
+        raise NumericalError("a 2-norm overflows the float range")
+    return norms
 
 
 def rel_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -180,7 +191,10 @@ def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12):
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n = x.shape[0]
-    floor = rank_tol * (1.0 + op_norm(x))
+    # x / ||x|| spans alg(x) without overflow; the floor scales with it
+    scale = op_norm(x) or 1.0
+    x = x / scale
+    floor = rank_tol * (1.0 + scale) / scale
     q = np.eye(n, dtype=complex) / np.sqrt(n)
     basis = [q.ravel()]
     for _ in range(n - 1):

@@ -31,18 +31,31 @@ STACK_BUDGET = 2 ** 25  # entries of one stack of 2^k matrices: 512 MiB
 def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL) -> bool:
     """False iff the Jordan structure at eigenvalue 0 has a block >= 2.
 
-    True for a numerically invertible x; otherwise implemented as
-    numerical-rank(x) == numerical-rank(x^2), since the kernel of x grows
-    under squaring exactly when such a block exists.  Both ranks are taken
-    of x / ||x||, whose square neither overflows nor underflows.
+    Such a block moves by about sqrt(eps) under a perturbation eps, so True
+    when no eigenvalue lies within sqrt(ZERO_EIG_RTOL) (1 + spectral
+    radius) of 0.  Otherwise the kernel of x must not grow under squaring:
+    y = x / (largest entry), whose square cannot overflow, keeps its rank
+    in y^2 counted at tol ||y|| times its smallest kept singular value (an
+    eigenvalue c of x leaves c^2 in y^2, below tol ||y||^2 but not zero).
     """
     x = np.asarray(x, dtype=complex)
-    s = np.linalg.svd(x, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if not _near_zero(spectrum(x).eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
+        return True
+    peak = max(np.abs(x.real).max(), np.abs(x.imag).max())
+    if peak == 0.0:
         return True  # the zero matrix squares to itself via 0
-    rank = int(np.count_nonzero(s > tol * s[0]))
-    y = x / s[0]
-    return rank == s.size or rank == numerical_rank(y @ y, tol)
+    # part by part: numpy's complex division overflows for a subnormal peak
+    y = x.real / peak + 1j * (x.imag / peak)
+    s = np.linalg.svd(y, compute_uv=False)
+    kept = s[s > tol * s[0]]
+    return (kept.size == s.size
+            or kept.size == numerical_rank(y @ y, tol * s[0] * kept[-1]))
+
+
+def _near_zero(eigs, rtol: float) -> np.ndarray:
+    """Mask of the eigenvalues within rtol (1 + spectral radius) of 0."""
+    eigs = np.abs(np.asarray(eigs))
+    return eigs <= rtol * (1.0 + eigs.max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -131,15 +144,12 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     x = np.asarray(x, dtype=complex)
     x_norm = op_norm(x)
     eigs = np.asarray(spectrum(x).eigenvalues)
-    scale = float(np.abs(eigs).max(initial=0.0))
-    # a perturbation eps moves a defective zero block's eigenvalues by
-    # about sqrt(eps), so the rank test reaches out to sqrt(ZERO_EIG_RTOL)
-    near_zero = np.abs(eigs) <= np.sqrt(ZERO_EIG_RTOL) * (1.0 + scale)
-    if near_zero.any() and not sqrt_exists(x):
+    # the gate of sqrt_exists on the spectrum at hand: no rank test past it
+    if _near_zero(eigs, np.sqrt(ZERO_EIG_RTOL)).any() and not sqrt_exists(x):
         raise UnsupportedError(
             "no square roots: the 0-eigenvalue part is defective "
             "(nilpotent Jordan cell of size >= 2)")
-    zero_mask = np.abs(eigs) <= ZERO_EIG_RTOL * (1.0 + scale)
+    zero_mask = _near_zero(eigs, ZERO_EIG_RTOL)
     has_zero = bool(zero_mask.any())
     nonzero_eigs = eigs[~zero_mask]
     if nonzero_eigs.size == 0:

@@ -79,6 +79,16 @@ def test_sqrt_exists_at_an_extreme_scale(files, capsys):
     assert json.loads(capsys.readouterr().out)["exists"] is True
 
 
+def test_sqrt_enumerate_ill_conditioned_matrix(files, capsys):
+    # numerically singular, but with eigenvalues +-1: four roots
+    path = _matrix_file(files["tmp"], "illcond.json",
+                        np.array([[1.0, 1e6], [0.0, -1.0]]))
+    assert main(["sqrt", "--matrix", path, "--enumerate"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["exists"] is True
+    assert len(out["enumeration"]["roots"]) == 4
+
+
 def test_sqrt_enumerate_over_the_stack_budget_exits_2(files, capsys):
     path = _matrix_file(files["tmp"], "wide.json", thirty_distinct())
     t0 = time.perf_counter()

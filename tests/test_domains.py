@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ncsym import domains
+from ncsym import domains, funcalc
 from ncsym.errors import (ClusteringError, DomainError, PreconditionError,
                           UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
@@ -77,6 +77,11 @@ def test_propose_simple_set():
         domains.propose_simple_set([0.0, 1e-9])
     with pytest.raises(ClusteringError):
         domains.propose_simple_set([1.0, 1.2, 1.5], gap=0.25)
+    # |z| or |z - w| beyond the float range
+    with pytest.raises(ClusteringError):
+        domains.propose_simple_set([1.5e308 + 1.5e308j])
+    with pytest.raises(ClusteringError):
+        domains.propose_simple_set([1.0, 1.5e308 + 1.5e308j], gap=1.0)
 
 
 def test_spectral_membership():
@@ -211,6 +216,20 @@ def test_in_U_gamma_with_more_discs_than_eigenvalues():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     assert domains.in_U_gamma(swap, x, delta) is False
     assert domains.in_U_gamma(swap, x, domains.SimpleSet((10.0, 20.0), 1.0))
+
+
+def test_in_U_gamma_solves_for_the_spectrum_once(monkeypatch):
+    calls = []
+    for module in (domains, funcalc):
+        monkeypatch.setattr(module, "spectrum", lambda x, real=module.spectrum:
+                            calls.append(x) or real(x))
+    x = np.diag([1.0, 4.0]).astype(complex)
+    swap = np.array([[0, 1], [1, 0]], dtype=complex)
+    assert domains.in_U_gamma(swap, x, domains.SimpleSet((1.0, 4.0), 0.4))
+    assert len(calls) == 1
+    calls.clear()  # 4 lies in no disc: the interpolation refuses it
+    assert not domains.in_U_gamma(swap, x, domains.SimpleSet((1.0, 3.0), 0.4))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 1.5), 0.2),

@@ -23,11 +23,12 @@ def test_branch_spec_validation():
         funcalc.BranchSpec((1.0,), 0.4, (2,))  # bad sign
 
 
-def test_identity_and_constant_functions():
+def test_square_root_and_constant_functions():
     x, _, _, _ = clustered_matrix(RNG, [1.5, 4.0], [2, 2], 0.05)
     dom = SimpleSet((1.5, 4.0), 0.4)
-    assert rel_dist(funcalc.matrix_function(x, funcalc.identity_germ(dom)),
-                    x) < 1e-10
+    spec = funcalc.BranchSpec(dom.centers, dom.radius, (1, -1))
+    s = funcalc.matrix_function(x, funcalc.sqrt_germ(spec))
+    assert rel_dist(s @ s, x) < 1e-10
     one = funcalc.constant_germ(dom, (1.0, 1.0))
     assert np.allclose(funcalc.matrix_function(x, one), np.eye(4))
 
@@ -128,8 +129,8 @@ def test_nodes_never_merge_across_discs():
 
 def test_one_domain_per_call():
     x = np.diag([1.0, 4.0]).astype(complex)
-    germs = [funcalc.identity_germ(SimpleSet((1.0, 4.0), 0.4)),
-             funcalc.identity_germ(SimpleSet((1.0, 4.0), 0.3))]
+    germs = [funcalc.constant_germ(SimpleSet((1.0, 4.0), 0.4), (1.0, 2.0)),
+             funcalc.constant_germ(SimpleSet((1.0, 4.0), 0.3), (1.0, 2.0))]
     with pytest.raises(ValueError):
         funcalc.matrix_function(x, germs)
 
@@ -143,16 +144,49 @@ def test_defective_inputs_use_derivative_data():
 
 
 def test_functional_calculus_multiplicativity():
+    # products of germs, taken disc by disc: E_i E_j = delta_ij E_i,
+    # sum E_j = I, R_i E_j = delta_ij R_i and S_tau^2 = x
     rng = np.random.default_rng(11)
     dom = SimpleSet((1.0 + 0.5j, 4.0), 0.5)
-    f = funcalc.polynomial_germ(dom, (0.5, 2.0, 1.0))
-    g = funcalc.polynomial_germ(dom, (1.0, -1.0))
-    fg = funcalc.germ_product(f, g)
+    germs = ([funcalc.idempotent_germ(dom, j) for j in range(2)]
+             + [funcalc.sqrt_piece_germ(dom, j) for j in range(2)])
     for _ in range(10):
         x, _, _, _ = clustered_matrix(rng, [1.0 + 0.5j, 4.0], [2, 2], 0.1)
-        left = funcalc.matrix_function(x, fg)
-        right = funcalc.matrix_function(x, f) @ funcalc.matrix_function(x, g)
-        assert rel_dist(left, right) < 1e-9
+        e0, e1, r0, r1 = funcalc.matrix_function(x, germs)
+        zero = np.zeros_like(x)
+        for i, (e, r) in enumerate(((e0, r0), (e1, r1))):
+            for j, f in enumerate((e0, e1)):
+                assert rel_dist(e @ f, e if i == j else zero) < 1e-9
+                assert rel_dist(r @ f, r if i == j else zero) < 1e-9
+        assert rel_dist(e0 + e1, np.eye(4)) < 1e-9
+        for tau in itertools.product((1, -1), repeat=2):
+            spec = funcalc.BranchSpec(dom.centers, dom.radius, tau)
+            s = funcalc.matrix_function(x, funcalc.sqrt_germ(spec))
+            assert rel_dist(s @ s, x) < 1e-9
+            assert rel_dist(s, tau[0] * r0 + tau[1] * r1) < 1e-12
+
+
+def test_reference_roots_are_taken_once_per_node(monkeypatch):
+    # all germs of one call share one derivative table of the reference
+    # roots
+    calls = []
+    derivs = funcalc._sqrt_derivs
+    monkeypatch.setattr(funcalc, "_sqrt_derivs",
+                        lambda *args: calls.append(args) or derivs(*args))
+    x, _, _, _ = clustered_matrix(np.random.default_rng(5),
+                                  [1.0, 4.0, 2j], [2, 1, 1], 0.0)
+    dom = SimpleSet((1.0, 4.0, 2j), 0.4)
+    germs = ([funcalc.sqrt_germ(funcalc.BranchSpec(dom.centers, dom.radius,
+                                                   tau))
+              for tau in itertools.product((1, -1), repeat=3)]
+             + [funcalc.sqrt_piece_germ(dom, j) for j in range(3)]
+             + [funcalc.idempotent_germ(dom, j) for j in range(3)])
+    stack = funcalc.matrix_function(x, germs)
+    assert len(calls) == 3  # three nodes: the double eigenvalue 1 is one
+    assert rel_dist(stack[0] @ stack[0], x) < 1e-10
+    calls.clear()
+    funcalc.matrix_function(x, germs[-3:])
+    assert calls == []  # constant germs need no reference root
 
 
 def test_branch_coherence_between_overlapping_specs():

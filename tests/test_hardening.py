@@ -184,3 +184,13 @@ def test_all_square_roots_rejects_near_zero_cluster_with_coarse_gap():
     with pytest.raises(ClusteringError):
         sqrtlib.all_square_roots(x, gap=0.5)  # 0.1 is "at zero" at this gap
     assert len(sqrtlib.all_square_roots(x, gap=0.01)) == 4
+
+
+def test_overflowing_products_exit_1(tmp_path, capsys):
+    # v u v overflows, and with it the 2-norm that scales the fiber test
+    u, v = np.full((2, 2), 1e10), np.diag([1e150, 2e150])
+    path = tmp_path / "huge-pair.json"
+    path.write_text(json.dumps(tuple_to_json_dict(MatrixTuple((u + v,
+                                                               u - v)))))
+    assert main(["fiber", "--input", str(path)]) == 1
+    assert "overflows" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ncsym import linalg
-from ncsym.errors import GenerationError
+from ncsym.errors import GenerationError, NumericalError
 from ncsym.words import FreePoly, MatrixTuple
 
 from helpers import ginibre
@@ -54,6 +54,16 @@ def test_op_norm():
     assert linalg.op_norm(np.zeros((3, 3))) == 0.0
     r = 2.5
     assert linalg.op_norm(np.array([[0, r], [0, 0]])) == pytest.approx(r)
+
+
+def test_non_finite_norms_are_numerical_errors():
+    # a check against an infinite norm would pass vacuously
+    big = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]])
+    for call in (linalg.op_norm, linalg.op_norms):
+        with pytest.raises(NumericalError):
+            call(big)
+    with pytest.raises(NumericalError):
+        linalg.op_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 def test_op_norm_submultiplicative_and_unitary_invariant():

@@ -1,4 +1,5 @@
-"""Property tests: text round trips and the CLI exit-code contract.
+"""Property tests: text and decomposition round trips, and the CLI
+exit-code contract.
 
 Examples are derandomized and bounded, so the suite stays deterministic
 and fast.
@@ -6,6 +7,9 @@ and fast.
 
 import contextlib
 import io
+import json
+import os
+import tempfile
 
 import pytest
 
@@ -15,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ncsym import ratexpr as rx  # noqa: E402
 from ncsym.cli import main  # noqa: E402
 from ncsym.parsing import parse  # noqa: E402
+from ncsym.symbasis import decompose_symmetric  # noqa: E402
 from ncsym.words import CHART_UV, CHART_XY, FreePoly  # noqa: E402
 
 _SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
@@ -76,3 +81,76 @@ def test_decompose_exits_with_a_contract_code(text):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(["decompose", f"--expr={text}"])
     assert code in (0, 1, 2, 3)
+
+
+def _symmetrized(terms):
+    p = FreePoly(2, terms)
+    return p + p.flip()
+
+
+_symmetric = st.dictionaries(
+    st.lists(st.integers(0, 1), max_size=6).map(tuple), _gaussian,
+    max_size=6).map(_symmetrized)
+
+
+@_SETTINGS
+@given(_symmetric)
+def test_decompose_expand_back_round_trip(p):
+    assert decompose_symmetric(p).expand_back() == p.to_uv()
+
+
+# matrix JSON: [re, im] pairs of finite numbers near 0, 1, 1e308 and the
+# subnormal 1e-320, with at most one defect per document: a ragged or
+# non-square layout, a non-finite or malformed cell, or a header that
+# disagrees with the entries
+_finite = st.sampled_from([0.0, 1.0, -2.0, 3.0, 0.5, 1e308, -1.7e308,
+                           1e-320, -5e-324])
+_bad_cells = st.sampled_from([[float("inf"), 0.0], [0.0, float("-inf")],
+                              [float("nan"), 1.0], ["1", 0.0], "x", None,
+                              [], [1.0, 2.0, 3.0], 1.0])
+
+
+@st.composite
+def _matrix_documents(draw):
+    d, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    mats = [[[draw(st.lists(_finite, min_size=2, max_size=2))
+              for _ in range(n)] for _ in range(n)] for _ in range(d)]
+    doc = {"n": n, "d": d, "entries": mats}
+    defect = draw(st.sampled_from(["none", "none", "none", "ragged",
+                                   "non-square", "cell", "header"]))
+    row = mats[draw(st.integers(0, d - 1))][draw(st.integers(0, n - 1))]
+    if defect == "ragged":
+        row.pop()
+    elif defect == "non-square":
+        for rows in mats:
+            for cells in rows:
+                cells.append([1.0, 0.0])
+    elif defect == "cell":
+        row[draw(st.integers(0, n - 1))] = draw(_bad_cells)
+    elif defect == "header":
+        doc.update(draw(st.sampled_from([{"n": n + 1}, {"d": 3 - d},
+                                         {"n": "n"}, {"d": None}])))
+    return doc
+
+
+_MATRIX_COMMANDS = [
+    ["sqrt", "--enumerate", "--matrix"], ["fiber", "--input"],
+    ["pi", "--input"], ["check-domain", "--pred", "Q", "--matrix"],
+    ["check-domain", "--pred", "I", "--matrix"],
+    ["check-domain", "--pred", "So", "--tuple"]]
+
+
+@_SETTINGS
+@given(_matrix_documents())
+def test_matrix_commands_exit_with_a_contract_code(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in _MATRIX_COMMANDS:
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), \
+                    contextlib.redirect_stderr(sink):
+                code = main(command + [path])
+            assert code in (0, 1, 2, 3), command
+            assert "Traceback" not in sink.getvalue()

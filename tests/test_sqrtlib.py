@@ -1,5 +1,6 @@
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ _NILPOTENT_PLUS_ZERO = np.diag([1.0, 0.0], k=1).astype(complex)
     (np.array([[1e200]]), True),
     (np.array([[1e-200]]), True),
     (np.diag([1e160, 2e160]), True),
+    (np.array([[-5e-324 - 5e-324j]]), True),
+    (_NILPOTENT_PLUS_ZERO, False),
     (1e200 * _NILPOTENT_PLUS_ZERO, False),
     (1e-200 * _NILPOTENT_PLUS_ZERO, False),
 ])
@@ -305,10 +308,32 @@ def test_ill_conditioned_without_a_zero_eigenvalue_is_enumerated():
     # cond(x) is about 1e12, so x is numerically singular, but its
     # eigenvalues are +-1: no zero block, and x @ x = I
     x = np.array([[1.0, 1e6], [0.0, -1.0]], dtype=complex)
+    assert sqrtlib.sqrt_exists(x)
     rs = sqrtlib.all_square_roots(x)
     assert len(rs) == 4 and rs.k == 2 and not rs.extension
     for root in rs.roots:
         assert rel_dist(root @ root, x) <= 1e-12
+
+
+def test_small_nonzero_eigenvalue_beside_a_zero_one_is_enumerated():
+    # x^2 holds the eigenvalue 1e-12, far below the rank tolerance; the
+    # rank test of x^2 follows the smallest kept singular value of x
+    x = np.diag([1.0, 1e-6, 0.0]).astype(complex)
+    assert sqrtlib.sqrt_exists(x)
+    rs = sqrtlib.all_square_roots(x, gap=1e-8)
+    assert len(rs) == 4 and rs.k == 2 and rs.extension
+    for root in rs.roots:
+        assert rel_dist(root @ root, x) <= 1e-12
+
+
+@pytest.mark.parametrize("diag", [(1e160, 2e160), (1e300, -1e300)])
+def test_roots_at_a_huge_scale_stay_in_alg(diag):
+    # squared entries overflow; the alg(x) check works with x / ||x||
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rs = sqrtlib.all_square_roots(np.diag(diag).astype(complex))
+    assert len(rs) == 4
+    assert max(rs.alg_residuals) < 1e-13
 
 
 def test_tiny_matrix_is_numerically_zero():
