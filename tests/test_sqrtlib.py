@@ -33,10 +33,10 @@ _NILPOTENT_PLUS_ZERO = np.diag([1.0, 0.0], k=1).astype(complex)
     (np.array([[1e200]]), True),
     (np.array([[1e-200]]), True),
     (np.diag([1e160, 2e160]), True),
-    (np.array([[-5e-324 - 5e-324j]]), True),
-    (_NILPOTENT_PLUS_ZERO, False),
     (1e200 * _NILPOTENT_PLUS_ZERO, False),
     (1e-200 * _NILPOTENT_PLUS_ZERO, False),
+    (np.array([[-5e-324 - 5e-324j]]), True),
+    (_NILPOTENT_PLUS_ZERO, False),
 ])
 def test_existence_does_not_depend_on_scale(x, exists):
     # x @ x over- or underflows at these scales; the rank test runs on
