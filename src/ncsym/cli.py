@@ -142,14 +142,13 @@ def _cmd_check_domain(args) -> int:
             out["value"] = linalg.in_Q(m, args.tol)
             out["residuals"] = {"min-pair-sum": _q_margin(m)}
         else:
-            out["value"] = linalg.in_I(m, args.tol)
-            s = np.linalg.svd(m, compute_uv=False)
-            out["residuals"] = {"sv-ratio":
-                                float(s[-1] / s[0]) if s[0] else 0.0}
+            ratio = linalg.sv_ratio(m)
+            out["value"] = ratio > args.tol  # in_I, from the same SVD
+            out["residuals"] = {"sv-ratio": ratio}
     elif pred == "So":
         w = _load_tuple(args.tuple, "--tuple")
         out["value"] = domains.in_S_o(w, args.tol)
-        out["residuals"] = {"min-pair-sum": _q_margin(0.5 * (w[0] - w[1]))}
+        out["residuals"] = {"min-pair-sum": _q_margin(domains.uv_parts(w)[1])}
     elif pred == "D":
         m = _load_matrix(args.matrix)
         out["value"] = domains.in_D_gamma(m, _load_simple_set(args))
@@ -178,8 +177,13 @@ def _cmd_check_domain(args) -> int:
 
 
 def _q_margin(m: np.ndarray) -> float:
+    """Smallest |a + b| over eigenvalues a, b; NumericalError when that
+    overflows, as JSON has no infinity."""
     eigs = np.asarray(linalg.spectrum(m).eigenvalues)
-    return float(np.abs(eigs[:, None] + eigs[None, :]).min())
+    margin = float(np.abs(eigs[:, None] + eigs[None, :]).min())
+    if not np.isfinite(margin):
+        raise NumericalError("min-pair-sum overflows the float range")
+    return margin
 
 
 def _as_poly(value, d: int) -> FreePoly:

@@ -20,8 +20,9 @@ from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
                       spectral_idempotents, sqrt_branch_S)
 from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
                        propose_simple_set)
-from .linalg import commutator_norm, in_I, in_Q, op_norm, op_norms, spectrum
-from .sqrtlib import SQ_TOL, certify_distinct, check_stack
+from .linalg import (commutator_norm, fro_norms, in_I, in_Q, op_norm,
+                     op_norms, spectrum)
+from .sqrtlib import SQ_TOL, certify_distinct, check_stack, square_residuals
 from .words import FreePoly, MatrixTuple
 
 
@@ -65,7 +66,7 @@ def _coupling_components(m: np.ndarray, idem: np.ndarray,
     limit = bound * np.outer(norms, norms)
     prods = idem[:, None] @ m @ idem[None]
     # ||A||_F / sqrt(n) <= ||A|| <= ||A||_F: take 2-norms only in between
-    blocks = np.sqrt((prods.real ** 2 + prods.imag ** 2).sum(axis=(2, 3)))
+    blocks = fro_norms(prods)
     unsure = (blocks > limit) & (blocks <= limit * np.sqrt(n))
     blocks[unsure] = op_norms(prods[unsure])
     edges = blocks > limit
@@ -130,8 +131,7 @@ def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
 
 def in_S_o(w: MatrixTuple, tol: float = 1e-10) -> bool:
     """Clean locus of the symmetrization map: (w^1 - w^2)/2 lies in Q."""
-    _require_pair(w)
-    return in_Q(0.5 * (w[0] - w[1]), tol)
+    return in_Q(uv_parts(w)[1], tol)
 
 
 def variety_residual_V(u: np.ndarray, x: np.ndarray, spec) -> float:
@@ -152,16 +152,23 @@ def in_free_closure_of_variety(p: FreePoly, x: np.ndarray,
 # -- the symmetrization map and its sections ----------------------------------
 
 def uv_parts(w: MatrixTuple) -> tuple:
+    """(u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), halved before the sum so that
+    a pair of finite entries near the float range cannot overflow."""
     _require_pair(w)
-    u = 0.5 * (w[0] + w[1])
-    v = 0.5 * (w[0] - w[1])
-    return u, v
+    a, b = 0.5 * w[0], 0.5 * w[1]
+    return a + b, a - b
 
 
 def pi(w: MatrixTuple) -> MatrixTuple:
-    """w -> (u, v^2, vuv) with u = (w^1+w^2)/2, v = (w^1-w^2)/2."""
+    """w -> (u, v^2, vuv) with u = (w^1+w^2)/2, v = (w^1-w^2)/2.
+
+    Raises NumericalError when a slot overflows the float range.
+    """
     u, v = uv_parts(w)
-    return MatrixTuple((u, v @ v, v @ u @ v))
+    out = MatrixTuple((u, v @ v, v @ u @ v))
+    if not all(np.isfinite(m).all() for m in out):
+        raise NumericalError("pi(w) overflows the float range")
+    return out
 
 
 def phi(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
@@ -211,15 +218,16 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     parts = np.tensordot(member, idem, axes=1)  # E_C per component C
     v_parts = v @ parts
     cands = np.tensordot(sign_patterns(len(member)), v_parts, axes=1)
-    sq_res = op_norms(cands @ cands - x) / (1.0 + op_norm(x))
+    sq_res = square_residuals(v_parts, cands, x, op_norm(x), SQ_TOL)
     if (sq_res > SQ_TOL).any():
         raise NumericalError(
             f"fiber candidate failed its square check: residual "
             f"{sq_res.max():.3g} exceeds {SQ_TOL:.3g}")
-    # candidates differing on component C differ by 2 v E_C there
-    certify_distinct(cands, float((2.0 * op_norms(v_parts)
-                                   / op_norms(parts)).min()),
-                     what="fiber candidates")
+    # candidates differing on component C differ by 2 v E_C there, and
+    # each is a signed sum of the v E_C
+    v_norms = op_norms(v_parts)
+    certify_distinct(cands, float((2.0 * v_norms / op_norms(parts)).min()),
+                     v_norms.sum(), what="fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
 

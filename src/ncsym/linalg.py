@@ -164,10 +164,39 @@ def in_Q(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 def in_I(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Numerical invertibility: smallest singular value > tol * largest."""
-    s = np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return False
-    return bool(s[-1] > tol * s[0])
+    return sv_ratio(x) > tol
+
+
+def sv_ratio(x: np.ndarray) -> float:
+    """Smallest over largest singular value; 0.0 for a zero or empty x.
+
+    Taken on x / (largest entry), whose 2-norm cannot overflow: LAPACK
+    returns inf or NaN singular values for a matrix whose norm does.  A
+    non-finite x has no singular values: NumericalError.
+    """
+    y, peak = peak_scaled(x)
+    if peak == 0.0:
+        return 0.0
+    if not np.isfinite(peak):
+        raise NumericalError("singular values of a non-finite matrix")
+    s = np.linalg.svd(y, compute_uv=False)
+    return float(s[-1] / s[0])
+
+
+def peak_scaled(x: np.ndarray) -> tuple:
+    """(x / peak, peak), with peak the largest real or imaginary part of an
+    entry in absolute value; (x, 0.0) for a zero or empty x.
+
+    Every entry of the quotient lies in the unit square, so its norms and
+    its square cannot overflow.  The division goes part by part, on the
+    float view: numpy's complex division overflows for a subnormal peak.
+    """
+    x = np.ascontiguousarray(x, dtype=complex)
+    parts = x.view(np.float64)
+    peak = float(np.abs(parts).max(initial=0.0))
+    if peak == 0.0:
+        return x, 0.0
+    return (parts / peak).view(complex), peak
 
 
 def numerical_rank(x: np.ndarray, threshold: float) -> int:
@@ -215,11 +244,20 @@ def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12):
     return float(out[0]) if y.ndim == 2 else out
 
 
+def fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in an (..., n, n) stack: an upper
+    bound on its 2-norm that takes no SVD.  The squares of the entries are
+    summed as they are, so the caller keeps them inside the float range."""
+    stack = np.asarray(stack, dtype=complex)
+    n, m = stack.shape[-2:]
+    return _row_norms(stack.reshape(stack.shape[:-2] + (n * m,)))
+
+
 def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a complex matrix; np.linalg.norm
-    would allocate a complex temporary as large as the matrix."""
+    """Euclidean norm of each row (last axis) of a complex array;
+    np.linalg.norm would allocate a complex temporary as large as it."""
     flat = np.ascontiguousarray(rows).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", flat, flat))
+    return np.sqrt(np.einsum("...j,...j->...", flat, flat))
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

@@ -8,6 +8,7 @@ semisimple 0-block maps to 0, which the result flags as an extension.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +19,8 @@ from .errors import (ClusteringError, NumericalError, PreconditionError,
 from .funcalc import (SIGN_BLOCK, idempotent_germ, matrix_function,
                       sign_patterns, sqrt_piece_germ)
 from .geometry import SimpleSet, propose_simple_set
-from .linalg import (alg_residual, matrix_to_lists, numerical_rank, op_norm,
-                     op_norms, spectrum)
+from .linalg import (alg_residual, fro_norms, matrix_to_lists,
+                     numerical_rank, op_norm, op_norms, peak_scaled, spectrum)
 
 RANK_RTOL = 1e-10
 ZERO_EIG_RTOL = 1e-8
@@ -41,11 +42,9 @@ def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL) -> bool:
     x = np.asarray(x, dtype=complex)
     if not _near_zero(spectrum(x).eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
         return True
-    peak = max(np.abs(x.real).max(), np.abs(x.imag).max())
+    y, peak = peak_scaled(x)
     if peak == 0.0:
         return True  # the zero matrix squares to itself via 0
-    # part by part: numpy's complex division overflows for a subnormal peak
-    y = x.real / peak + 1j * (x.imag / peak)
     s = np.linalg.svd(y, compute_uv=False)
     kept = s[s > tol * s[0]]
     return (kept.size == s.size
@@ -67,6 +66,9 @@ class RootSet:
     signed sum of the k spectral pieces, all interpolated at the merge
     threshold merge_rtol, the first rung of MERGE_LADDER at which every
     root passes its square check (None when no interpolation was needed).
+    square_residuals bound ||root^2 - base|| / (1 + ||base||) root by
+    root: the certificate of square_bound, the same for every root, or
+    each root's exact residual when that certificate did not pass.
     distinct_margin bounds the distance of any two roots from below, set
     by sign margin_disc (None: the bound was inconclusive and
     distinct_margin is the distance).
@@ -131,7 +133,8 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     k spectral idempotents, and the set takes the first rung at which
     every root passes its square check: merging the eigenvalues packed in
     one disc into a single derivative-matched node is stabler than a
-    tableau over all of them.
+    tableau over all of them.  The square check of all 2^k roots is one
+    certificate on the k pieces (square_residuals).
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
@@ -168,10 +171,7 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     for rung in MERGE_LADDER:
         pieces, idem = np.split(matrix_function(x, germs, merge_rtol=rung), 2)
         roots = np.tensordot(signs, pieces, axes=1)
-        sq_res = np.concatenate([
-            op_norms(block @ block - x) for block in
-            np.split(roots, range(SIGN_BLOCK, len(roots), SIGN_BLOCK))
-        ]) / (1.0 + x_norm)
+        sq_res = square_residuals(pieces, roots, x, x_norm, tol)
         failed = np.flatnonzero(~(sq_res <= tol))
         if not failed.size:
             break
@@ -187,7 +187,9 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
             f"branch root failed its square check at every confluence "
             f"level: residual {sq_res[first]:.3g} exceeds {tol:.3g}")
     bound, disc = _distinctness_margin(idem, pieces)
-    margin, measured = certify_distinct(roots, bound, tol, "enumerated roots")
+    # ||S_tau|| <= sum_j ||R_j|| for every sign pattern tau
+    margin, measured = certify_distinct(roots, bound, op_norms(pieces).sum(),
+                                        tol, "enumerated roots")
     if measured:
         disc = None
     return RootSet(x, tuple(roots), k, extension=has_zero,
@@ -205,17 +207,57 @@ def check_stack(k: int, n: int, what: str) -> None:
             f"{STACK_BUDGET} entries")
 
 
-def certify_distinct(cands: np.ndarray, bound: float, tol: float = SQ_TOL,
+def square_bound(pieces: np.ndarray, x: np.ndarray, x_norm: float) -> float:
+    """Bound on ||S_tau^2 - x|| / (1 + ||x||) for every sign pattern tau.
+
+    S_tau = sum_j tau_j R_j over the (k, n, n) stack of pieces, and as
+    tau_j^2 = 1, S_tau^2 - x = (sum_j R_j^2 - x) + sum_{i<j} tau_i tau_j
+    (R_i R_j + R_j R_i) (Higham, Functions of Matrices, Thm. 1.26).  The
+    Frobenius norms of these k(k-1)/2 + 1 terms add up to a bound for all
+    2^k roots at once, with no SVD; x_norm is ||x||.  They are taken on
+    x / s and R_j / sqrt(s), for a power s of 4 within a factor 4 below
+    ||x||: the scaling is exact, and the squared entries stay in range.
+    """
+    half = math.ldexp(1.0, (math.frexp(x_norm)[1] - 1) // 2) if x_norm else 1.0
+    r = pieces / half
+    prods = r[:, None] @ r[None]
+    anti = prods + prods.swapaxes(0, 1)  # (R_i R_j + R_j R_i) / s
+    # the diagonal holds 2 R_j^2 / s, each off-diagonal term appears twice
+    cross = fro_norms(anti)
+    lead = fro_norms(0.5 * np.trace(anti) - x / half / half)
+    total = lead + 0.5 * (cross.sum() - np.trace(cross))
+    return float(total * (half / (1.0 + x_norm) * half))
+
+
+def square_residuals(pieces: np.ndarray, roots: np.ndarray, x: np.ndarray,
+                     x_norm: float, tol: float) -> np.ndarray:
+    """Per-root bounds on ||root^2 - x|| / (1 + ||x||), roots being the
+    signed sums of the pieces: square_bound for every root when it is
+    within tol, else each root's exact residual, SIGN_BLOCK roots per
+    batch of SVDs.  The bound is above every exact residual, so the two
+    agree on whether all roots pass."""
+    bound = square_bound(pieces, x, x_norm)
+    if bound <= tol:
+        return np.full(len(roots), bound)
+    return np.concatenate([
+        op_norms(block @ block - x) for block in
+        np.split(roots, range(SIGN_BLOCK, len(roots), SIGN_BLOCK))
+    ]) / (1.0 + x_norm)
+
+
+def certify_distinct(cands: np.ndarray, bound: float, norm_bound: float,
+                     tol: float = SQ_TOL,
                      what: str = "enumerated roots") -> tuple:
     """(margin, measured): a certificate that the stacked candidates are
     pairwise distinct, given a lower bound on their pairwise distances.
 
-    The bound certifies when it exceeds tol (1 + max ||cand||); when it is
-    inconclusive, as for a base far from normal, the pairwise distances are
-    measured instead (O(m^2) norms) and measured is True.  Raises
-    NumericalError, naming what, when the candidates coincide numerically.
+    The bound certifies when it exceeds tol (1 + norm_bound), norm_bound
+    being an upper bound on max ||cand||; when it is inconclusive, as for a
+    base far from normal, the pairwise distances are measured instead
+    (O(m^2) norms) and measured is True.  Raises NumericalError, naming
+    what, when the candidates coincide numerically.
     """
-    threshold = tol * (1.0 + op_norms(cands).max())
+    threshold = tol * (1.0 + norm_bound)
     measured = bound <= threshold
     if measured:
         bound = float(min(op_norms(cands[i + 1:] - cands[i]).min()
@@ -234,12 +276,16 @@ def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
     dev_j, the sum of the norms of the cross terms R_i E_j.  Roots
     differing at sign j are thus at least 2 (||R_j E_j|| - dev_j) / ||E_j||
     apart, whatever E_j is; for one eigenvalue c that is near 2 |sqrt c|,
-    however large ||E_j|| is.
+    however large ||E_j|| is.  The cross terms are taken in the Frobenius
+    norm, which is at least the 2-norm, so the bound only drops.
     """
-    norms = op_norms(pieces[:, None] @ idem)  # norms[i, j] = ||R_i E_j||
-    own = norms.diagonal().copy()
-    np.fill_diagonal(norms, 0.0)
-    bounds = 2.0 * (own - norms.sum(axis=0)) / op_norms(idem)
+    prods = pieces[:, None] @ idem  # prods[i, j] = R_i E_j
+    k = len(pieces)
+    own = op_norms(prods[range(k), range(k)])
+    off = ~np.eye(k, dtype=bool)
+    cross = np.zeros((k, k))
+    cross[off] = fro_norms(prods[off])
+    bounds = 2.0 * (own - cross.sum(axis=0)) / op_norms(idem)
     disc = int(np.argmin(bounds))
     return float(bounds[disc]), disc
 

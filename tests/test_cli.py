@@ -108,6 +108,43 @@ def test_pi_and_fiber(files, capsys):
     assert out["count"] == 2
 
 
+def test_pi_overflow_is_a_numerical_failure(files, capsys):
+    # v^2 and vuv hold inf * 0 = NaN, which is not JSON
+    path = files["tmp"] / "overflow.json"
+    w = MatrixTuple((np.diag([1e308, 1.0]), np.diag([-1e308, 2.0])))
+    path.write_text(json.dumps(tuple_to_json_dict(w)))
+    assert main(["pi", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "overflows" in captured.err
+
+
+def test_pairs_near_the_float_range_are_halved_before_they_are_summed(
+        files, capsys):
+    # w^1 - w^2 overflows, but v = (w^1 - w^2)/2 is finite and nilpotent
+    path = files["tmp"] / "edge.json"
+    e = np.zeros((3, 3))
+    e[0, 1] = 1.0
+    w = MatrixTuple((-1.7e308 * e, 1e308 * e))
+    path.write_text(json.dumps(tuple_to_json_dict(w)))
+    assert main(["fiber", "--input", str(path)]) == 2
+    assert "needs v invertible" in capsys.readouterr().err
+    assert main(["check-domain", "--pred", "So", "--tuple", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] is False and out["residuals"]["min-pair-sum"] == 0.0
+    assert main(["pi", "--input", str(path)]) == 0
+    u = json.loads(capsys.readouterr().out)["entries"][0][0][1]
+    assert u == pytest.approx([-3.5e307, 0.0])
+
+
+def test_check_domain_invertibility_where_the_2_norm_overflows(files, capsys):
+    path = _matrix_file(files["tmp"], "huge.json",
+                        np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308]]))
+    assert main(["check-domain", "--pred", "I", "--matrix", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["value"] is True
+    assert out["residuals"]["sv-ratio"] == pytest.approx(1.0)
+
+
 def test_decompose(capsys):
     assert main(["decompose", "--expr", "x*y + y*x"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -148,9 +148,15 @@ def test_matrix_commands_exit_with_a_contract_code(doc):
         with open(path, "w") as fh:
             json.dump(doc, fh)
         for command in _MATRIX_COMMANDS:
-            sink = io.StringIO()
-            with contextlib.redirect_stdout(sink), \
-                    contextlib.redirect_stderr(sink):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
                 code = main(command + [path])
             assert code in (0, 1, 2, 3), command
-            assert "Traceback" not in sink.getvalue()
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if code == 0:  # strict JSON: no NaN or Infinity
+                json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+def _no_constant(name):
+    raise AssertionError(f"stdout holds {name}, which is not JSON")

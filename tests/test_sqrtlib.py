@@ -5,11 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
-from ncsym import funcalc, sqrtlib
+from ncsym import funcalc, linalg, sqrtlib
 from ncsym.errors import (ClusteringError, NumericalError, PreconditionError,
                           UnsupportedError)
 from ncsym.funcalc import BranchSpec, sqrt_branch_S
-from ncsym.linalg import block_diag, commutator_norm, op_norm, rel_dist
+from ncsym.linalg import (block_diag, commutator_norm, op_norm, op_norms,
+                          rel_dist)
 
 from helpers import (cluster_centers_off_cut, clustered_matrix,
                      thirty_distinct, well_conditioned)
@@ -213,9 +214,17 @@ def test_far_from_normal_roots_are_enumerated(t, certified):
 
 def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     # k pieces and k idempotents in one call per rung used, for all 2^k
-    # roots, and the germs of one call share one eigensolve
-    germs, eigensolves = [], []
+    # roots, and the germs of one call share one eigensolve; the checks
+    # take 2-norms of O(k) matrices, not of every root
+    germs, eigensolves, svds = [], [], []
     batched, solve = funcalc.matrix_function, funcalc.spectrum
+    one, many = linalg.op_norm, linalg.op_norms
+
+    def counting_norm(norm, size):
+        def counted(a):
+            svds.append(size(a))
+            return norm(a)
+        return counted
 
     def counting(x, branches, *args, **kwargs):
         germs.append(len(branches))
@@ -228,6 +237,9 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     monkeypatch.setattr(funcalc, "matrix_function", counting)
     monkeypatch.setattr(sqrtlib, "matrix_function", counting)
     monkeypatch.setattr(funcalc, "spectrum", counting_spectrum)
+    for module in (sqrtlib, linalg):
+        monkeypatch.setattr(module, "op_norm", counting_norm(one, lambda a: 1))
+        monkeypatch.setattr(module, "op_norms", counting_norm(many, len))
     rng = np.random.default_rng(5)
     k = 8
     x, _, _, _ = clustered_matrix(
@@ -236,15 +248,77 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     assert 0 < sum(germs) <= 2 * k * len(sqrtlib.MERGE_LADDER)
     assert germs == [2 * k]  # the pieces and idempotents of one rung
     assert len(eigensolves) == 1
+    assert sum(svds) <= 3 * k + 2
+
+
+def _certificate_inputs():
+    for k in range(1, 9):
+        rng = np.random.default_rng(10 + k)
+        x, _, _, _ = clustered_matrix(
+            rng, 3.0 * np.exp(1j * np.linspace(-2.4, 2.4, k)), [2] * k, 0.02)
+        yield pytest.param(x, 0.3, id=f"k{k}")
+    x, _, _, _ = clustered_matrix(np.random.default_rng(3), [2.0, 3j, 0.0],
+                                  [2, 1, 2], 0.0)
+    yield pytest.param(x, None, id="zero-block")
+    for t in (1e5, 1e9):
+        yield pytest.param(np.array([[1.0, t], [0.0, 4.0]], dtype=complex),
+                           None, id=f"far-from-normal-{t:g}")
+    yield pytest.param(np.diag([1e300, -1e300]).astype(complex), None,
+                       id="huge")
+
+
+@pytest.mark.parametrize("x, gap", list(_certificate_inputs()))
+def test_square_certificate_bounds_the_exact_residuals(x, gap, monkeypatch):
+    certificate = sqrtlib.square_bound
+    bounds = []
+
+    def recorded(pieces, base, base_norm):
+        bounds.append(certificate(pieces, base, base_norm))
+        return bounds[-1]
+
+    def outcome(tol, bound):
+        monkeypatch.setattr(sqrtlib, "square_bound", bound)
+        try:
+            return sqrtlib.all_square_roots(x, tol=tol, gap=gap)
+        except NumericalError as exc:
+            return str(exc)
+
+    def same(a, b):
+        if isinstance(a, str) or isinstance(b, str):
+            return a == b
+        return (a.merge_rtol == b.merge_rtol
+                and np.array_equal(np.stack(a.roots), np.stack(b.roots)))
+
+    def exact_path(*_):
+        return np.inf
+
+    rs = outcome(sqrtlib.SQ_TOL, recorded)
+    roots = np.stack(rs.roots)
+    exact = op_norms(roots @ roots - x) / (1.0 + op_norm(x))
+    # the bound holds in exact arithmetic; each side carries rounding
+    assert bounds[-1] >= exact.max() * (1.0 - 4.0 * np.finfo(float).eps)
+    assert rs.square_residuals == (bounds[-1],) * len(roots)
+    assert same(rs, outcome(sqrtlib.SQ_TOL, exact_path))
+    # a tol that only the exact residuals meet: the fallback decides, with
+    # the same roots and rung
+    mid = 0.5 * (exact.max() + bounds[-1])
+    fallback = outcome(mid, certificate)
+    assert same(fallback, rs)
+    assert fallback.square_residuals == outcome(mid, exact_path)\
+        .square_residuals
+    # a tol below them: the same root is named in the same refusal, or a
+    # later rung passes on both paths
+    low = 0.5 * exact.min()
+    assert same(outcome(low, certificate), outcome(low, exact_path))
 
 
 def test_distinctness_certificate_measures_only_when_the_bound_fails():
     a = np.diag([1.0, 2.0]).astype(complex)
     cands = np.stack([a, -a, 2 * a])
-    assert sqrtlib.certify_distinct(cands, 1.5) == (1.5, False)
-    assert sqrtlib.certify_distinct(cands, 0.0) == (2.0, True)
+    assert sqrtlib.certify_distinct(cands, 1.5, 4.0) == (1.5, False)
+    assert sqrtlib.certify_distinct(cands, 0.0, 4.0) == (2.0, True)
     with pytest.raises(NumericalError, match="fiber candidates coincide"):
-        sqrtlib.certify_distinct(np.stack([a, a + 1e-12, -a]), 0.0,
+        sqrtlib.certify_distinct(np.stack([a, a + 1e-12, -a]), 0.0, 2.0,
                                  what="fiber candidates")
 
 
