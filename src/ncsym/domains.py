@@ -198,8 +198,9 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     I_s M I_s = M for M = vuv.  A pattern s that passes that test is
     constant on the components of the coupling graph of M with bound
     tol (1 + ||M||) / 2, so only those 2^c candidates are tested, with w
-    itself first.  Supported on the clean locus only (v invertible and in
-    Q); for generic u the result is exactly [w, w.flip()].
+    itself first.  v^2 is solved for its spectrum once, for the covering
+    and the idempotents.  Supported on the clean locus only (v invertible
+    and in Q); for generic u the result is exactly [w, w.flip()].
     """
     _require_pair(w)
     u, v = uv_parts(w)
@@ -210,23 +211,26 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
                                "(spectrum disjoint from its negative)")
     x = v @ v
     target = v @ u @ v
-    scale = 1.0 + op_norm(target)
-    covering = propose_simple_set(spectrum(x).eigenvalues, gap=gap)
-    idem = spectral_idempotents(x, covering)
+    eigs = spectrum(x).eigenvalues
+    target_norm, x_norm = op_norms(np.stack((target, x)))
+    scale = 1.0 + target_norm
+    covering = propose_simple_set(eigs, gap=gap)
+    idem = spectral_idempotents(x, covering, eigs)
     member = _coupling_components(target, idem, 0.5 * tol * scale)
     check_stack(len(member), x.shape[0], "fiber candidates")
     parts = np.tensordot(member, idem, axes=1)  # E_C per component C
     v_parts = v @ parts
     cands = np.tensordot(sign_patterns(len(member)), v_parts, axes=1)
-    sq_res = square_residuals(v_parts, cands, x, op_norm(x), SQ_TOL)
+    sq_res = square_residuals(v_parts, cands, x, x_norm, SQ_TOL)
     if (sq_res > SQ_TOL).any():
         raise NumericalError(
             f"fiber candidate failed its square check: residual "
             f"{sq_res.max():.3g} exceeds {SQ_TOL:.3g}")
     # candidates differing on component C differ by 2 v E_C there, and
     # each is a signed sum of the v E_C
-    v_norms = op_norms(v_parts)
-    certify_distinct(cands, float((2.0 * v_norms / op_norms(parts)).min()),
+    v_norms, part_norms = np.split(
+        op_norms(np.concatenate((v_parts, parts))), 2)
+    certify_distinct(cands, float((2.0 * v_norms / part_norms).min()),
                      v_norms.sum(), what="fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]

@@ -184,8 +184,9 @@ def _newton_coefficients(nodes: Sequence[tuple],
     return zs, np.stack(coeffs, axis=1)
 
 
-def matrix_function(x: np.ndarray, germs,
-                    merge_rtol: float = MERGE_RTOL) -> np.ndarray:
+def matrix_function(x: np.ndarray, germs, merge_rtol: float = MERGE_RTOL,
+                    eigenvalues: Optional[Sequence[complex]] = None
+                    ) -> np.ndarray:
     """Hermite-interpolated primary function of x: an (n, n) matrix for
     one germ, an (m, n, n) stack for a sequence of m germs on one domain.
 
@@ -199,13 +200,17 @@ def matrix_function(x: np.ndarray, germs,
     Nodes never merge across discs, where the germ is another function.
     The spectrum, its clustering and the nodes depend on x alone, so they
     are computed once per call; each germ adds its Newton coefficients, and
-    one Horner loop evaluates all the interpolants.
+    one Horner loop evaluates all the interpolants.  eigenvalues is the
+    spectrum of x as linalg.spectrum sorts it, for a caller that holds it
+    already; x is solved for it here when None.
     """
     one = isinstance(germs, ScalarBranch)
     germs = [germs] if one else list(germs)
     (domain,) = {germ.domain for germ in germs}  # else ValueError
     x = np.asarray(x, dtype=complex)
-    eigs = np.asarray(spectrum(x).eigenvalues)
+    if eigenvalues is None:
+        eigenvalues = spectrum(x).eigenvalues
+    eigs = np.asarray(eigenvalues)
     disc = domain.assign(eigs)
     if (disc < 0).any():
         raise SpectrumOutsideDomainError(
@@ -233,11 +238,15 @@ def matrix_function(x: np.ndarray, germs,
     return out[0] if one else out
 
 
-def spectral_idempotents(x: np.ndarray, domain: SimpleSet) -> np.ndarray:
+def spectral_idempotents(x: np.ndarray, domain: SimpleSet,
+                         eigenvalues: Optional[Sequence[complex]] = None
+                         ) -> np.ndarray:
     """(k, n, n) stack of E_j, the spectral projector of x onto the
-    eigenvalues in disc j (1 on that disc, 0 on the others)."""
+    eigenvalues in disc j (1 on that disc, 0 on the others).  eigenvalues
+    is the sorted spectrum of x, as for matrix_function."""
     return matrix_function(
-        x, [idempotent_germ(domain, j) for j in range(domain.k)])
+        x, [idempotent_germ(domain, j) for j in range(domain.k)],
+        eigenvalues=eigenvalues)
 
 
 def involution_I(x: np.ndarray, spec: BranchSpec) -> np.ndarray:

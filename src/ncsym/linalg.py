@@ -37,18 +37,24 @@ def op_norms(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack, dtype=complex)
     if stack.shape[-1] == 0:
         return np.zeros(stack.shape[:-2])
-    return _finite_norms(stack, axis=(-2, -1))
+    return _finite_norms(stack)
 
 
-def _finite_norms(a: np.ndarray, **axes) -> np.ndarray:
-    """2-norms; NumericalError for one not finite (a vacuous bound)."""
+def _finite_norms(a: np.ndarray) -> np.ndarray:
+    """2-norms of the matrices in the last two axes; NumericalError for
+    one not finite (a vacuous bound).
+
+    The first singular value LAPACK returns is the largest: the value
+    np.linalg.norm(a, 2) takes from the same call, without its axis moves
+    and reduction.
+    """
     try:
-        norms = np.linalg.norm(a, 2, **axes)
+        s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # a non-finite entry
         raise NumericalError(f"2-norm failed: {exc}") from exc
-    if not np.isfinite(norms).all():
+    if not np.isfinite(s).all():
         raise NumericalError("a 2-norm overflows the float range")
-    return norms
+    return s[..., 0]
 
 
 def rel_dist(a: np.ndarray, b: np.ndarray) -> float:
@@ -205,7 +211,8 @@ def numerical_rank(x: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(s > threshold))
 
 
-def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12):
+def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12,
+                 x_norm: Optional[float] = None):
     """Relative distance of y from span{I, x, ..., x^{n-1}}.
 
     y is one matrix (the result is a float) or an (m, n, n) stack (an
@@ -215,28 +222,37 @@ def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12):
     so far, and the loop stops once that direction is below
     rank_tol (1 + ||x||), where the span has become invariant under x.
     Unlike the power basis, this stays well conditioned for clustered
-    spectra.
+    spectra.  The directions fill the rows of one preallocated array,
+    their conjugates those of another.  x_norm is ||x||, for a caller
+    that holds it already; it is taken here when None.
     """
     x = np.asarray(x, dtype=complex)
     y = np.asarray(y, dtype=complex)
     n = x.shape[0]
     # x / ||x|| spans alg(x) without overflow; the floor scales with it
-    scale = op_norm(x) or 1.0
+    scale = (op_norm(x) if x_norm is None else x_norm) or 1.0
     x = x / scale
     floor = rank_tol * (1.0 + scale) / scale
+    basis = np.empty((n, n * n), dtype=complex)
+    conj = np.empty_like(basis)
     q = np.eye(n, dtype=complex) / np.sqrt(n)
-    basis = [q.ravel()]
+    basis[0] = q.ravel()
+    conj[0] = basis[0].conj()
+    m = 1  # directions so far
     for _ in range(n - 1):
         vec = (x @ q).ravel()
-        done = np.stack(basis)
         for _ in range(2):
-            vec = vec - (done.conj() @ vec) @ done
+            vec = vec - (conj[:m] @ vec) @ basis[:m]
         norm = float(np.linalg.norm(vec))
         if norm <= floor:
             break
-        q = (vec / norm).reshape(n, n)
-        basis.append(q.ravel())
-    u = np.stack(basis, axis=1)
+        basis[m] = vec / norm
+        conj[m] = basis[m].conj()
+        q = basis[m].reshape(n, n)
+        m += 1
+    # the projection multiplies by the basis in columns, contiguous, as
+    # it was first written: BLAS sums in another order for another layout
+    u = basis[:m].T.copy()
     vecs = y.reshape(-1, n * n)
     resid = (vecs @ u.conj()) @ u.T
     np.subtract(vecs, resid, out=resid)

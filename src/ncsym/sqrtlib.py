@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,8 @@ ALG_TOL = 1e-7
 STACK_BUDGET = 2 ** 25  # entries of one stack of 2^k matrices: 512 MiB
 
 
-def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL) -> bool:
+def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL,
+                eigenvalues: Optional[Sequence[complex]] = None) -> bool:
     """False iff the Jordan structure at eigenvalue 0 has a block >= 2.
 
     Such a block moves by about sqrt(eps) under a perturbation eps, so True
@@ -38,9 +39,13 @@ def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL) -> bool:
     y = x / (largest entry), whose square cannot overflow, keeps its rank
     in y^2 counted at tol ||y|| times its smallest kept singular value (an
     eigenvalue c of x leaves c^2 in y^2, below tol ||y||^2 but not zero).
+    eigenvalues is the spectrum of x, for a caller that holds it already;
+    x is solved for it here when None.
     """
     x = np.asarray(x, dtype=complex)
-    if not _near_zero(spectrum(x).eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
+    if eigenvalues is None:
+        eigenvalues = spectrum(x).eigenvalues
+    if not _near_zero(eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
         return True
     y, peak = peak_scaled(x)
     if peak == 0.0:
@@ -134,7 +139,8 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     every root passes its square check: merging the eigenvalues packed in
     one disc into a single derivative-matched node is stabler than a
     tableau over all of them.  The square check of all 2^k roots is one
-    certificate on the k pieces (square_residuals).
+    certificate on the k pieces (square_residuals).  x is solved for its
+    spectrum once, and ||x|| is taken once, for every check.
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
@@ -147,8 +153,7 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     x = np.asarray(x, dtype=complex)
     x_norm = op_norm(x)
     eigs = np.asarray(spectrum(x).eigenvalues)
-    # the gate of sqrt_exists on the spectrum at hand: no rank test past it
-    if _near_zero(eigs, np.sqrt(ZERO_EIG_RTOL)).any() and not sqrt_exists(x):
+    if not sqrt_exists(x, eigenvalues=eigs):
         raise UnsupportedError(
             "no square roots: the 0-eigenvalue part is defective "
             "(nilpotent Jordan cell of size >= 2)")
@@ -169,7 +174,8 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
              + [idempotent_germ(domain, j) for j in discs])
     signs = sign_patterns(k)
     for rung in MERGE_LADDER:
-        pieces, idem = np.split(matrix_function(x, germs, merge_rtol=rung), 2)
+        pieces, idem = np.split(
+            matrix_function(x, germs, merge_rtol=rung, eigenvalues=eigs), 2)
         roots = np.tensordot(signs, pieces, axes=1)
         sq_res = square_residuals(pieces, roots, x, x_norm, tol)
         failed = np.flatnonzero(~(sq_res <= tol))
@@ -177,7 +183,8 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
             break
     # roots are judged in order: the first that fails either check is named
     first = failed[0] if failed.size else len(roots)
-    alg_res = alg_residual(roots[:first], x) if first else np.zeros(0)
+    alg_res = (alg_residual(roots[:first], x, x_norm=x_norm) if first
+               else np.zeros(0))
     drifted = np.flatnonzero(alg_res > alg_tol)
     if drifted.size:
         raise NumericalError(f"branch root drifted out of alg(x): residual "
@@ -186,10 +193,9 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
         raise NumericalError(
             f"branch root failed its square check at every confluence "
             f"level: residual {sq_res[first]:.3g} exceeds {tol:.3g}")
-    bound, disc = _distinctness_margin(idem, pieces)
-    # ||S_tau|| <= sum_j ||R_j|| for every sign pattern tau
-    margin, measured = certify_distinct(roots, bound, op_norms(pieces).sum(),
-                                        tol, "enumerated roots")
+    bound, disc, norm_bound = _distinctness_margin(idem, pieces)
+    margin, measured = certify_distinct(roots, bound, norm_bound, tol,
+                                        "enumerated roots")
     if measured:
         disc = None
     return RootSet(x, tuple(roots), k, extension=has_zero,
@@ -269,7 +275,9 @@ def certify_distinct(cands: np.ndarray, bound: float, norm_bound: float,
 
 
 def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
-    """Lower bound on min ||S_tau - S_tau'|| over pairs tau != tau'.
+    """(bound, disc, norm_bound): a lower bound on min ||S_tau - S_tau'||
+    over pairs tau != tau', the disc that sets it, and sum_j ||R_j||, an
+    upper bound on every ||S_tau||.
 
     idem[j] is E_j, the spectral idempotent of the disc of piece R_j.  As
     R_i E_j = 0 for i != j up to rounding, S_tau E_j = tau_j R_j E_j up to
@@ -277,17 +285,19 @@ def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
     differing at sign j are thus at least 2 (||R_j E_j|| - dev_j) / ||E_j||
     apart, whatever E_j is; for one eigenvalue c that is near 2 |sqrt c|,
     however large ||E_j|| is.  The cross terms are taken in the Frobenius
-    norm, which is at least the 2-norm, so the bound only drops.
+    norm, which is at least the 2-norm, so the bound only drops.  The 3k
+    2-norms of the R_j E_j, the E_j and the R_j are one batch of SVDs.
     """
     prods = pieces[:, None] @ idem  # prods[i, j] = R_i E_j
     k = len(pieces)
-    own = op_norms(prods[range(k), range(k)])
+    own, idem_norms, piece_norms = np.split(op_norms(np.concatenate(
+        (prods[range(k), range(k)], idem, pieces))), 3)
     off = ~np.eye(k, dtype=bool)
     cross = np.zeros((k, k))
     cross[off] = fro_norms(prods[off])
-    bounds = 2.0 * (own - cross.sum(axis=0)) / op_norms(idem)
+    bounds = 2.0 * (own - cross.sum(axis=0)) / idem_norms
     disc = int(np.argmin(bounds))
-    return float(bounds[disc]), disc
+    return float(bounds[disc]), disc, piece_norms.sum()
 
 
 def riemann_fiber(m: np.ndarray, tol: float = SQ_TOL,

@@ -114,3 +114,38 @@ def brute_force_fiber(w, tol=1e-8, gap=None):
     cands = np.asarray(all_square_roots(v @ v, gap=gap).roots)
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
+
+
+def reference_alg_residual(y, x, rank_tol=1e-12):
+    """alg_residual as it was first written, with the Krylov basis kept as
+    a list that is stacked again at every step: the reference for the
+    version that fills its basis in place, which must match it exactly."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    n = x.shape[0]
+    scale = float(np.linalg.norm(x, 2)) or 1.0
+    x = x / scale
+    floor = rank_tol * (1.0 + scale) / scale
+    q = np.eye(n, dtype=complex) / np.sqrt(n)
+    basis = [q.ravel()]
+    for _ in range(n - 1):
+        vec = (x @ q).ravel()
+        done = np.stack(basis)
+        for _ in range(2):
+            vec = vec - (done.conj() @ vec) @ done
+        norm = float(np.linalg.norm(vec))
+        if norm <= floor:
+            break
+        q = (vec / norm).reshape(n, n)
+        basis.append(q.ravel())
+    u = np.stack(basis, axis=1)
+    vecs = y.reshape(-1, n * n)
+    resid = (vecs @ u.conj()) @ u.T
+    np.subtract(vecs, resid, out=resid)
+
+    def row_norms(rows):
+        flat = np.ascontiguousarray(rows).view(np.float64)
+        return np.sqrt(np.einsum("...j,...j->...", flat, flat))
+
+    out = row_norms(resid) / (1.0 + row_norms(vecs))
+    return float(out[0]) if y.ndim == 2 else out

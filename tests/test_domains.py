@@ -232,6 +232,18 @@ def test_in_U_gamma_solves_for_the_spectrum_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_fiber_solves_for_the_spectrum_once(monkeypatch):
+    # the covering and the idempotents of v^2 share one eigensolve
+    calls = []
+    for module in (domains, funcalc):
+        monkeypatch.setattr(module, "spectrum", lambda x, real=module.spectrum:
+                            calls.append(x) or real(x))
+    w = random_tuple(4, 2, ("generic-u",), np.random.default_rng(2))
+    _, v = domains.uv_parts(w)
+    assert len(domains.fiber(w)) == 2
+    assert sum(np.array_equal(x, v @ v) for x in calls) == 1
+
+
 @pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 1.5), 0.2),
                                    domains.SimpleSet((1.0, 4.0), 2.0),
                                    domains.SimpleSet((1.0,), 1.5)])

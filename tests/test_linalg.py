@@ -7,7 +7,7 @@ from ncsym import linalg
 from ncsym.errors import GenerationError, NumericalError
 from ncsym.words import FreePoly, MatrixTuple
 
-from helpers import ginibre
+from helpers import clustered_matrix, ginibre, reference_alg_residual
 
 X1 = FreePoly.letter(0, 1)
 
@@ -64,6 +64,26 @@ def test_non_finite_norms_are_numerical_errors():
             call(big)
     with pytest.raises(NumericalError):
         linalg.op_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    stack = np.ones((3, 2, 2))
+    stack[1, 0, 0] = np.nan
+    with pytest.raises(NumericalError):
+        linalg.op_norms(stack)
+
+
+def test_two_norms_equal_numpys_bit_for_bit():
+    # op_norm and op_norms read the largest singular value off the SVD
+    # that np.linalg.norm(., 2) takes
+    rng = np.random.default_rng(11)
+    for n in range(1, 21):
+        stack = np.stack([ginibre(n, rng) * 10.0 ** e for e in (-3, 0, 5)]
+                         + [rng.standard_normal((n, n))])
+        want = np.linalg.norm(stack, 2, axis=(-2, -1))
+        assert np.array_equal(linalg.op_norms(stack), want)
+        assert [linalg.op_norm(a) for a in stack] == \
+            [float(np.linalg.norm(a, 2)) for a in stack]
+        empty = np.zeros((0, n, n), dtype=complex)
+        assert np.array_equal(linalg.op_norms(empty),
+                              np.linalg.norm(empty, 2, axis=(-2, -1)))
 
 
 def test_op_norm_submultiplicative_and_unitary_invariant():
@@ -163,6 +183,54 @@ def test_alg_residual_of_a_commuting_matrix_outside_alg():
     e12[0, 1] = 1.0
     assert linalg.alg_residual(e12, x) == pytest.approx(0.5, abs=1e-12)
     assert linalg.alg_residual(x @ x - 3.0 * x, x) < 1e-15
+
+
+def _arnoldi_inputs():
+    x, _, _, _ = clustered_matrix(np.random.default_rng(1),
+                                  3.0 * np.exp(1j * np.array([2.5, -2.5])),
+                                  [10, 10], 0.1)
+    yield pytest.param(x, 20, id="two-clusters-of-ten")
+    jordan = 2.0 * np.eye(3) + np.eye(3, k=1)
+    yield pytest.param(jordan.astype(complex), 3, id="jordan-3")
+    yield pytest.param(np.eye(4, dtype=complex), 1, id="identity-4")
+    yield pytest.param(np.diag([1.0, 1.0, 2.0]).astype(complex), 2,
+                       id="diag-1-1-2")
+    yield pytest.param(np.diag([1e300, -1e300]).astype(complex), 2,
+                       id="diag-1e300")
+    yield pytest.param(ginibre(20, np.random.default_rng(4)), 20,
+                       id="random-20")
+
+
+@pytest.mark.parametrize("x, size", _arnoldi_inputs())
+def test_alg_residual_matches_the_list_based_reference(monkeypatch, x, size):
+    # the basis filled in place takes the same Gram-Schmidt steps as the
+    # list stacked again at every step: every step norm, and with them the
+    # basis size, and every residual agree bit for bit
+    n = len(x)
+    rng = np.random.default_rng(n)
+    ys = np.stack((np.eye(n), ginibre(n, rng), 1e150 * ginibre(n, rng)))
+    steps = []
+    norm = np.linalg.norm
+
+    def recording(a, *args, **kwargs):
+        out = norm(a, *args, **kwargs)
+        if np.ndim(a) == 1:  # the norm of a new Krylov direction
+            steps.append(out)
+        return out
+
+    monkeypatch.setattr(np.linalg, "norm", recording)
+    want = reference_alg_residual(ys, x)
+    ref_steps = steps.copy()
+    steps.clear()
+    got = linalg.alg_residual(ys, x)
+    assert steps == ref_steps
+    scale = linalg.op_norm(x)
+    floor = 1e-12 * (1.0 + scale) / scale
+    assert 1 + sum(s > floor for s in steps) == size
+    assert np.array_equal(got, want)
+    assert np.array_equal(linalg.alg_residual(ys, x, x_norm=scale), want)
+    for y in ys:
+        assert linalg.alg_residual(y, x) == reference_alg_residual(y, x)
 
 
 def test_tuple_json_round_trip_bit_exact():

@@ -214,10 +214,11 @@ def test_far_from_normal_roots_are_enumerated(t, certified):
 
 def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     # k pieces and k idempotents in one call per rung used, for all 2^k
-    # roots, and the germs of one call share one eigensolve; the checks
-    # take 2-norms of O(k) matrices, not of every root
+    # roots; x is solved for its spectrum once, wherever that happens,
+    # and the checks take 2-norms of O(k) matrices in two batches: ||x||
+    # and one of the own terms, the idempotents and the pieces
     germs, eigensolves, svds = [], [], []
-    batched, solve = funcalc.matrix_function, funcalc.spectrum
+    batched = funcalc.matrix_function
     one, many = linalg.op_norm, linalg.op_norms
 
     def counting_norm(norm, size):
@@ -230,13 +231,12 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
         germs.append(len(branches))
         return batched(x, branches, *args, **kwargs)
 
-    def counting_spectrum(x):
-        eigensolves.append(1)
-        return solve(x)
-
     monkeypatch.setattr(funcalc, "matrix_function", counting)
     monkeypatch.setattr(sqrtlib, "matrix_function", counting)
-    monkeypatch.setattr(funcalc, "spectrum", counting_spectrum)
+    for module in (sqrtlib, funcalc):
+        monkeypatch.setattr(module, "spectrum",
+                            lambda x, at=module, real=module.spectrum:
+                            eigensolves.append(at) or real(x))
     for module in (sqrtlib, linalg):
         monkeypatch.setattr(module, "op_norm", counting_norm(one, lambda a: 1))
         monkeypatch.setattr(module, "op_norms", counting_norm(many, len))
@@ -247,8 +247,9 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     assert len(sqrtlib.all_square_roots(x, gap=0.3)) == 2 ** k
     assert 0 < sum(germs) <= 2 * k * len(sqrtlib.MERGE_LADDER)
     assert germs == [2 * k]  # the pieces and idempotents of one rung
-    assert len(eigensolves) == 1
-    assert sum(svds) <= 3 * k + 2
+    assert eigensolves == [sqrtlib]
+    assert len(svds) <= 2
+    assert sum(svds) <= 3 * k + 1
 
 
 def _certificate_inputs():
@@ -331,10 +332,15 @@ def test_roots_commute_with_base():
         assert commutator_norm(root, x) <= 1e-8 * op_norm(x)
 
 
-def test_semisimple_zero_extension():
+def test_semisimple_zero_extension(monkeypatch):
+    solves = []
+    monkeypatch.setattr(sqrtlib, "spectrum",
+                        lambda x, real=sqrtlib.spectrum:
+                        solves.append(x) or real(x))
     x = np.diag([0.0, 0.0, 4.0]).astype(complex)
     rs = sqrtlib.all_square_roots(x)
     assert rs.extension and rs.k == 1 and len(rs) == 2
+    assert len(solves) == 1  # the rank test past the zero gate reuses it
     got = sorted(round(r[2, 2].real, 8) for r in rs.roots)
     assert got == [-2.0, 2.0]
     for r in rs.roots:
