@@ -99,7 +99,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_sqrt(args) -> int:
-    m = _load_matrix(args.matrix)
+    m = linalg.spectrum(_load_matrix(args.matrix))
     exists = sqrtlib.sqrt_exists(m)
     out = {"exists": exists, "enumeration": None}
     if args.enumerate:
@@ -139,16 +139,18 @@ def _cmd_check_domain(args) -> int:
     if pred in ("Q", "I"):
         m = _load_matrix(args.matrix)
         if pred == "Q":
-            out["value"] = linalg.in_Q(m, args.tol)
-            out["residuals"] = {"min-pair-sum": _q_margin(m)}
+            s = linalg.spectrum(m)
+            out["value"] = linalg.in_Q(s, args.tol)
+            out["residuals"] = {"min-pair-sum": _q_margin(s)}
         else:
             ratio = linalg.sv_ratio(m)
             out["value"] = ratio > args.tol  # in_I, from the same SVD
             out["residuals"] = {"sv-ratio": ratio}
     elif pred == "So":
         w = _load_tuple(args.tuple, "--tuple")
-        out["value"] = domains.in_S_o(w, args.tol)
-        out["residuals"] = {"min-pair-sum": _q_margin(domains.uv_parts(w)[1])}
+        s = linalg.spectrum(domains.uv_parts(w)[1])
+        out["value"] = linalg.in_Q(s, args.tol)  # in_S_o, from the same solve
+        out["residuals"] = {"min-pair-sum": _q_margin(s)}
     elif pred == "D":
         m = _load_matrix(args.matrix)
         out["value"] = domains.in_D_gamma(m, _load_simple_set(args))
@@ -176,10 +178,10 @@ def _cmd_check_domain(args) -> int:
     return 0
 
 
-def _q_margin(m: np.ndarray) -> float:
-    """Smallest |a + b| over eigenvalues a, b; NumericalError when that
-    overflows, as JSON has no infinity."""
-    eigs = np.asarray(linalg.spectrum(m).eigenvalues)
+def _q_margin(m) -> float:
+    """Smallest |a + b| over eigenvalues a, b of m (or its Spectrum);
+    NumericalError when that overflows, as JSON has no infinity."""
+    eigs = linalg.spectrum(m).eigenvalues
     margin = float(np.abs(eigs[:, None] + eigs[None, :]).min())
     if not np.isfinite(margin):
         raise NumericalError("min-pair-sum overflows the float range")

@@ -22,7 +22,7 @@ from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
                        propose_simple_set)
 from .linalg import (commutator_norm, fro_norms, in_I, in_Q, op_norm,
                      op_norms, spectrum)
-from .sqrtlib import SQ_TOL, certify_distinct, check_stack, square_residuals
+from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
 from .words import FreePoly, MatrixTuple
 
 
@@ -41,9 +41,9 @@ def is_subordinate(delta2: SimpleSet, delta1: SimpleSet) -> bool:
 
 # -- membership predicates ----------------------------------------------------
 
-def in_D_gamma(x: np.ndarray, delta: SimpleSet,
+def in_D_gamma(x, delta: SimpleSet,
                margin: float = CONTAINMENT_MARGIN) -> bool:
-    """Spectrum containment sigma(x) in delta, with a shrink margin."""
+    """sigma(x) in delta with a shrink margin, x a matrix or its Spectrum."""
     return delta.covers(spectrum(x).eigenvalues, margin)
 
 
@@ -86,9 +86,10 @@ def _coupling_components(m: np.ndarray, idem: np.ndarray,
     return (label == np.arange(c)[:, None]).astype(float)
 
 
-def in_U_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
+def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
                tol: float = 1e-8) -> bool:
-    """Genericity: u commutes with no nonconstant branch involution of x.
+    """Genericity: u commutes with no nonconstant branch involution of x,
+    a matrix or its Spectrum.
 
     The involution of sign pattern tau is I_tau = sum_j tau_j E_j over the
     spectral idempotents E_j of the discs, and E_i [u, I_tau] E_j is
@@ -198,8 +199,8 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     I_s M I_s = M for M = vuv.  A pattern s that passes that test is
     constant on the components of the coupling graph of M with bound
     tol (1 + ||M||) / 2, so only those 2^c candidates are tested, with w
-    itself first.  v^2 is solved for its spectrum once, for the covering
-    and the idempotents.  Supported on the clean locus only (v invertible
+    itself first.  One Spectrum of v^2 serves the covering, the idempotents
+    and the square check.  Supported on the clean locus only (v invertible
     and in Q); for generic u the result is exactly [w, w.flip()].
     """
     _require_pair(w)
@@ -209,19 +210,16 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     if not in_S_o(w):
         raise UnsupportedError("fiber enumeration needs v in Q "
                                "(spectrum disjoint from its negative)")
-    x = v @ v
+    x = spectrum(v @ v)
     target = v @ u @ v
-    eigs = spectrum(x).eigenvalues
-    target_norm, x_norm = op_norms(np.stack((target, x)))
-    scale = 1.0 + target_norm
-    covering = propose_simple_set(eigs, gap=gap)
-    idem = spectral_idempotents(x, covering, eigs)
+    scale = 1.0 + op_norm(target)
+    covering = propose_simple_set(x.eigenvalues, gap=gap)
+    idem = spectral_idempotents(x, covering)
     member = _coupling_components(target, idem, 0.5 * tol * scale)
-    check_stack(len(member), x.shape[0], "fiber candidates")
+    check_stack(len(member), v.shape[0], "fiber candidates")
     parts = np.tensordot(member, idem, axes=1)  # E_C per component C
     v_parts = v @ parts
-    cands = np.tensordot(sign_patterns(len(member)), v_parts, axes=1)
-    sq_res = square_residuals(v_parts, cands, x, x_norm, SQ_TOL)
+    cands, sq_res = signed_sums(v_parts, x, SQ_TOL)
     if (sq_res > SQ_TOL).any():
         raise NumericalError(
             f"fiber candidate failed its square check: residual "

@@ -68,11 +68,11 @@ class BranchSpec:
         return SimpleSet(self.centers, self.radius)
 
     @classmethod
-    def for_matrix(cls, x: np.ndarray, tau: Iterable[int],
+    def for_matrix(cls, x, tau: Iterable[int],
                    gap: Optional[float] = None) -> "BranchSpec":
-        """Cluster the spectrum of x and attach the given signs."""
-        eigs = spectrum(x).eigenvalues
-        ss = propose_simple_set(eigs, gap=gap)
+        """Cluster the spectrum of x, a matrix or its Spectrum, and attach
+        the given signs."""
+        ss = propose_simple_set(spectrum(x).eigenvalues, gap=gap)
         return cls(ss.centers, ss.radius, tau)
 
 
@@ -184,11 +184,10 @@ def _newton_coefficients(nodes: Sequence[tuple],
     return zs, np.stack(coeffs, axis=1)
 
 
-def matrix_function(x: np.ndarray, germs, merge_rtol: float = MERGE_RTOL,
-                    eigenvalues: Optional[Sequence[complex]] = None
-                    ) -> np.ndarray:
-    """Hermite-interpolated primary function of x: an (n, n) matrix for
-    one germ, an (m, n, n) stack for a sequence of m germs on one domain.
+def matrix_function(x, germs, merge_rtol: float = MERGE_RTOL) -> np.ndarray:
+    """Hermite-interpolated primary function of x, a matrix or its
+    Spectrum: an (n, n) matrix for one germ, an (m, n, n) stack for a
+    sequence of m germs on one domain.
 
     Each eigenvalue is assigned once to the disc that holds it
     (SpectrumOutsideDomainError if one lies in no disc), whose reference
@@ -198,19 +197,15 @@ def matrix_function(x: np.ndarray, germs, merge_rtol: float = MERGE_RTOL,
     divided-difference cancellation; the node multiplicity bounds the size
     of any Jordan block, so the match is exact for the primary function.
     Nodes never merge across discs, where the germ is another function.
-    The spectrum, its clustering and the nodes depend on x alone, so they
-    are computed once per call; each germ adds its Newton coefficients, and
-    one Horner loop evaluates all the interpolants.  eigenvalues is the
-    spectrum of x as linalg.spectrum sorts it, for a caller that holds it
-    already; x is solved for it here when None.
+    The clustering and the nodes depend on x alone, so they are computed
+    once per call; each germ adds its Newton coefficients, and one Horner
+    loop evaluates all the interpolants.
     """
     one = isinstance(germs, ScalarBranch)
     germs = [germs] if one else list(germs)
     (domain,) = {germ.domain for germ in germs}  # else ValueError
-    x = np.asarray(x, dtype=complex)
-    if eigenvalues is None:
-        eigenvalues = spectrum(x).eigenvalues
-    eigs = np.asarray(eigenvalues)
+    s = spectrum(x)
+    x, eigs = s.matrix, s.eigenvalues
     disc = domain.assign(eigs)
     if (disc < 0).any():
         raise SpectrumOutsideDomainError(
@@ -238,24 +233,23 @@ def matrix_function(x: np.ndarray, germs, merge_rtol: float = MERGE_RTOL,
     return out[0] if one else out
 
 
-def spectral_idempotents(x: np.ndarray, domain: SimpleSet,
-                         eigenvalues: Optional[Sequence[complex]] = None
-                         ) -> np.ndarray:
-    """(k, n, n) stack of E_j, the spectral projector of x onto the
-    eigenvalues in disc j (1 on that disc, 0 on the others).  eigenvalues
-    is the sorted spectrum of x, as for matrix_function."""
+def spectral_idempotents(x, domain: SimpleSet) -> np.ndarray:
+    """(k, n, n) stack of E_j, the spectral projector of x, a matrix or its
+    Spectrum, onto the eigenvalues in disc j (1 on that disc, 0 on the
+    others)."""
     return matrix_function(
-        x, [idempotent_germ(domain, j) for j in range(domain.k)],
-        eigenvalues=eigenvalues)
+        x, [idempotent_germ(domain, j) for j in range(domain.k)])
 
 
-def involution_I(x: np.ndarray, spec: BranchSpec) -> np.ndarray:
-    """Matrix square root of the identity attached to the sign pattern."""
+def involution_I(x, spec: BranchSpec) -> np.ndarray:
+    """Matrix square root of the identity attached to the sign pattern,
+    for x a matrix or its Spectrum."""
     return matrix_function(x, constant_germ(spec.simple_set, spec.tau))
 
 
-def sqrt_branch_S(x: np.ndarray, spec: BranchSpec) -> np.ndarray:
-    """Branch square root: S(x)^2 = x, S(x) in alg(x).
+def sqrt_branch_S(x, spec: BranchSpec) -> np.ndarray:
+    """Branch square root: S(x)^2 = x, S(x) in alg(x), for x a matrix or
+    its Spectrum.
 
     Equals the product of the reference branch with the sign involution;
     computed in one interpolation from the signed germ.

@@ -13,6 +13,7 @@ bit-exactly through it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -62,25 +63,30 @@ def rel_dist(a: np.ndarray, b: np.ndarray) -> float:
     return op_norm(np.asarray(a) - np.asarray(b)) / (1.0 + op_norm(b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Eigenvalues with multiplicity, sorted by (real, imag)."""
+    """A matrix, its eigenvalues with multiplicity sorted by (real, imag),
+    and its 2-norm once asked for: every spectral function takes one."""
 
-    eigenvalues: tuple
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
+    @cached_property
+    def norm(self) -> float:
+        return op_norm(self.matrix)
 
 
-def spectrum(x: np.ndarray) -> Spectrum:
+def spectrum(x) -> Spectrum:
+    """The Spectrum of a matrix; a Spectrum is returned as it is."""
+    if isinstance(x, Spectrum):
+        return x
     x = np.asarray(x, dtype=complex)
     try:
         eigs = np.linalg.eigvals(x)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigensolver failed: {exc}") from exc
     order = np.lexsort((eigs.imag, eigs.real))
-    return Spectrum(tuple(eigs[order]))
+    return Spectrum(x, eigs[order])
 
 
 @dataclass(frozen=True)
@@ -157,12 +163,13 @@ def in_B_delta(delta: Sequence[Sequence[FreePoly]], x: MatrixTuple) -> bool:
     return op_norm(eval_delta(delta, x)) < 1.0
 
 
-def in_Q(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the spectrum is disjoint from its negative.
+def in_Q(x, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the spectrum of x, a matrix or its Spectrum, is disjoint
+    from its negative.
 
     Any matrix with 0 in its spectrum fails (0 pairs with itself).
     """
-    eigs = np.asarray(spectrum(x).eigenvalues)
+    eigs = spectrum(x).eigenvalues
     scale = 1.0 + float(np.abs(eigs).max(initial=0.0))
     sums = np.abs(eigs[:, None] + eigs[None, :])
     return bool(sums.min() > tol * scale)
@@ -211,9 +218,9 @@ def numerical_rank(x: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(s > threshold))
 
 
-def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12,
-                 x_norm: Optional[float] = None):
-    """Relative distance of y from span{I, x, ..., x^{n-1}}.
+def alg_residual(y: np.ndarray, x, rank_tol: float = 1e-12):
+    """Relative distance of y from span{I, x, ..., x^{n-1}}, for x a
+    matrix or its Spectrum.
 
     y is one matrix (the result is a float) or an (m, n, n) stack (an
     array of m distances, all projected onto one basis).  The basis is
@@ -223,15 +230,14 @@ def alg_residual(y: np.ndarray, x: np.ndarray, rank_tol: float = 1e-12,
     rank_tol (1 + ||x||), where the span has become invariant under x.
     Unlike the power basis, this stays well conditioned for clustered
     spectra.  The directions fill the rows of one preallocated array,
-    their conjugates those of another.  x_norm is ||x||, for a caller
-    that holds it already; it is taken here when None.
+    their conjugates those of another.
     """
-    x = np.asarray(x, dtype=complex)
+    s = spectrum(x)
     y = np.asarray(y, dtype=complex)
-    n = x.shape[0]
+    n = s.matrix.shape[0]
     # x / ||x|| spans alg(x) without overflow; the floor scales with it
-    scale = (op_norm(x) if x_norm is None else x_norm) or 1.0
-    x = x / scale
+    scale = s.norm or 1.0
+    x = s.matrix / scale
     floor = rank_tol * (1.0 + scale) / scale
     basis = np.empty((n, n * n), dtype=complex)
     conj = np.empty_like(basis)
@@ -359,7 +365,7 @@ def _v_part(t: MatrixTuple) -> np.ndarray:
 
 
 def _simple_spectrum(x: np.ndarray, rel_gap: float = 1e-6) -> bool:
-    eigs = np.asarray(spectrum(x).eigenvalues)
+    eigs = spectrum(x).eigenvalues
     n = len(eigs)
     if n < 2:
         return True

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (ClusteringError, NumericalError, PreconditionError,
 from .funcalc import (SIGN_BLOCK, idempotent_germ, matrix_function,
                       sign_patterns, sqrt_piece_germ)
 from .geometry import SimpleSet, propose_simple_set
+# op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
 from .linalg import (alg_residual, fro_norms, matrix_to_lists,
                      numerical_rank, op_norm, op_norms, peak_scaled, spectrum)
 
@@ -29,9 +30,9 @@ ALG_TOL = 1e-7
 STACK_BUDGET = 2 ** 25  # entries of one stack of 2^k matrices: 512 MiB
 
 
-def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL,
-                eigenvalues: Optional[Sequence[complex]] = None) -> bool:
-    """False iff the Jordan structure at eigenvalue 0 has a block >= 2.
+def sqrt_exists(x, tol: float = RANK_RTOL) -> bool:
+    """False iff the Jordan structure at eigenvalue 0 of x, a matrix or its
+    Spectrum, has a block >= 2.
 
     Such a block moves by about sqrt(eps) under a perturbation eps, so True
     when no eigenvalue lies within sqrt(ZERO_EIG_RTOL) (1 + spectral
@@ -39,21 +40,17 @@ def sqrt_exists(x: np.ndarray, tol: float = RANK_RTOL,
     y = x / (largest entry), whose square cannot overflow, keeps its rank
     in y^2 counted at tol ||y|| times its smallest kept singular value (an
     eigenvalue c of x leaves c^2 in y^2, below tol ||y||^2 but not zero).
-    eigenvalues is the spectrum of x, for a caller that holds it already;
-    x is solved for it here when None.
     """
-    x = np.asarray(x, dtype=complex)
-    if eigenvalues is None:
-        eigenvalues = spectrum(x).eigenvalues
-    if not _near_zero(eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
+    s = spectrum(x)
+    if not _near_zero(s.eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
         return True
-    y, peak = peak_scaled(x)
+    y, peak = peak_scaled(s.matrix)
     if peak == 0.0:
         return True  # the zero matrix squares to itself via 0
-    s = np.linalg.svd(y, compute_uv=False)
-    kept = s[s > tol * s[0]]
-    return (kept.size == s.size
-            or kept.size == numerical_rank(y @ y, tol * s[0] * kept[-1]))
+    sv = np.linalg.svd(y, compute_uv=False)
+    kept = sv[sv > tol * sv[0]]
+    return (kept.size == sv.size
+            or kept.size == numerical_rank(y @ y, tol * sv[0] * kept[-1]))
 
 
 def _near_zero(eigs, rtol: float) -> np.ndarray:
@@ -126,10 +123,10 @@ def _zero_extended_domain(nonzero: SimpleSet, eigenvalues) -> SimpleSet:
 MERGE_LADDER = (1e-6, 1e-4, 1e-2)
 
 
-def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
-                     alg_tol: float = ALG_TOL,
+def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
                      gap: Optional[float] = None) -> RootSet:
-    """Enumerate every square root of x in alg(x): exactly 2^k of them.
+    """Enumerate every square root of x, a matrix or its Spectrum, in
+    alg(x): exactly 2^k of them.
 
     The Hermite interpolant is linear in the germ, so root tau is the
     signed sum S_tau = sum_i tau_i R_i of k spectral pieces (R_i is the
@@ -139,8 +136,8 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     every root passes its square check: merging the eigenvalues packed in
     one disc into a single derivative-matched node is stabler than a
     tableau over all of them.  The square check of all 2^k roots is one
-    certificate on the k pieces (square_residuals).  x is solved for its
-    spectrum once, and ||x|| is taken once, for every check.
+    certificate on the k pieces (square_residuals).  Every check shares
+    the Spectrum of x: one eigensolve and one ||x||.
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
@@ -150,10 +147,9 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     looser tol opts in to degraded accuracy, which the result records per
     root.
     """
-    x = np.asarray(x, dtype=complex)
-    x_norm = op_norm(x)
-    eigs = np.asarray(spectrum(x).eigenvalues)
-    if not sqrt_exists(x, eigenvalues=eigs):
+    s = spectrum(x)
+    x, eigs, norm = s.matrix, s.eigenvalues, s.norm
+    if not sqrt_exists(s):
         raise UnsupportedError(
             "no square roots: the 0-eigenvalue part is defective "
             "(nilpotent Jordan cell of size >= 2)")
@@ -163,7 +159,7 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     if nonzero_eigs.size == 0:
         # semisimple at 0 with nothing else: x is numerically 0, root 0
         return RootSet(x, (np.zeros_like(x),), 0, extension=True,
-                       square_residuals=(x_norm / (1.0 + x_norm),),
+                       square_residuals=(norm / (1.0 + norm),),
                        alg_residuals=(0.0,))
     covering = propose_simple_set(nonzero_eigs, gap=gap)
     k = covering.k
@@ -172,19 +168,15 @@ def all_square_roots(x: np.ndarray, tol: float = SQ_TOL,
     discs = [domain.centers.index(c) for c in covering.centers]
     germs = ([sqrt_piece_germ(domain, j) for j in discs]
              + [idempotent_germ(domain, j) for j in discs])
-    signs = sign_patterns(k)
     for rung in MERGE_LADDER:
-        pieces, idem = np.split(
-            matrix_function(x, germs, merge_rtol=rung, eigenvalues=eigs), 2)
-        roots = np.tensordot(signs, pieces, axes=1)
-        sq_res = square_residuals(pieces, roots, x, x_norm, tol)
+        pieces, idem = np.split(matrix_function(s, germs, merge_rtol=rung), 2)
+        roots, sq_res = signed_sums(pieces, s, tol)
         failed = np.flatnonzero(~(sq_res <= tol))
         if not failed.size:
             break
     # roots are judged in order: the first that fails either check is named
     first = failed[0] if failed.size else len(roots)
-    alg_res = (alg_residual(roots[:first], x, x_norm=x_norm) if first
-               else np.zeros(0))
+    alg_res = alg_residual(roots[:first], s) if first else np.zeros(0)
     drifted = np.flatnonzero(alg_res > alg_tol)
     if drifted.size:
         raise NumericalError(f"branch root drifted out of alg(x): residual "
@@ -213,42 +205,47 @@ def check_stack(k: int, n: int, what: str) -> None:
             f"{STACK_BUDGET} entries")
 
 
-def square_bound(pieces: np.ndarray, x: np.ndarray, x_norm: float) -> float:
-    """Bound on ||S_tau^2 - x|| / (1 + ||x||) for every sign pattern tau.
+def square_bound(pieces: np.ndarray, x) -> float:
+    """Bound on ||S_tau^2 - x|| / (1 + ||x||) for every sign pattern tau,
+    x being a matrix or its Spectrum.
 
     S_tau = sum_j tau_j R_j over the (k, n, n) stack of pieces, and as
     tau_j^2 = 1, S_tau^2 - x = (sum_j R_j^2 - x) + sum_{i<j} tau_i tau_j
     (R_i R_j + R_j R_i) (Higham, Functions of Matrices, Thm. 1.26).  The
     Frobenius norms of these k(k-1)/2 + 1 terms add up to a bound for all
-    2^k roots at once, with no SVD; x_norm is ||x||.  They are taken on
-    x / s and R_j / sqrt(s), for a power s of 4 within a factor 4 below
-    ||x||: the scaling is exact, and the squared entries stay in range.
+    2^k roots at once, with no SVD beyond ||x||.  They are taken on x / p
+    and R_j / sqrt(p), for a power p of 4 within a factor 4 below ||x||:
+    the scaling is exact, and the squared entries stay in range.
     """
-    half = math.ldexp(1.0, (math.frexp(x_norm)[1] - 1) // 2) if x_norm else 1.0
+    s = spectrum(x)
+    x, norm = s.matrix, s.norm
+    half = math.ldexp(1.0, (math.frexp(norm)[1] - 1) // 2) if norm else 1.0
     r = pieces / half
     prods = r[:, None] @ r[None]
-    anti = prods + prods.swapaxes(0, 1)  # (R_i R_j + R_j R_i) / s
-    # the diagonal holds 2 R_j^2 / s, each off-diagonal term appears twice
+    anti = prods + prods.swapaxes(0, 1)  # (R_i R_j + R_j R_i) / p
+    # the diagonal holds 2 R_j^2 / p, each off-diagonal term appears twice
     cross = fro_norms(anti)
     lead = fro_norms(0.5 * np.trace(anti) - x / half / half)
     total = lead + 0.5 * (cross.sum() - np.trace(cross))
-    return float(total * (half / (1.0 + x_norm) * half))
+    return float(total * (half / (1.0 + norm) * half))
 
 
-def square_residuals(pieces: np.ndarray, roots: np.ndarray, x: np.ndarray,
-                     x_norm: float, tol: float) -> np.ndarray:
-    """Per-root bounds on ||root^2 - x|| / (1 + ||x||), roots being the
-    signed sums of the pieces: square_bound for every root when it is
-    within tol, else each root's exact residual, SIGN_BLOCK roots per
-    batch of SVDs.  The bound is above every exact residual, so the two
-    agree on whether all roots pass."""
-    bound = square_bound(pieces, x, x_norm)
+def signed_sums(pieces: np.ndarray, x, tol: float) -> tuple:
+    """(sums, residuals) for a (k, n, n) stack of pieces P_j and x, a matrix
+    or its Spectrum: the 2^k sums S_tau = sum_j tau_j P_j, tau in
+    sign_patterns order, and bounds on ||S_tau^2 - x|| / (1 + ||x||).  The
+    bound is square_bound for every sum when that is within tol (it is
+    above every exact residual), else each sum's exact residual, SIGN_BLOCK
+    sums per batch of SVDs."""
+    s = spectrum(x)
+    sums = np.tensordot(sign_patterns(len(pieces)), pieces, axes=1)
+    bound = square_bound(pieces, s)
     if bound <= tol:
-        return np.full(len(roots), bound)
-    return np.concatenate([
-        op_norms(block @ block - x) for block in
-        np.split(roots, range(SIGN_BLOCK, len(roots), SIGN_BLOCK))
-    ]) / (1.0 + x_norm)
+        return sums, np.full(len(sums), bound)
+    return sums, np.concatenate([
+        op_norms(block @ block - s.matrix) for block in
+        np.split(sums, range(SIGN_BLOCK, len(sums), SIGN_BLOCK))
+    ]) / (1.0 + s.norm)
 
 
 def certify_distinct(cands: np.ndarray, bound: float, norm_bound: float,

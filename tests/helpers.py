@@ -149,3 +149,17 @@ def reference_alg_residual(y, x, rank_tol=1e-12):
 
     out = row_norms(resid) / (1.0 + row_norms(vecs))
     return float(out[0]) if y.ndim == 2 else out
+
+
+def record_eigensolves(monkeypatch):
+    """Patch np.linalg.eigvals to record a copy of every matrix it solves,
+    whichever module asks; returns the list of them."""
+    solved = []
+    real = np.linalg.eigvals
+
+    def recording(a):
+        solved.append(np.array(a))
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    return solved

@@ -12,7 +12,7 @@ from ncsym.linalg import tuple_to_json_dict
 from ncsym.parsing import parse
 from ncsym.words import MatrixTuple
 
-from helpers import thirty_distinct
+from helpers import record_eigensolves, thirty_distinct
 
 
 @pytest.fixture
@@ -265,6 +265,26 @@ def test_check_domain_bad_disc_system_is_a_precondition_violation(
         argv += ["--radius", radius]
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["sqrt", "--matrix", "m", "--enumerate"],
+    ["check-domain", "--pred", "Q", "--matrix", "m"],
+    ["check-domain", "--pred", "So", "--tuple", "w"],
+], ids=["sqrt-enumerate", "Q", "So"])
+def test_matrix_commands_solve_once(argv, files, capsys, monkeypatch):
+    # one Spectrum of the input matrix serves every predicate, residual and
+    # the enumeration
+    x = np.array([[1, 2, 0], [0, 4, 1], [0, 0, 9]], dtype=complex)
+    eye = np.eye(3, dtype=complex)
+    paths = {"m": _matrix_file(files["tmp"], "m.json", x),
+             "w": files["tmp"] / "w.json"}
+    paths["w"].write_text(json.dumps(tuple_to_json_dict(
+        MatrixTuple((eye + x, eye - x)))))
+    solves = record_eigensolves(monkeypatch)
+    assert main([str(paths.get(a, a)) for a in argv]) == 0
+    assert len(solves) == 1 and np.allclose(solves[0], x)
+    json.loads(capsys.readouterr().out)
 
 
 def test_json_output_is_deterministic(files, capsys):

@@ -4,17 +4,17 @@ import time
 import numpy as np
 import pytest
 
-from ncsym import domains, funcalc
+from ncsym import domains
 from ncsym.errors import (ClusteringError, DomainError, PreconditionError,
                           UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
 from ncsym.linalg import (commutator_norm, direct_sum, op_norm, random_tuple,
-                          rel_dist)
+                          rel_dist, spectrum)
 from ncsym.words import FreePoly, MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
-                     clustered_matrix, ginibre, thirty_distinct,
-                     well_conditioned)
+                     clustered_matrix, ginibre, record_eigensolves,
+                     thirty_distinct, well_conditioned)
 
 
 def test_separation_and_isolation_examples():
@@ -219,28 +219,31 @@ def test_in_U_gamma_with_more_discs_than_eigenvalues():
 
 
 def test_in_U_gamma_solves_for_the_spectrum_once(monkeypatch):
-    calls = []
-    for module in (domains, funcalc):
-        monkeypatch.setattr(module, "spectrum", lambda x, real=module.spectrum:
-                            calls.append(x) or real(x))
     x = np.diag([1.0, 4.0]).astype(complex)
+    s = spectrum(x)
+    calls = record_eigensolves(monkeypatch)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert domains.in_U_gamma(swap, x, domains.SimpleSet((1.0, 4.0), 0.4))
-    assert len(calls) == 1
-    calls.clear()  # 4 lies in no disc: the interpolation refuses it
-    assert not domains.in_U_gamma(swap, x, domains.SimpleSet((1.0, 3.0), 0.4))
-    assert len(calls) == 1
+    for delta, generic in ((domains.SimpleSet((1.0, 4.0), 0.4), True),
+                           # 4 lies in no disc: the interpolation refuses it
+                           (domains.SimpleSet((1.0, 3.0), 0.4), False)):
+        calls.clear()
+        assert domains.in_U_gamma(swap, x, delta) is generic
+        assert len(calls) == 1 and np.array_equal(calls[0], x)
+        calls.clear()  # the Spectrum of x is not solved again
+        assert domains.in_U_gamma(swap, s, delta) is generic
+        assert calls == []
 
 
 def test_fiber_solves_for_the_spectrum_once(monkeypatch):
-    # the covering and the idempotents of v^2 share one eigensolve
-    calls = []
-    for module in (domains, funcalc):
-        monkeypatch.setattr(module, "spectrum", lambda x, real=module.spectrum:
-                            calls.append(x) or real(x))
+    # v is solved for the clean-locus test; the covering, the idempotents
+    # and the square check of v^2 share one eigensolve
+    calls = record_eigensolves(monkeypatch)
     w = random_tuple(4, 2, ("generic-u",), np.random.default_rng(2))
     _, v = domains.uv_parts(w)
+    calls.clear()
     assert len(domains.fiber(w)) == 2
+    assert len(calls) == 2
+    assert sum(np.array_equal(x, v) for x in calls) == 1
     assert sum(np.array_equal(x, v @ v) for x in calls) == 1
 
 

@@ -43,3 +43,25 @@ def test_module_graph_is_acyclic_and_layered():
     list(graphlib.TopologicalSorter(graph).static_order())  # CycleError
     for i, name in enumerate(LAYERS):
         assert not graph[name] & set(LAYERS[i + 1:]), name
+
+
+def _eig_calls(tree) -> list:
+    """The calls in tree of a routine named eig*, as np.linalg.eigvals or
+    as a name imported from numpy.linalg."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", ""))
+            .startswith("eig")]
+
+
+def test_one_function_solves_for_eigenvalues():
+    # every other spectral function takes the Spectrum that linalg.spectrum
+    # returns, so a second solve path cannot creep back
+    trees = _trees()
+    solvers = [f"{name}.{func.name}"
+               for name, tree in trees.items()
+               for func in ast.walk(tree)
+               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and _eig_calls(func)]
+    assert solvers == ["linalg.spectrum"]
+    assert sum(len(_eig_calls(tree)) for tree in trees.values()) == 1
