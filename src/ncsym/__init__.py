@@ -12,8 +12,8 @@ from .ratexpr import (RatExpr, Scalar, Variable, add, as_ncpoly,
                       mul, ncpoly_equal, power, scale, substitute, to_text)
 from .linalg import (direct_sum, conjugate, eval_delta, in_B_delta, in_I,
                      in_Q, op_norm, random_tuple, spectrum)
-from .funcalc import (BranchSpec, ScalarBranch, involution_I,
-                      matrix_function, sqrt_branch_S)
+from .funcalc import (BranchSpec, involution_I, matrix_function,
+                      sqrt_branch_S)
 from .sqrtlib import (RootSet, all_square_roots, riemann_fiber, sigma_inverse,
                       sigma_map, sqrt_exists)
 from .symbasis import (GenPoly, decompose_symmetric, factor_through_pi,

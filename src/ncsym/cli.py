@@ -77,7 +77,10 @@ def _cmd_girard(args) -> int:
     else:
         print(to_text(pair.P))
     if args.verify:
-        levels = tuple(int(s) for s in args.levels.split(","))
+        try:
+            levels = tuple(int(s) for s in args.levels.split(","))
+        except ValueError as exc:
+            raise PreconditionError(f"--levels: {exc}") from exc
         tol = args.tol if args.tol is not None else \
             (1e-7 if args.n < 0 else 1e-8)
         report = girard.verify_girard_random(

@@ -15,7 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, NumericalError,
-                     SpectrumOutsideDomainError, UnsupportedError)
+                     PreconditionError, SpectrumOutsideDomainError,
+                     UnsupportedError)
 from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
                       spectral_idempotents, sqrt_branch_S)
 from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
@@ -100,10 +101,12 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     over components (up to a global sign) are tested.  A disc that holds
     no eigenvalue has E_j = 0, and flipping it alone leaves I_tau = I, so
     such a disc makes u non-generic.  Raises DomainError unless delta is
-    quarter-isolated with 0 outside it.  Vacuously true for a singleton.
-    This is a Zariski-open condition, so false negatives near the
-    commutation variety are expected at the working tolerance.
+    quarter-isolated with 0 outside it, and PreconditionError unless tol
+    is finite and positive.  Vacuously true for a singleton.  This is a
+    Zariski-open condition, so false negatives near the commutation
+    variety are expected at the working tolerance.
     """
+    _require_tol(tol)
     problem = delta.branch_problem()
     if problem:
         raise DomainError(problem)
@@ -201,9 +204,11 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     tol (1 + ||M||) / 2, so only those 2^c candidates are tested, with w
     itself first.  One Spectrum of v^2 serves the covering, the idempotents
     and the square check.  Supported on the clean locus only (v invertible
-    and in Q); for generic u the result is exactly [w, w.flip()].
+    and in Q); for generic u the result is exactly [w, w.flip()].  Raises
+    PreconditionError unless tol is finite and positive.
     """
     _require_pair(w)
+    _require_tol(tol)
     u, v = uv_parts(w)
     if not in_I(v):
         raise UnsupportedError("fiber enumeration needs v invertible")
@@ -232,6 +237,12 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
                      v_norms.sum(), what="fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
+
+
+def _require_tol(tol: float) -> None:
+    # a NaN or negative tol fails every comparison that it takes part in
+    if not (np.isfinite(tol) and tol > 0):
+        raise PreconditionError(f"tol must be finite and positive, got {tol}")
 
 
 def _require_pair(w: MatrixTuple) -> None:

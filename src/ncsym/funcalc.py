@@ -1,8 +1,8 @@
 """Primary matrix functions via Hermite interpolation on the spectrum.
 
 A function holomorphic on a simple set is one function per disc; each
-one used here is c_i + r_i s_i(z) on disc i, with s_i that disc's
-reference square root, so a germ (ScalarBranch) is the numbers c_i, r_i.
+one used here is c_j + r_j s_j(z) on disc j, with s_j that disc's
+reference square root, so m germs are two (m, k) arrays, const and root.
 The contour-integral functional calculus is replaced by the Hermite
 interpolant that matches, at each eigenvalue and up to its multiplicity,
 the value and derivatives of the function of the disc holding it; the
@@ -44,12 +44,11 @@ class BranchSpec:
 
     def __init__(self, centers: Iterable[complex], radius: float,
                  tau: Iterable[int]):
-        pairs = sorted(zip((complex(c) for c in centers), tau),
+        # strict: a center without a sign, or the reverse, is a ValueError
+        pairs = sorted(zip((complex(c) for c in centers), tau, strict=True),
                        key=lambda p: (p[0].real, p[0].imag))
         centers = tuple(p[0] for p in pairs)
         tau = tuple(int(p[1]) for p in pairs)
-        if len(centers) != len(tau):
-            raise ValueError("need one sign per center")
         if any(t not in (-1, 1) for t in tau):
             raise ValueError(f"signs must be +1 or -1, got {tau}")
         problem = SimpleSet(centers, radius).branch_problem()
@@ -76,30 +75,6 @@ class BranchSpec:
         return cls(ss.centers, ss.radius, tau)
 
 
-@dataclass(frozen=True)
-class ScalarBranch:
-    """Scalar germ on a simple set: const[i] + root[i] * s_i(z) on disc i.
-
-    s_i is the reference square root of disc i, principal at its center
-    (see _sqrt_derivs).  Idempotents and involutions are locally constant,
-    and a square-root branch is a signed reference root on each disc.
-    """
-
-    domain: SimpleSet
-    const: tuple
-    root: tuple
-
-
-def constant_germ(domain: SimpleSet, values: Sequence[complex]) -> ScalarBranch:
-    """Locally constant function: values[i] on disc i."""
-    return ScalarBranch(domain, tuple(map(complex, values)), (0j,) * domain.k)
-
-
-def idempotent_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
-    """1 on one disc and 0 on the others: the spectral projector's germ."""
-    return constant_germ(domain, [float(i == disc) for i in range(domain.k)])
-
-
 SIGN_BLOCK = 64  # sign patterns summed per batch, which bounds temporaries
 
 
@@ -123,46 +98,33 @@ def _sqrt_derivs(z: complex, m: int, center: complex, sign: int) -> list:
     return out
 
 
-def sqrt_germ(spec: BranchSpec) -> ScalarBranch:
-    """Signed square-root branch: tau[i] * (principal-at-center) on disc i."""
-    return ScalarBranch(spec.simple_set, (0j,) * spec.k, spec.tau)
-
-
-def sqrt_piece_germ(domain: SimpleSet, disc: int) -> ScalarBranch:
-    """Reference square root (principal at the center) on one disc, 0 on
-    the others.  sqrt_germ(spec) is the sum of spec.tau[i] times these."""
-    return ScalarBranch(domain, (0j,) * domain.k,
-                        tuple(complex(i == disc) for i in range(domain.k)))
-
-
 # -- Hermite interpolation ----------------------------------------------------
 
-def _newton_coefficients(nodes: Sequence[tuple],
-                         germs: Sequence[ScalarBranch]) -> tuple:
-    """Divided differences of every germ on one confluent node set.
+def _newton_coefficients(nodes: Sequence[tuple], reference: tuple,
+                         const: np.ndarray, root: np.ndarray) -> tuple:
+    """Divided differences of every germ, a row of const and root, on one
+    confluent node set.
 
     Node (center, size, disc) sits at center with multiplicity size; the
-    first size derivatives there of the disc's reference root, taken once
-    for all germs, give each germ's repeated-node entries f^(j)(z)/j!.
-    Returns the nodes with repetition, shape (N,), and the Newton
-    coefficients, shape (len(germs), N).
+    first size derivatives there of the disc's reference root, principal
+    at reference[disc] and taken once for all germs, give each germ's
+    repeated-node entries f^(j)(z)/j!.  Returns the nodes with repetition,
+    shape (N,), and the Newton coefficients, shape (m, N).
     """
     centers, sizes, discs = zip(*nodes)
     gids = np.repeat(np.arange(len(sizes)), sizes)
     zs = np.asarray(centers, dtype=complex)[gids]
     n = len(zs)
     width = max(sizes)
-    const = np.array([germ.const for germ in germs])[:, list(discs)]
-    root = np.array([germ.root for germ in germs])[:, list(discs)]
+    const, root = const[:, list(discs)], root[:, list(discs)]
     # table[i, j] = s^(j)(center of node i) for the reference root s of its
     # disc, taken only at the nodes where some germ uses s
     table = np.zeros((len(nodes), width), dtype=complex)
-    reference = germs[0].domain.centers
     for i in np.flatnonzero(root.any(axis=0)):
         center, size, disc = nodes[i]
         table[i, :size] = _sqrt_derivs(center, size, reference[disc], 1)
     # ders[h, i, j] = f_h^(j)(zs[i]), for j below the multiplicity of zs[i]
-    ders = np.zeros((len(germs), len(nodes), width), dtype=complex)
+    ders = np.zeros((len(const), len(nodes), width), dtype=complex)
     ders[:, :, 0] = const
     ders += root[:, :, None] * table
     ders = np.repeat(ders, sizes, axis=1)
@@ -184,26 +146,28 @@ def _newton_coefficients(nodes: Sequence[tuple],
     return zs, np.stack(coeffs, axis=1)
 
 
-def matrix_function(x, germs, merge_rtol: float = MERGE_RTOL) -> np.ndarray:
-    """Hermite-interpolated primary function of x, a matrix or its
-    Spectrum: an (n, n) matrix for one germ, an (m, n, n) stack for a
-    sequence of m germs on one domain.
+def matrix_function(x, domain: SimpleSet, const, root,
+                    merge_rtol: float = MERGE_RTOL) -> np.ndarray:
+    """Hermite-interpolated primary functions of x, a matrix or its
+    Spectrum: an (m, n, n) stack, one matrix per germ.
 
-    Each eigenvalue is assigned once to the disc that holds it
-    (SpectrumOutsideDomainError if one lies in no disc), whose reference
-    root gives every germ its derivatives there.  Eigenvalues of one disc
-    closer than merge_rtol times the spectral radius are merged into one
-    confluent node (derivative matching) to avoid catastrophic
-    divided-difference cancellation; the node multiplicity bounds the size
-    of any Jordan block, so the match is exact for the primary function.
-    Nodes never merge across discs, where the germ is another function.
-    The clustering and the nodes depend on x alone, so they are computed
-    once per call; each germ adds its Newton coefficients, and one Horner
-    loop evaluates all the interpolants.
+    Row h of the (m, k) arrays const and root, which broadcast against
+    each other, is the germ const[h, j] + root[h, j] s_j(z) on disc j of
+    domain, s_j being the reference root of disc j, principal at its
+    center (see _sqrt_derivs).  Each eigenvalue is assigned once to the
+    disc that holds it (SpectrumOutsideDomainError if one lies in no
+    disc), whose reference root gives every germ its derivatives there.
+    Eigenvalues of one disc closer than merge_rtol times the spectral
+    radius are merged into one confluent node (derivative matching) to
+    avoid catastrophic divided-difference cancellation; the node
+    multiplicity bounds the size of any Jordan block, so the match is
+    exact for the primary function.  Nodes never merge across discs, where
+    the germ is another function.  The clustering and the nodes depend on
+    x alone, so they are computed once per call; each germ adds its Newton
+    coefficients, and one Horner loop evaluates all the interpolants.
     """
-    one = isinstance(germs, ScalarBranch)
-    germs = [germs] if one else list(germs)
-    (domain,) = {germ.domain for germ in germs}  # else ValueError
+    const, root = np.broadcast_arrays(np.asarray(const, dtype=complex),
+                                      np.asarray(root, dtype=complex))
     s = spectrum(x)
     x, eigs = s.matrix, s.eigenvalues
     disc = domain.assign(eigs)
@@ -216,12 +180,12 @@ def matrix_function(x, germs, merge_rtol: float = MERGE_RTOL) -> np.ndarray:
     nodes = sorted(((c.center, len(c.indices), d) for d in range(domain.k)
                     for c in cluster_eigenvalues(eigs[disc == d], gap)),
                    key=lambda node: (node[0].real, node[0].imag))
-    zs, coeffs = _newton_coefficients(nodes, germs)
+    zs, coeffs = _newton_coefficients(nodes, domain.centers, const, root)
     if not np.isfinite(coeffs).all():
         raise IllConditionedInterpolationError(
             "divided differences degenerated; nodes too close for the "
             "working precision")
-    m, n = len(germs), x.shape[0]
+    m, n = len(const), x.shape[0]
     eye = np.eye(n, dtype=complex)
     out = np.zeros((m * n, n), dtype=complex)
     diag = out.reshape(m, n * n)[:, ::n + 1]  # a view of every diagonal
@@ -229,22 +193,20 @@ def matrix_function(x, germs, merge_rtol: float = MERGE_RTOL) -> np.ndarray:
     for j in range(len(zs) - 2, -1, -1):
         np.matmul(out.copy(), x - zs[j] * eye, out=out)
         diag += coeffs[:, j, None]
-    out = out.reshape(m, n, n)
-    return out[0] if one else out
+    return out.reshape(m, n, n)
 
 
 def spectral_idempotents(x, domain: SimpleSet) -> np.ndarray:
     """(k, n, n) stack of E_j, the spectral projector of x, a matrix or its
     Spectrum, onto the eigenvalues in disc j (1 on that disc, 0 on the
     others)."""
-    return matrix_function(
-        x, [idempotent_germ(domain, j) for j in range(domain.k)])
+    return matrix_function(x, domain, np.eye(domain.k), 0)
 
 
 def involution_I(x, spec: BranchSpec) -> np.ndarray:
     """Matrix square root of the identity attached to the sign pattern,
     for x a matrix or its Spectrum."""
-    return matrix_function(x, constant_germ(spec.simple_set, spec.tau))
+    return matrix_function(x, spec.simple_set, [spec.tau], 0)[0]
 
 
 def sqrt_branch_S(x, spec: BranchSpec) -> np.ndarray:
@@ -252,6 +214,6 @@ def sqrt_branch_S(x, spec: BranchSpec) -> np.ndarray:
     its Spectrum.
 
     Equals the product of the reference branch with the sign involution;
-    computed in one interpolation from the signed germ.
+    computed in one interpolation from the signed germ 0 + tau_j s_j.
     """
-    return matrix_function(x, sqrt_germ(spec))
+    return matrix_function(x, spec.simple_set, 0, [spec.tau])[0]

@@ -76,9 +76,6 @@ class SimpleSet:
         i = int(self.assign((z,), margin)[0])
         return None if i < 0 else i
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return self.locate(z, margin) is not None
-
     def covers(self, points: Iterable[complex],
                margin: float = CONTAINMENT_MARGIN) -> bool:
         return bool((self.assign(points, margin) >= 0).all())
@@ -113,8 +110,7 @@ def default_radius(centers: Iterable[complex]) -> float:
 
 
 def propose_simple_set(eigenvalues: Sequence[complex],
-                       gap: Optional[float] = None,
-                       forbid_zero: bool = True) -> SimpleSet:
+                       gap: Optional[float] = None) -> SimpleSet:
     """Quarter-isolated simple set covering the eigenvalues, or raise.
 
     Single-linkage groups at the given absolute gap become disc centers
@@ -131,7 +127,7 @@ def propose_simple_set(eigenvalues: Sequence[complex],
     except OverflowError as exc:  # some |z| or |z - w| exceeds the range
         raise ClusteringError(f"eigenvalues overflow: {exc}") from exc
     centers = [c.center for c in clusters]
-    if forbid_zero and min(abs(c) for c in centers) <= gap:
+    if min(abs(c) for c in centers) <= gap:
         raise ClusteringError(
             "a cluster sits at 0; no disc around it can avoid the origin")
     try:

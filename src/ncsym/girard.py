@@ -149,25 +149,24 @@ def verify_girard(n: int, w: MatrixTuple, tol: float = 1e-8) -> Report:
 def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                          trials: int = 20, tol: float = 1e-8,
                          rng: Optional[np.random.Generator] = None,
-                         seed: Optional[int] = None,
-                         retry_cap: int = 50) -> Report:
+                         seed: Optional[int] = None) -> Report:
     """Sampled verification over random pairs with v invertible.
 
     Inadmissible draws (singular inverses for negative indices) are
-    resampled up to the cap per trial; exhausting it raises DomainError.
-    No levels or no trials would give a verdict without a sample, so
-    either raises PreconditionError.
+    resampled up to 50 times per trial; exhausting that raises
+    DomainError.  No levels or no trials would give a verdict without a
+    sample, so either raises PreconditionError, as does a level below 1.
     """
     levels = tuple(levels)
-    if len(levels) * trials < 1:
-        raise PreconditionError(
-            f"no samples to judge: levels={levels}, trials={trials}")
+    if len(levels) * trials < 1 or min(levels) < 1:
+        raise PreconditionError(f"no samples to judge: levels={levels} "
+                                f"(each at least 1), trials={trials}")
     rng = rng if rng is not None else np.random.default_rng(seed)
     report = Report(seed=seed, tolerances={"residual": tol})
     for level in levels:
         worst = 0.0
         for _ in range(trials):
-            for _attempt in range(retry_cap):
+            for _attempt in range(50):
                 w = random_tuple(level, 2, ("v-invertible",), rng)
                 try:
                     sub = verify_girard(n, w, tol)
@@ -176,9 +175,8 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                 worst = max(worst, sub.checks[0].residual)
                 break
             else:
-                raise DomainError(
-                    f"no admissible level-{level} sample for P_{n} in "
-                    f"{retry_cap} draws")
+                raise DomainError(f"no admissible level-{level} sample for "
+                                  f"P_{n} in 50 draws")
         report.add(f"girard-n={n}-level={level}-x{trials}", worst <= tol,
                    worst)
     return report

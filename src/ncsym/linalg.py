@@ -218,7 +218,7 @@ def numerical_rank(x: np.ndarray, threshold: float) -> int:
     return int(np.count_nonzero(s > threshold))
 
 
-def alg_residual(y: np.ndarray, x, rank_tol: float = 1e-12):
+def alg_residual(y: np.ndarray, x):
     """Relative distance of y from span{I, x, ..., x^{n-1}}, for x a
     matrix or its Spectrum.
 
@@ -227,7 +227,7 @@ def alg_residual(y: np.ndarray, x, rank_tol: float = 1e-12):
     the orthonormal Krylov (Arnoldi) basis: each new direction is x times
     the last one, orthogonalized twice by Gram-Schmidt against the basis
     so far, and the loop stops once that direction is below
-    rank_tol (1 + ||x||), where the span has become invariant under x.
+    1e-12 (1 + ||x||), where the span has become invariant under x.
     Unlike the power basis, this stays well conditioned for clustered
     spectra.  The directions fill the rows of one preallocated array,
     their conjugates those of another.
@@ -238,7 +238,7 @@ def alg_residual(y: np.ndarray, x, rank_tol: float = 1e-12):
     # x / ||x|| spans alg(x) without overflow; the floor scales with it
     scale = s.norm or 1.0
     x = s.matrix / scale
-    floor = rank_tol * (1.0 + scale) / scale
+    floor = 1e-12 * (1.0 + scale) / scale
     basis = np.empty((n, n * n), dtype=complex)
     conj = np.empty_like(basis)
     q = np.eye(n, dtype=complex) / np.sqrt(n)
@@ -364,7 +364,7 @@ def _v_part(t: MatrixTuple) -> np.ndarray:
     return t[0]
 
 
-def _simple_spectrum(x: np.ndarray, rel_gap: float = 1e-6) -> bool:
+def _simple_spectrum(x: np.ndarray) -> bool:
     eigs = spectrum(x).eigenvalues
     n = len(eigs)
     if n < 2:
@@ -372,7 +372,7 @@ def _simple_spectrum(x: np.ndarray, rel_gap: float = 1e-6) -> bool:
     scale = 1.0 + float(np.abs(eigs).max())
     diffs = np.abs(eigs[:, None] - eigs[None, :])
     diffs[np.diag_indices(n)] = np.inf
-    return bool(diffs.min() > rel_gap * scale)
+    return bool(diffs.min() > 1e-6 * scale)
 
 
 def _generic_u_pair(n: int, rng: np.random.Generator) -> MatrixTuple:

@@ -249,8 +249,7 @@ def _as_square(value, name: str) -> np.ndarray:
 
 
 def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
-             n: Optional[int] = None,
-             singular_rtol: float = SINGULARITY_RTOL) -> np.ndarray:
+             n: Optional[int] = None) -> np.ndarray:
     """Bottom-up evaluation on an assignment of square matrices.
 
     All assigned matrices must share one size; plain complex numbers are
@@ -293,7 +292,7 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
         else:
             child = vals[id(node.child)]
             s = np.linalg.svd(child, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= singular_rtol * s[0]:
+            if s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]:
                 raise SingularityError(
                     f"singular inverse at sub-expression {to_text(node)}",
                     expression=node)

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import (ClusteringError, NumericalError, PreconditionError,
                      UnsupportedError)
-from .funcalc import (SIGN_BLOCK, idempotent_germ, matrix_function,
-                      sign_patterns, sqrt_piece_germ)
+from .funcalc import SIGN_BLOCK, matrix_function, sign_patterns
 from .geometry import SimpleSet, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
 from .linalg import (alg_residual, fro_norms, matrix_to_lists,
@@ -166,10 +165,12 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
     check_stack(k, x.shape[0], "enumerated roots")
     domain = _zero_extended_domain(covering, eigs) if has_zero else covering
     discs = [domain.centers.index(c) for c in covering.centers]
-    germs = ([sqrt_piece_germ(domain, j) for j in discs]
-             + [idempotent_germ(domain, j) for j in discs])
+    rows = np.eye(domain.k)[discs]  # germs: the pieces R_j, then the E_j
+    const = np.concatenate((np.zeros_like(rows), rows))
+    root = np.concatenate((rows, np.zeros_like(rows)))
     for rung in MERGE_LADDER:
-        pieces, idem = np.split(matrix_function(s, germs, merge_rtol=rung), 2)
+        pieces, idem = np.split(
+            matrix_function(s, domain, const, root, rung), 2)
         roots, sq_res = signed_sums(pieces, s, tol)
         failed = np.flatnonzero(~(sq_res <= tol))
         if not failed.size:

@@ -179,11 +179,10 @@ def _intertwiner_basis(x1: MatrixTuple, x2: MatrixTuple,
     return [vec.reshape(n, n) for vec in null]
 
 
-def _contains_invertible(basis: list, rng: np.random.Generator,
-                         attempts: int = 12) -> bool:
+def _contains_invertible(basis: list, rng: np.random.Generator) -> bool:
     if not basis:
         return False
-    for _ in range(attempts):
+    for _ in range(12):
         coeffs = rng.standard_normal(len(basis)) \
             + 1j * rng.standard_normal(len(basis))
         s = sum(c * b for c, b in zip(coeffs, basis))

@@ -53,6 +53,15 @@ def test_girard_verify_without_trials_is_refused(capsys):
     assert '"passed"' not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("levels", ["a", "2,,3", "-1", "0"])
+def test_girard_verify_bad_levels_are_refused(levels, capsys):
+    # an unparsable list must not escape main() as a ValueError, and a
+    # level below 1 has no sample to draw
+    assert main(["girard", "--n", "2", "--verify", "--levels", levels,
+                 "--trials", "2"]) == 2
+    assert '"passed"' not in capsys.readouterr().out
+
+
 def test_sqrt_enumerate(files, capsys):
     assert main(["sqrt", "--matrix", files["id2"], "--enumerate"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -244,6 +253,21 @@ def test_check_domain_ugamma(files, capsys, tmp_path):
     assert main(["check-domain", "--pred", "Ugamma", "--tuple", str(path),
                  "--centers", "1,4", "--radius", "0.4"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] is True
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_a_tol_that_is_not_finite_and_positive_exits_2(tol, files, capsys,
+                                                       tmp_path):
+    # w lies in its own fiber, and u commutes with diag(1, -1): no such
+    # tol can judge either
+    assert main(["fiber", "--input", files["pair42"], "--tol", tol]) == 2
+    w = MatrixTuple((np.diag([2.0, 3.0]).astype(complex),
+                     np.diag([1.0, 4.0]).astype(complex)))
+    path = tmp_path / "ux.json"
+    path.write_text(json.dumps(tuple_to_json_dict(w)))
+    assert main(["check-domain", "--pred", "Ugamma", "--tuple", str(path),
+                 "--centers", "1,4", "--radius", "0.4", "--tol", tol]) == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("pred, centers, radius", [

@@ -316,6 +316,18 @@ def test_fiber_scalar_pair():
     assert got == [(2.0, 4.0), (4.0, 2.0)]
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_a_tol_that_is_not_finite_and_positive_is_refused(tol):
+    # w lies in its own fiber, and u commutes with the involution
+    # diag(1, -1): a verdict with a NaN or negative tol would deny both
+    w = MatrixTuple((np.array([[4.0]]), np.array([[2.0]])))
+    with pytest.raises(PreconditionError, match="tol"):
+        domains.fiber(w, tol=tol)
+    u, x = np.diag([2.0, 3.0]), np.diag([1.0, 4.0])
+    with pytest.raises(PreconditionError, match="tol"):
+        domains.in_U_gamma(u, x, domains.SimpleSet((1.0, 4.0), 0.4), tol=tol)
+
+
 def test_fiber_degenerate_u_zero():
     v = np.diag([1.0, 2.0]).astype(complex)
     w = MatrixTuple((v, -v))  # u = 0, so the third slot kills nothing

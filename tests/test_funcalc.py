@@ -21,16 +21,22 @@ def test_branch_spec_validation():
         funcalc.BranchSpec((1.0, 2.0), 0.3, (1, 1))  # not quarter isolated
     with pytest.raises(ValueError):
         funcalc.BranchSpec((1.0,), 0.4, (2,))  # bad sign
+    with pytest.raises(ValueError):
+        funcalc.BranchSpec((1.0, 5.0), 0.4, (1,))  # a center without a sign
+    with pytest.raises(ValueError):
+        funcalc.BranchSpec((1.0,), 0.4, (1, -1))  # a sign without a center
 
 
 def test_square_root_and_constant_functions():
     x, _, _, _ = clustered_matrix(RNG, [1.5, 4.0], [2, 2], 0.05)
     dom = SimpleSet((1.5, 4.0), 0.4)
     spec = funcalc.BranchSpec(dom.centers, dom.radius, (1, -1))
-    s = funcalc.matrix_function(x, funcalc.sqrt_germ(spec))
-    assert rel_dist(s @ s, x) < 1e-10
-    one = funcalc.constant_germ(dom, (1.0, 1.0))
-    assert np.allclose(funcalc.matrix_function(x, one), np.eye(4))
+    s = funcalc.matrix_function(x, dom, 0, [spec.tau])
+    assert s.shape == (1, 4, 4)
+    assert rel_dist(s[0] @ s[0], x) < 1e-10
+    one = funcalc.matrix_function(x, dom, [(1.0, 1.0)], 0)
+    assert one.shape == (1, 4, 4)
+    assert np.allclose(one[0], np.eye(4))
 
 
 def test_principal_sqrt_on_diagonal():
@@ -122,17 +128,8 @@ def test_nodes_never_merge_across_discs():
     # they lie in two discs, where the germ has two different pieces
     d = SimpleSet((3.0, 3.01), 1e-3)
     x = np.diag([3.0, 3.01]).astype(complex)
-    got = funcalc.matrix_function(x, [funcalc.sqrt_piece_germ(d, 0)],
-                                  merge_rtol=1e-2)
+    got = funcalc.matrix_function(x, d, 0, [(1.0, 0.0)], merge_rtol=1e-2)
     assert np.abs(got[0] - np.diag([np.sqrt(3.0), 0.0])).max() <= 1e-14
-
-
-def test_one_domain_per_call():
-    x = np.diag([1.0, 4.0]).astype(complex)
-    germs = [funcalc.constant_germ(SimpleSet((1.0, 4.0), 0.4), (1.0, 2.0)),
-             funcalc.constant_germ(SimpleSet((1.0, 4.0), 0.3), (1.0, 2.0))]
-    with pytest.raises(ValueError):
-        funcalc.matrix_function(x, germs)
 
 
 def test_defective_inputs_use_derivative_data():
@@ -148,11 +145,12 @@ def test_functional_calculus_multiplicativity():
     # sum E_j = I, R_i E_j = delta_ij R_i and S_tau^2 = x
     rng = np.random.default_rng(11)
     dom = SimpleSet((1.0 + 0.5j, 4.0), 0.5)
-    germs = ([funcalc.idempotent_germ(dom, j) for j in range(2)]
-             + [funcalc.sqrt_piece_germ(dom, j) for j in range(2)])
+    eye, zero2 = np.eye(2), np.zeros((2, 2))
+    const = np.concatenate((eye, zero2))  # E_0, E_1, then R_0, R_1
+    root = np.concatenate((zero2, eye))
     for _ in range(10):
         x, _, _, _ = clustered_matrix(rng, [1.0 + 0.5j, 4.0], [2, 2], 0.1)
-        e0, e1, r0, r1 = funcalc.matrix_function(x, germs)
+        e0, e1, r0, r1 = funcalc.matrix_function(x, dom, const, root)
         zero = np.zeros_like(x)
         for i, (e, r) in enumerate(((e0, r0), (e1, r1))):
             for j, f in enumerate((e0, e1)):
@@ -160,15 +158,14 @@ def test_functional_calculus_multiplicativity():
                 assert rel_dist(r @ f, r if i == j else zero) < 1e-9
         assert rel_dist(e0 + e1, np.eye(4)) < 1e-9
         for tau in itertools.product((1, -1), repeat=2):
-            spec = funcalc.BranchSpec(dom.centers, dom.radius, tau)
-            s = funcalc.matrix_function(x, funcalc.sqrt_germ(spec))
+            (s,) = funcalc.matrix_function(x, dom, 0, [tau])
             assert rel_dist(s @ s, x) < 1e-9
             assert rel_dist(s, tau[0] * r0 + tau[1] * r1) < 1e-12
 
 
 def test_reference_roots_are_taken_once_per_node(monkeypatch):
     # all germs of one call share one derivative table of the reference
-    # roots
+    # roots: the 8 signed roots, the 3 pieces and the 3 idempotents
     calls = []
     derivs = funcalc._sqrt_derivs
     monkeypatch.setattr(funcalc, "_sqrt_derivs",
@@ -176,16 +173,16 @@ def test_reference_roots_are_taken_once_per_node(monkeypatch):
     x, _, _, _ = clustered_matrix(np.random.default_rng(5),
                                   [1.0, 4.0, 2j], [2, 1, 1], 0.0)
     dom = SimpleSet((1.0, 4.0, 2j), 0.4)
-    germs = ([funcalc.sqrt_germ(funcalc.BranchSpec(dom.centers, dom.radius,
-                                                   tau))
-              for tau in itertools.product((1, -1), repeat=3)]
-             + [funcalc.sqrt_piece_germ(dom, j) for j in range(3)]
-             + [funcalc.idempotent_germ(dom, j) for j in range(3)])
-    stack = funcalc.matrix_function(x, germs)
+    eye, zero3 = np.eye(3), np.zeros((3, 3))
+    taus = np.array(list(itertools.product((1, -1), repeat=3)))
+    const = np.concatenate((np.zeros_like(taus), zero3, eye))
+    root = np.concatenate((taus, eye, zero3))
+    stack = funcalc.matrix_function(x, dom, const, root)
+    assert stack.shape == (14, 4, 4)
     assert len(calls) == 3  # three nodes: the double eigenvalue 1 is one
     assert rel_dist(stack[0] @ stack[0], x) < 1e-10
     calls.clear()
-    funcalc.matrix_function(x, germs[-3:])
+    funcalc.matrix_function(x, dom, const[-3:], root[-3:])
     assert calls == []  # constant germs need no reference root
 
 

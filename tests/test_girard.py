@@ -3,7 +3,7 @@ import pytest
 
 from ncsym import girard
 from ncsym import ratexpr as rx
-from ncsym.errors import DomainError
+from ncsym.errors import DomainError, PreconditionError
 from ncsym.linalg import rel_dist
 from ncsym.words import MatrixTuple, s_even
 
@@ -116,6 +116,12 @@ def test_verify_girard_random_positive_and_negative():
     rep = girard.verify_girard_random(-2, levels=(2,), trials=5, tol=1e-7,
                                       seed=3)
     assert rep.passed
+
+
+@pytest.mark.parametrize("levels", [(0,), (-1,), (2, 0)])
+def test_levels_below_one_are_refused(levels):
+    with pytest.raises(PreconditionError, match="levels"):
+        girard.verify_girard_random(2, levels=levels, trials=3, seed=1)
 
 
 def test_domain_error_on_singular_sample():

@@ -23,13 +23,12 @@ X, _, _, _ = clustered_matrix(_rng, cluster_centers_off_cut(_rng, 3),
 ZERO, _, _, _ = clustered_matrix(_rng, [2.0, 3j, 0.0], [2, 1, 2], 0.0)
 DELTA = propose_simple_set(spectrum(X).eigenvalues, gap=0.5)
 SPEC = funcalc.BranchSpec(DELTA.centers, DELTA.radius, (1, -1, 1))
-PIECES = funcalc.matrix_function(
-    X, [funcalc.sqrt_piece_germ(DELTA, j) for j in range(DELTA.k)])
+PIECES = funcalc.matrix_function(X, DELTA, 0, np.eye(DELTA.k))
 U = ginibre(5, _rng)
 
 CALLS = {
     "matrix_function": (X, lambda x: funcalc.matrix_function(
-        x, funcalc.sqrt_germ(SPEC), merge_rtol=1e-4)),
+        x, DELTA, 0, [SPEC.tau], merge_rtol=1e-4)),
     "spectral_idempotents": (
         X, lambda x: funcalc.spectral_idempotents(x, DELTA)),
     "involution_I": (X, lambda x: funcalc.involution_I(x, SPEC)),

@@ -227,9 +227,9 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
             return norm(a)
         return counted
 
-    def counting(x, branches, *args, **kwargs):
-        germs.append(len(branches))
-        return batched(x, branches, *args, **kwargs)
+    def counting(x, domain, const, root, *args, **kwargs):
+        germs.append(len(const))
+        return batched(x, domain, const, root, *args, **kwargs)
 
     monkeypatch.setattr(funcalc, "matrix_function", counting)
     monkeypatch.setattr(sqrtlib, "matrix_function", counting)
