@@ -71,12 +71,8 @@ def _load_simple_set(args) -> domains.SimpleSet:
 
 
 def _cmd_girard(args) -> int:
-    pair = girard.girard_pair(args.n)
-    if args.n >= 0:
-        print(render_ncpoly(girard.table_expression(args.n)))
-    else:
-        print(to_text(pair.P))
-    if args.verify:
+    report = None
+    if args.verify:  # a refused verification prints nothing
         try:
             levels = tuple(int(s) for s in args.levels.split(","))
         except ValueError as exc:
@@ -86,10 +82,14 @@ def _cmd_girard(args) -> int:
         report = girard.verify_girard_random(
             args.n, levels=levels, trials=args.trials, tol=tol,
             seed=args.seed)
-        _emit(report.to_json_dict())
-        if not report.passed:
-            return 1
-    return 0
+    if args.n >= 0:
+        print(render_ncpoly(girard.table_expression(args.n)))
+    else:
+        print(to_text(girard.girard_pair(args.n).P))
+    if report is None:
+        return 0
+    _emit(report.to_json_dict())
+    return 0 if report.passed else 1
 
 
 def _cmd_decompose(args) -> int:
@@ -139,6 +139,8 @@ def _cmd_verify(args) -> int:
 def _cmd_check_domain(args) -> int:
     pred = args.pred
     out: dict = {"pred": pred}
+    if pred in ("Q", "I", "So"):
+        domains._require_tol(args.tol)
     if pred in ("Q", "I"):
         m = _load_matrix(args.matrix)
         if pred == "Q":

@@ -19,8 +19,7 @@ from .errors import (DimensionMismatchError, DomainError, NumericalError,
                      UnsupportedError)
 from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
                       spectral_idempotents, sqrt_branch_S)
-from .geometry import (CONTAINMENT_MARGIN, SimpleSet, default_radius,
-                       propose_simple_set)
+from .geometry import SimpleSet, default_radius, propose_simple_set
 from .linalg import (commutator_norm, fro_norms, in_I, in_Q, op_norm,
                      op_norms, spectrum)
 from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
@@ -42,16 +41,14 @@ def is_subordinate(delta2: SimpleSet, delta1: SimpleSet) -> bool:
 
 # -- membership predicates ----------------------------------------------------
 
-def in_D_gamma(x, delta: SimpleSet,
-               margin: float = CONTAINMENT_MARGIN) -> bool:
+def in_D_gamma(x, delta: SimpleSet) -> bool:
     """sigma(x) in delta with a shrink margin, x a matrix or its Spectrum."""
-    return delta.covers(spectrum(x).eigenvalues, margin)
+    return delta.covers(spectrum(x).eigenvalues)
 
 
-def in_W_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet,
-               margin: float = CONTAINMENT_MARGIN) -> bool:
+def in_W_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet) -> bool:
     """u is unconstrained; only x's spectrum matters."""
-    return in_D_gamma(x, delta, margin)
+    return in_D_gamma(x, delta)
 
 
 def _coupling_components(m: np.ndarray, idem: np.ndarray,
@@ -133,9 +130,9 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     return True
 
 
-def in_S_o(w: MatrixTuple, tol: float = 1e-10) -> bool:
+def in_S_o(w: MatrixTuple) -> bool:
     """Clean locus of the symmetrization map: (w^1 - w^2)/2 lies in Q."""
-    return in_Q(uv_parts(w)[1], tol)
+    return in_Q(uv_parts(w)[1])
 
 
 def variety_residual_V(u: np.ndarray, x: np.ndarray, spec) -> float:
@@ -143,14 +140,13 @@ def variety_residual_V(u: np.ndarray, x: np.ndarray, spec) -> float:
     return commutator_norm(u, involution_I(x, spec))
 
 
-def in_free_closure_of_variety(p: FreePoly, x: np.ndarray,
-                               tol: float = 1e-10) -> bool:
+def in_free_closure_of_variety(p: FreePoly, x: np.ndarray) -> bool:
     """One-variable free closure: membership iff p(x) is singular."""
     if p.d != 1:
         raise DimensionMismatchError("free-closure test takes a one-variable "
                                      f"polynomial, got d={p.d}")
     value = p.evaluate(MatrixTuple((x,)))
-    return not in_I(value, tol)
+    return not in_I(value)
 
 
 # -- the symmetrization map and its sections ----------------------------------

@@ -59,10 +59,6 @@ class BranchSpec:
         object.__setattr__(self, "tau", tau)
 
     @property
-    def k(self) -> int:
-        return len(self.centers)
-
-    @property
     def simple_set(self) -> SimpleSet:
         return SimpleSet(self.centers, self.radius)
 

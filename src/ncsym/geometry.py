@@ -32,8 +32,10 @@ class SimpleSet:
                                key=lambda z: (z.real, z.imag)))
         if not centers:
             raise ValueError("a simple set needs at least one center")
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
+        # NaN passes radius <= 0, and an infinite disc covers every point
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(
+                f"radius must be finite and positive, got {radius}")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "radius", float(radius))
 
@@ -71,14 +73,14 @@ class SimpleSet:
                   < self.radius * (1.0 - margin))
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
-    def locate(self, z: complex, margin: float = 0.0) -> Optional[int]:
+    def locate(self, z: complex) -> Optional[int]:
         """Index of the disc containing z, or None."""
-        i = int(self.assign((z,), margin)[0])
+        i = int(self.assign((z,), 0.0)[0])
         return None if i < 0 else i
 
-    def covers(self, points: Iterable[complex],
-               margin: float = CONTAINMENT_MARGIN) -> bool:
-        return bool((self.assign(points, margin) >= 0).all())
+    def covers(self, points: Iterable[complex]) -> bool:
+        """Every point lies in a disc shrunk by CONTAINMENT_MARGIN."""
+        return bool((self.assign(points) >= 0).all())
 
     def avoids_zero(self) -> bool:
         return self.radius < min(abs(c) for c in self.centers)

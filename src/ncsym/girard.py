@@ -27,8 +27,8 @@ import numpy as np
 from .domains import pi
 from .errors import DomainError, PreconditionError, SingularityError
 from .linalg import op_norm, random_tuple
-from .ratexpr import (RatExpr, Scalar, Variable, add, as_ncpoly, evaluate,
-                      from_freepoly, inv, mul, scale)
+from .ratexpr import (ONE, ZERO, RatExpr, Scalar, Variable, add, as_ncpoly,
+                      evaluate, from_freepoly, inv, mul, scale)
 from .report import Report
 from .symbasis import ALPHA, BETA, GAMMA
 from .words import MatrixTuple, s_even, s_odd
@@ -47,17 +47,23 @@ class GirardPair:
     Q: RatExpr
 
 
+def _transfer(matrix: tuple, start: tuple, steps: int) -> tuple:
+    """(p, q) after steps applications of the 2x2 transfer matrix
+    ((a, b), (c, d)): p, q -> a p + b q, c p + d q, each sub-DAG shared."""
+    (a, b), (c, d) = matrix
+    p, q = start
+    for _ in range(steps):
+        p, q = add(mul(a, p), mul(b, q)), add(mul(c, p), mul(d, q))
+    return p, q
+
+
 def girard_positive(n: int) -> GirardPair:
     """Power-sum expression for index n >= 0; polynomial in alpha, beta,
     gamma and beta^-1."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    beta_inv = inv(BETA)
-    p: RatExpr = Scalar(2)
-    q: RatExpr = Scalar(0)
-    for _ in range(n):
-        p, q = add(mul(ALPHA, p), q), add(mul(BETA, p), mul(GAMMA, beta_inv, q))
-    return GirardPair(n, p, q)
+    transfer = ((ALPHA, ONE), (BETA, mul(GAMMA, inv(BETA))))
+    return GirardPair(n, *_transfer(transfer, (Scalar(2), ZERO), n))
 
 
 def girard_negative(n: int) -> GirardPair:
@@ -75,11 +81,8 @@ def girard_negative(n: int) -> GirardPair:
     pq = inv(add(BETA, scale(-1, mul(GAMMA, beta_inv, ALPHA))))
     qp = mul(BETA, inv(add(BETA, scale(-1, mul(ALPHA, beta_inv, GAMMA)))))
     qq = mul(BETA, inv(add(GAMMA, scale(-1, mul(BETA, alpha_inv, BETA)))))
-    p: RatExpr = Scalar(2)
-    q: RatExpr = Scalar(0)
-    for _ in range(n):
-        p, q = add(mul(pp, p), mul(pq, q)), add(mul(qp, p), mul(qq, q))
-    return GirardPair(-n, p, q)
+    return GirardPair(-n, *_transfer(((pp, pq), (qp, qq)),
+                                     (Scalar(2), ZERO), n))
 
 
 def girard_pair(n: int) -> GirardPair:
@@ -101,9 +104,7 @@ def girard_via_T(n: int) -> tuple:
     u, v = Variable("u"), Variable("v")
     f1 = inv(add(u, scale(-1, mul(v, inv(u), v))))
     g1 = inv(add(v, scale(-1, mul(u, inv(v), u))))
-    f, g = f1, g1
-    for _ in range(-n - 1):
-        f, g = add(mul(f1, f), mul(g1, g)), add(mul(g1, f), mul(f1, g))
+    f, g = _transfer(((f1, g1), (g1, f1)), (ONE, ZERO), -n)
     return scale(2, f), scale(2, g)
 
 

@@ -421,10 +421,10 @@ class EquivalenceVerdict:
 def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
                              levels: Iterable[int] = (1, 2, 3),
                              trials: int = 10,
-                             tol: float = 1e-8,
                              rng: Optional[np.random.Generator] = None
                              ) -> EquivalenceVerdict:
-    """Compare on random unit-norm complex Gaussian assignments per level.
+    """Compare on random unit-norm complex Gaussian assignments per level;
+    a relative residual above 1e-8 is a witness that the two differ.
 
     Resamples on SingularityError up to a retry cap for each (level, trial);
     raises InconclusiveError if the cap is exhausted (domain too thin), and
@@ -449,7 +449,7 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
                 residual = op_norm(v1 - v2) / (1.0 + max(op_norm(v1),
                                                          op_norm(v2)))
                 worst = max(worst, residual)
-                if residual > tol:
+                if residual > 1e-8:
                     return EquivalenceVerdict(
                         False, levels, trials, residual=residual,
                         witness_level=level, witness=assignment)

@@ -29,7 +29,7 @@ ALG_TOL = 1e-7
 STACK_BUDGET = 2 ** 25  # entries of one stack of 2^k matrices: 512 MiB
 
 
-def sqrt_exists(x, tol: float = RANK_RTOL) -> bool:
+def sqrt_exists(x) -> bool:
     """False iff the Jordan structure at eigenvalue 0 of x, a matrix or its
     Spectrum, has a block >= 2.
 
@@ -37,8 +37,9 @@ def sqrt_exists(x, tol: float = RANK_RTOL) -> bool:
     when no eigenvalue lies within sqrt(ZERO_EIG_RTOL) (1 + spectral
     radius) of 0.  Otherwise the kernel of x must not grow under squaring:
     y = x / (largest entry), whose square cannot overflow, keeps its rank
-    in y^2 counted at tol ||y|| times its smallest kept singular value (an
-    eigenvalue c of x leaves c^2 in y^2, below tol ||y||^2 but not zero).
+    in y^2 counted at RANK_RTOL ||y|| times its smallest kept singular
+    value (an eigenvalue c of x leaves c^2 in y^2, below RANK_RTOL ||y||^2
+    but not zero).
     """
     s = spectrum(x)
     if not _near_zero(s.eigenvalues, np.sqrt(ZERO_EIG_RTOL)).any():
@@ -47,9 +48,9 @@ def sqrt_exists(x, tol: float = RANK_RTOL) -> bool:
     if peak == 0.0:
         return True  # the zero matrix squares to itself via 0
     sv = np.linalg.svd(y, compute_uv=False)
-    kept = sv[sv > tol * sv[0]]
-    return (kept.size == sv.size
-            or kept.size == numerical_rank(y @ y, tol * sv[0] * kept[-1]))
+    kept = sv[sv > RANK_RTOL * sv[0]]
+    return (kept.size == sv.size or kept.size == numerical_rank(
+        y @ y, RANK_RTOL * sv[0] * kept[-1]))
 
 
 def _near_zero(eigs, rtol: float) -> np.ndarray:
@@ -298,10 +299,9 @@ def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
     return float(bounds[disc]), disc, piece_norms.sum()
 
 
-def riemann_fiber(m: np.ndarray, tol: float = SQ_TOL,
-                  gap: Optional[float] = None) -> list:
+def riemann_fiber(m: np.ndarray, gap: Optional[float] = None) -> list:
     """All points (m, n) of the square-root surface over m: 2^k of them."""
-    rs = all_square_roots(m, tol=tol, gap=gap)
+    rs = all_square_roots(m, gap=gap)
     return [(rs.base, root) for root in rs.roots]
 
 

@@ -14,8 +14,7 @@ from typing import Mapping
 
 from .errors import NotSymmetricError
 from .ratexpr import RatExpr, Variable, from_terms, inv, mul
-from .words import (CHART_UV, CHART_XY, FreePoly, add_terms, mul_terms,
-                    render_terms)
+from .words import CHART_UV, CHART_XY, FreePoly, add_terms, render_terms
 
 U_ATOM = -1  # atoms in generator words: -1 is U, j >= 0 is M_j
 
@@ -32,10 +31,6 @@ class GenPoly:
             if any(a < U_ATOM for a in word):
                 raise ValueError(f"bad generator atom in {word}")
 
-    @classmethod
-    def zero(cls) -> "GenPoly":
-        return cls({})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -46,23 +41,6 @@ class GenPoly:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return GenPoly(add_terms(dict(self.terms), other.terms))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return GenPoly({w: other * c for w, c in self.terms.items()})
-        if not isinstance(other, GenPoly):
-            return NotImplemented
-        return GenPoly(mul_terms(self.terms, other.terms))
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return self.__mul__(other)
-        return NotImplemented
 
     def __repr__(self):
         return f"GenPoly({self.to_text()!r})"

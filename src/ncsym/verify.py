@@ -27,6 +27,7 @@ from .symbasis import decompose_symmetric, factor_through_pi
 from .words import FreePoly, MatrixTuple
 
 ENTRY_TOL = 1e-12  # finite-set matrix identity tolerance
+RESIDUAL_TOL = 1e-8  # passing relative residual of an axiom or a transfer
 
 
 @dataclass
@@ -58,7 +59,6 @@ def _call(f: Callable, sample: MatrixTuple) -> np.ndarray:
 
 def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
                         samples: Sequence[MatrixTuple],
-                        tol: float = 1e-8,
                         rng: Optional[np.random.Generator] = None) -> Report:
     """Gradedness, direct sums, similarity, and intertwining on samples.
 
@@ -70,7 +70,7 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
     if not samples:
         raise PreconditionError("no samples to judge")
     rng = rng or np.random.default_rng()
-    report = Report(tolerances={"residual": tol})
+    report = Report(tolerances={"residual": RESIDUAL_TOL})
     values = [_call(f, s) for s in samples]
 
     graded = all(v.shape == (s.n, s.n) for v, s in zip(values, samples))
@@ -120,9 +120,9 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
                 yield {"samples": [i, j]}, \
                     op_norm(left @ va - vb @ left) / (1.0 + op_norm(va))
 
-    report.add_worst("direct-sum", direct_sums(), tol)
-    report.add_worst("similarity", similarities(), tol)
-    report.add_worst("intertwining", intertwinings(), tol)
+    report.add_worst("direct-sum", direct_sums(), RESIDUAL_TOL)
+    report.add_worst("similarity", similarities(), RESIDUAL_TOL)
+    report.add_worst("intertwining", intertwinings(), RESIDUAL_TOL)
     return report
 
 
@@ -163,8 +163,7 @@ def hat_domain(domain: Sequence[MatrixTuple]) -> list:
     return found
 
 
-def _intertwiner_basis(x1: MatrixTuple, x2: MatrixTuple,
-                       tol: float = 1e-10) -> list:
+def _intertwiner_basis(x1: MatrixTuple, x2: MatrixTuple) -> list:
     """Basis of {s : x1^r s = s x2^r for all r} at a shared level."""
     n = x1.n
     rows = [np.kron(a, np.eye(n)) - np.kron(np.eye(n), np.asarray(b).T)
@@ -174,7 +173,7 @@ def _intertwiner_basis(x1: MatrixTuple, x2: MatrixTuple,
     if s.size == 0:
         keep = 0
     else:
-        keep = int(np.count_nonzero(s > tol * max(s[0], 1.0)))
+        keep = int(np.count_nonzero(s > 1e-10 * max(s[0], 1.0)))
     null = vh[keep:].conj()
     return [vec.reshape(n, n) for vec in null]
 
@@ -270,7 +269,7 @@ def _c2l(z: complex) -> list:
 # -- symmetric similarity transfer ---------------------------------------------
 
 def check_symmetric_similarity(p: FreePoly, w1: MatrixTuple, w2: MatrixTuple,
-                               s: np.ndarray, tol: float = 1e-8) -> Report:
+                               s: np.ndarray) -> Report:
     """p(w1) = s^-1 p(w2) s whenever pi(w1) = s^-1 pi(w2) s and v1 invertible.
 
     The hypotheses are residual-checked first; a violated one raises
@@ -291,8 +290,8 @@ def check_symmetric_similarity(p: FreePoly, w1: MatrixTuple, w2: MatrixTuple,
     left = p.evaluate(w1)
     right = np.linalg.inv(s) @ p.evaluate(w2) @ s
     residual = op_norm(left - right) / (1.0 + op_norm(left))
-    report = Report(tolerances={"residual": tol})
-    report.add("symmetric-similarity", residual <= tol, residual)
+    report = Report(tolerances={"residual": RESIDUAL_TOL})
+    report.add("symmetric-similarity", residual <= RESIDUAL_TOL, residual)
     return report
 
 
@@ -350,11 +349,11 @@ def pascoe_counterexample(r: float = 0.1, scale: float = 0.4) -> Report:
 
 # -- seeded suites ----------------------------------------------------------------
 
-def random_symmetric_poly(max_degree: int, rng: np.random.Generator,
-                          terms: int = 6) -> FreePoly:
-    """Symmetrized random polynomial with small integer coefficients."""
+def random_symmetric_poly(max_degree: int,
+                          rng: np.random.Generator) -> FreePoly:
+    """Symmetrized sum of six random words with small integer coefficients."""
     p = FreePoly.zero(2)
-    for _ in range(terms):
+    for _ in range(6):
         length = int(rng.integers(0, max_degree + 1))
         word = tuple(int(rng.integers(0, 2)) for _ in range(length))
         coeff = complex(int(rng.integers(-3, 4)), int(rng.integers(-3, 4)))

@@ -102,8 +102,8 @@ class FreePoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, d: int, chart: Optional[str] = None) -> "FreePoly":
-        return cls(d, {}, chart=chart)
+    def zero(cls, d: int) -> "FreePoly":
+        return cls(d, {})
 
     @classmethod
     def one(cls, d: int, chart: Optional[str] = None) -> "FreePoly":
@@ -114,9 +114,9 @@ class FreePoly:
         return cls(d, {(k,): 1.0}, chart=chart)
 
     @classmethod
-    def word(cls, letters: Sequence[int], d: int, coeff: complex = 1.0,
-             chart: Optional[str] = None) -> "FreePoly":
-        return cls(d, {tuple(letters): coeff}, chart=chart)
+    def word(cls, letters: Sequence[int], d: int,
+             coeff: complex = 1.0) -> "FreePoly":
+        return cls(d, {tuple(letters): coeff})
 
     # -- basic queries -----------------------------------------------------
 

@@ -50,16 +50,16 @@ def test_girard_with_verification(capsys):
 def test_girard_verify_without_trials_is_refused(capsys):
     # zero trials used to print "passed": true with residual 0
     assert main(["girard", "--n", "-3", "--verify", "--trials", "0"]) == 2
-    assert '"passed"' not in capsys.readouterr().out
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("levels", ["a", "2,,3", "-1", "0"])
 def test_girard_verify_bad_levels_are_refused(levels, capsys):
     # an unparsable list must not escape main() as a ValueError, and a
-    # level below 1 has no sample to draw
+    # level below 1 has no sample to draw; a refusal prints no P_n either
     assert main(["girard", "--n", "2", "--verify", "--levels", levels,
                  "--trials", "2"]) == 2
-    assert '"passed"' not in capsys.readouterr().out
+    assert capsys.readouterr().out == ""
 
 
 def test_sqrt_enumerate(files, capsys):
@@ -255,12 +255,21 @@ def test_check_domain_ugamma(files, capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["value"] is True
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_a_tol_that_is_not_finite_and_positive_exits_2(tol, files, capsys,
                                                        tmp_path):
     # w lies in its own fiber, and u commutes with diag(1, -1): no such
-    # tol can judge either
+    # tol can judge either, nor whether the zero matrix is invertible or
+    # in Q
     assert main(["fiber", "--input", files["pair42"], "--tol", tol]) == 2
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(tuple_to_json_dict(
+        MatrixTuple((np.zeros((1, 1)),)))))
+    for pred in ("Q", "I"):
+        assert main(["check-domain", "--pred", pred, "--matrix", str(zero),
+                     "--tol", tol]) == 2
+    assert main(["check-domain", "--pred", "So", "--tuple", files["pair42"],
+                 "--tol", tol]) == 2
     w = MatrixTuple((np.diag([2.0, 3.0]).astype(complex),
                      np.diag([1.0, 4.0]).astype(complex)))
     path = tmp_path / "ux.json"
@@ -276,6 +285,8 @@ def test_a_tol_that_is_not_finite_and_positive_exits_2(tol, files, capsys,
     ("Ugamma", "1,4", "-1"),
     ("D", "1", "-1"),
     ("D", "1", None),
+    ("D", "1", "nan"),
+    ("D", "1", "inf"),            # would cover every point
 ])
 def test_check_domain_bad_disc_system_is_a_precondition_violation(
         pred, centers, radius, tmp_path, capsys):

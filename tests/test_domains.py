@@ -70,6 +70,13 @@ def test_default_radius_examples():
         domains.default_radius((0.0, 1.0))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+def test_a_radius_that_is_not_finite_and_positive_is_refused(radius):
+    # NaN fails every comparison, and an infinite disc covers every point
+    with pytest.raises(ValueError):
+        domains.SimpleSet((1.0,), radius)
+
+
 def test_propose_simple_set():
     ss = domains.propose_simple_set([1.0, 1.001, 5.0], gap=0.01)
     assert ss.k == 2
