@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import domains, girard, linalg, sqrtlib, verify
+from . import domains, geometry, girard, linalg, sqrtlib, verify
 from .errors import NumericalError, ParseError, PreconditionError
 from .parsing import parse
 from .ratexpr import render_ncpoly, to_text
@@ -103,6 +103,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_sqrt(args) -> int:
     m = linalg.spectrum(_load_matrix(args.matrix))
+    if args.enumerate and args.gap is not None:
+        geometry._require_positive("gap", args.gap)
     exists = sqrtlib.sqrt_exists(m)
     out = {"exists": exists, "enumeration": None}
     if args.enumerate:
@@ -140,7 +142,7 @@ def _cmd_check_domain(args) -> int:
     pred = args.pred
     out: dict = {"pred": pred}
     if pred in ("Q", "I", "So"):
-        domains._require_tol(args.tol)
+        geometry._require_positive("tol", args.tol)
     if pred in ("Q", "I"):
         m = _load_matrix(args.matrix)
         if pred == "Q":

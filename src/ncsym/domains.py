@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, NumericalError,
-                     PreconditionError, SpectrumOutsideDomainError,
-                     UnsupportedError)
+                     SpectrumOutsideDomainError, UnsupportedError)
 from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
                       spectral_idempotents, sqrt_branch_S)
-from .geometry import SimpleSet, default_radius, propose_simple_set
+from .geometry import (SimpleSet, _require_positive, default_radius,
+                       propose_simple_set)
 from .linalg import (commutator_norm, fro_norms, in_I, in_Q, op_norm,
                      op_norms, spectrum)
 from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
@@ -103,7 +103,7 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     Zariski-open condition, so false negatives near the commutation
     variety are expected at the working tolerance.
     """
-    _require_tol(tol)
+    _require_positive("tol", tol)
     problem = delta.branch_problem()
     if problem:
         raise DomainError(problem)
@@ -201,10 +201,13 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     itself first.  One Spectrum of v^2 serves the covering, the idempotents
     and the square check.  Supported on the clean locus only (v invertible
     and in Q); for generic u the result is exactly [w, w.flip()].  Raises
-    PreconditionError unless tol is finite and positive.
+    PreconditionError unless tol, and a gap if given, are finite and
+    positive.
     """
     _require_pair(w)
-    _require_tol(tol)
+    _require_positive("tol", tol)
+    if gap is not None:
+        _require_positive("gap", gap)
     u, v = uv_parts(w)
     if not in_I(v):
         raise UnsupportedError("fiber enumeration needs v invertible")
@@ -233,12 +236,6 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
                      v_norms.sum(), what="fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
-
-
-def _require_tol(tol: float) -> None:
-    # a NaN or negative tol fails every comparison that it takes part in
-    if not (np.isfinite(tol) and tol > 0):
-        raise PreconditionError(f"tol must be finite and positive, got {tol}")
 
 
 def _require_pair(w: MatrixTuple) -> None:

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ClusteringError
+from .errors import ClusteringError, PreconditionError
 from .linalg import cluster_eigenvalues
 
 CONTAINMENT_MARGIN = 1e-8  # discs are shrunk by this fraction of r for tests
@@ -111,14 +111,24 @@ def default_radius(centers: Iterable[complex]) -> float:
     return 0.5 * min(closest, 0.25 * sep)
 
 
+def _require_positive(name: str, value: float) -> None:
+    # a NaN or negative value fails every comparison that it takes part in
+    if not (np.isfinite(value) and value > 0):
+        raise PreconditionError(
+            f"{name} must be finite and positive, got {value}")
+
+
 def propose_simple_set(eigenvalues: Sequence[complex],
                        gap: Optional[float] = None) -> SimpleSet:
     """Quarter-isolated simple set covering the eigenvalues, or raise.
 
     Single-linkage groups at the given absolute gap become disc centers
     (group means) with the default radius; the proposal is rejected when a
-    group's spread does not fit inside that radius.
+    group's spread does not fit inside that radius.  A gap that is not
+    finite and positive raises PreconditionError.
     """
+    if gap is not None:
+        _require_positive("gap", gap)
     eigs = [complex(z) for z in eigenvalues]
     if not eigs:
         raise ClusteringError("no eigenvalues to cover")

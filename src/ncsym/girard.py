@@ -114,18 +114,21 @@ def table_expression(n: int) -> dict:
     return as_ncpoly(girard_positive(n).P)
 
 
-def pi_assignment(w: MatrixTuple) -> dict:
+def _residual(n: int, p: RatExpr, w: MatrixTuple) -> float:
+    """Relative residual of x^n + y^n, by direct matrix powers, against
+    p = P_n at pi(w)."""
     t = pi(w)
-    return {"alpha": t[0], "beta": t[1], "gamma": t[2]}
-
-
-def power_sum(w: MatrixTuple, n: int) -> np.ndarray:
-    """(w^1)^n + (w^2)^n by direct matrix powers."""
     try:
-        return (np.linalg.matrix_power(np.asarray(w[0]), n)
-                + np.linalg.matrix_power(np.asarray(w[1]), n))
+        value = evaluate(p, {"alpha": t[0], "beta": t[1], "gamma": t[2]})
+    except SingularityError as exc:
+        raise DomainError(
+            f"sample outside the domain of P_{n}: {exc}") from exc
+    try:
+        oracle = np.linalg.matrix_power(np.asarray(w[0]), n) \
+            + np.linalg.matrix_power(np.asarray(w[1]), n)
     except np.linalg.LinAlgError as exc:
         raise DomainError(f"matrix power failed: {exc}") from exc
+    return op_norm(oracle - value) / (1.0 + op_norm(oracle))
 
 
 def verify_girard(n: int, w: MatrixTuple, tol: float = 1e-8) -> Report:
@@ -135,14 +138,7 @@ def verify_girard(n: int, w: MatrixTuple, tol: float = 1e-8) -> Report:
     domain (some inverse is singular there).
     """
     report = Report(tolerances={"residual": tol})
-    pair = girard_pair(n)
-    try:
-        value = evaluate(pair.P, pi_assignment(w))
-    except SingularityError as exc:
-        raise DomainError(
-            f"sample outside the domain of P_{n}: {exc}") from exc
-    oracle = power_sum(w, n)
-    residual = op_norm(oracle - value) / (1.0 + op_norm(oracle))
+    residual = _residual(n, girard_pair(n).P, w)
     report.add(f"girard-n={n}-level={w.n}", residual <= tol, residual)
     return report
 
@@ -153,31 +149,38 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                          seed: Optional[int] = None) -> Report:
     """Sampled verification over random pairs with v invertible.
 
-    Inadmissible draws (singular inverses for negative indices) are
-    resampled up to 50 times per trial; exhausting that raises
-    DomainError.  No levels or no trials would give a verdict without a
-    sample, so either raises PreconditionError, as does a level below 1.
+    P_n is built once.  Inadmissible draws (singular inverses for negative
+    indices) are resampled up to 50 times per trial; exhausting that
+    raises DomainError.  No levels or no trials would give a verdict
+    without a sample, so either raises PreconditionError, as do a level
+    below 1 and, when no rng is given, a negative seed.  A failing level's
+    witness is its first failing trial.
     """
     levels = tuple(levels)
     if len(levels) * trials < 1 or min(levels) < 1:
         raise PreconditionError(f"no samples to judge: levels={levels} "
                                 f"(each at least 1), trials={trials}")
+    if rng is None and seed is not None and seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     rng = rng if rng is not None else np.random.default_rng(seed)
+    p = girard_pair(n).P
     report = Report(seed=seed, tolerances={"residual": tol})
-    for level in levels:
-        worst = 0.0
-        for _ in range(trials):
+
+    def residuals(level):
+        for trial in range(trials):
             for _attempt in range(50):
                 w = random_tuple(level, 2, ("v-invertible",), rng)
                 try:
-                    sub = verify_girard(n, w, tol)
+                    r = _residual(n, p, w)
                 except DomainError:
                     continue
-                worst = max(worst, sub.checks[0].residual)
                 break
             else:
                 raise DomainError(f"no admissible level-{level} sample for "
                                   f"P_{n} in 50 draws")
-        report.add(f"girard-n={n}-level={level}-x{trials}", worst <= tol,
-                   worst)
+            yield {"trial": trial}, r
+
+    for level in levels:
+        report.add_worst(f"girard-n={n}-level={level}-x{trials}",
+                         residuals(level), tol)
     return report

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (ClusteringError, NumericalError, PreconditionError,
                      UnsupportedError)
 from .funcalc import SIGN_BLOCK, matrix_function, sign_patterns
-from .geometry import SimpleSet, propose_simple_set
+from .geometry import SimpleSet, _require_positive, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
 from .linalg import (alg_residual, fro_norms, matrix_to_lists,
                      numerical_rank, op_norm, op_norms, peak_scaled, spectrum)
@@ -141,12 +141,14 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
-    (UnsupportedError), more roots than STACK_BUDGET holds
-    (PreconditionError), and roots failing a check at every rung
-    (NumericalError): a partial list would betray the 2^k contract.  A
-    looser tol opts in to degraded accuracy, which the result records per
-    root.
+    (UnsupportedError), a gap that is not finite and positive or more
+    roots than STACK_BUDGET holds (PreconditionError), and roots failing
+    a check at every rung (NumericalError): a partial list would betray
+    the 2^k contract.  A looser tol opts in to degraded accuracy, which
+    the result records per root.
     """
+    if gap is not None:
+        _require_positive("gap", gap)
     s = spectrum(x)
     x, eigs, norm = s.matrix, s.eigenvalues, s.norm
     if not sqrt_exists(s):

@@ -18,9 +18,9 @@ import numpy as np
 from .domains import in_S_o, pi
 from .errors import ContradictionError, EvaluatorError, PreconditionError
 from .girard import verify_girard_random
-from .linalg import (block_diag, conjugate, direct_sum, in_I, op_norm,
-                     random_similarity, random_tuple, rel_dist,
-                     tuple_to_json_dict)
+from .linalg import (block_diag, conjugate, direct_sum, in_I,
+                     matrix_to_lists, op_norm, random_similarity, random_tuple,
+                     rel_dist, tuple_to_json_dict)
 from .ratexpr import evaluate
 from .report import Report
 from .symbasis import decompose_symmetric, factor_through_pi
@@ -78,10 +78,10 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
 
     # each sample with the next, cyclically: one sample pairs with itself
     pairs = [(i, (i + 1) % len(samples)) for i in range(len(samples))]
+    sums = [_call(f, direct_sum(samples[i], samples[j])) for i, j in pairs]
 
     def direct_sums():
-        for i, j in pairs:
-            got = _call(f, direct_sum(samples[i], samples[j]))
+        for (i, j), got in zip(pairs, sums):
             yield {"samples": [i, j]}, rel_dist(
                 got, block_diag(values[i], values[j]))
 
@@ -93,11 +93,9 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
             yield {"sample": s_idx}, rel_dist(got, want)
 
     def intertwinings():
-        for i, j in pairs:
-            x, y = samples[i], samples[j]
-            fx = values[i]
-            fxy = _call(f, direct_sum(x, y))
-            n, m = x.n, y.n
+        for (i, j), fxy in zip(pairs, sums):
+            x, fx = samples[i], values[i]
+            n, m = x.n, samples[j].n
             embed = np.zeros((n + m, n), dtype=complex)
             embed[:n, :n] = np.eye(n)
             compress = embed.conj().T
@@ -128,38 +126,32 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
 
 # -- finite-domain companion functions -----------------------------------------
 
-def _split_blocks(t: MatrixTuple, a: int) -> Optional[tuple]:
-    """Split t as top (+) bottom at size a, or None if off-blocks differ from 0."""
-    scale = 1.0 + max(np.abs(m).max(initial=0.0) for m in t)
-    tops, bottoms = [], []
-    for m in t:
-        if np.abs(m[:a, a:]).max(initial=0.0) > ENTRY_TOL * scale:
-            return None
-        if np.abs(m[a:, :a]).max(initial=0.0) > ENTRY_TOL * scale:
-            return None
-        tops.append(m[:a, :a])
-        bottoms.append(m[a:, a:])
-    return MatrixTuple(tops), MatrixTuple(bottoms)
+def _decompositions(domain: Sequence[MatrixTuple], tol: float):
+    """(i, j, y) for every z_j = x_i (+) y in the domain, in (i, j) order.
+
+    z_j splits when its off-diagonal blocks at size x_i.n vanish and its
+    top block matches x_i, both relative to tol.
+    """
+    for (i, x), (j, z) in itertools.product(enumerate(domain), repeat=2):
+        a = x.n
+        if a >= z.n:
+            continue
+        bound = tol * (1.0 + max(np.abs(m).max(initial=0.0) for m in z))
+        if any(np.abs(m[:a, a:]).max(initial=0.0) > bound
+               or np.abs(m[a:, :a]).max(initial=0.0) > bound for m in z):
+            continue
+        if MatrixTuple([m[:a, :a] for m in z]).close_to(x, tol):
+            yield i, j, MatrixTuple([m[a:, a:] for m in z])
 
 
 def hat_domain(domain: Sequence[MatrixTuple]) -> list:
-    """All y such that x (+) y lies in the set for some x in the set.
-
-    Found by scanning block-diagonal splits of every element at every split
-    size and matching the top block against the set.
+    """All y such that x (+) y lies in the set for some x in the set,
+    each listed once, in the (i, j) order of the pair that first shows it.
     """
     found: list[MatrixTuple] = []
-    for z in domain:
-        for a in range(1, z.n):
-            split = _split_blocks(z, a)
-            if split is None:
-                continue
-            top, bottom = split
-            if any(top.close_to(x, ENTRY_TOL) for x in domain
-                   if x.n == top.n):
-                if not any(bottom.close_to(y, ENTRY_TOL) for y in found
-                           if y.n == bottom.n):
-                    found.append(bottom)
+    for _, _, y in _decompositions(domain, ENTRY_TOL):
+        if not any(y.close_to(prev, ENTRY_TOL) for prev in found):
+            found.append(y)
     return found
 
 
@@ -194,76 +186,62 @@ def check_anc(f: FiniteGradedMap, tol: float = ENTRY_TOL,
               rng: Optional[np.random.Generator] = None) -> Report:
     """Similarity preservation plus companion-function extraction.
 
-    On success the report's last check carries the table of companion
-    values on the derived domain.  Raises ContradictionError when two
-    decompositions force different companion values at one point.
+    Blocks split and match at tol.  On success the report's last check
+    carries the table of companion values on the derived domain; a
+    failing check names its first failing pair.  Raises ContradictionError
+    when two decompositions force different companion values at one
+    point, and PreconditionError for an empty domain.
     """
+    if not f.domain:
+        raise PreconditionError("no samples to judge")
     rng = rng or np.random.default_rng(0)
     report = Report(tolerances={"entry": tol})
 
-    sim_ok = True
-    sim_worst = 0.0
-    witness = None
-    for i, j in itertools.product(range(len(f.domain)), repeat=2):
-        xi, xj = f.domain[i], f.domain[j]
-        if xi.n != xj.n:
-            continue
-        basis = _intertwiner_basis(xi, xj)
-        if not basis or not _contains_invertible(basis, rng):
-            continue  # not similar: no constraint from this pair
-        for b in basis:
-            r = op_norm(b @ f.values[j] - f.values[i] @ b) / (1.0 + op_norm(b))
-            sim_worst = max(sim_worst, r)
-            if r > tol * 1e3:  # linear identity; generous numerical slack
-                sim_ok = False
-                witness = {"pair": [i, j], "residual": float(r)}
-    report.add("similarity-preserving", sim_ok, sim_worst, witness)
+    def similar_pairs():
+        for (i, xi), (j, xj) in itertools.product(enumerate(f.domain),
+                                                  repeat=2):
+            if xi.n != xj.n:
+                continue
+            basis = _intertwiner_basis(xi, xj)
+            if not _contains_invertible(basis, rng):
+                continue  # not similar: no constraint from this pair
+            for b in basis:
+                yield {"pair": [i, j]}, op_norm(
+                    b @ f.values[j] - f.values[i] @ b) / (1.0 + op_norm(b))
+
+    # a linear identity: generous numerical slack
+    report.add_worst("similarity-preserving", similar_pairs(), tol * 1e3)
 
     table: list[tuple[MatrixTuple, np.ndarray]] = []
-    decomp_ok = True
-    decomp_worst = 0.0
-    decomp_witness = None
-    for i, j in itertools.product(range(len(f.domain)), repeat=2):
-        x, z = f.domain[i], f.domain[j]
-        if x.n >= z.n:
-            continue
-        split = _split_blocks(z, x.n)
-        if split is None or not split[0].close_to(x, tol):
-            continue
-        _, y = split
-        fz = f.values[j]
-        a = x.n
-        scale = 1.0 + float(np.abs(fz).max(initial=0.0))
-        off = max(np.abs(fz[:a, a:]).max(initial=0.0),
-                  np.abs(fz[a:, :a]).max(initial=0.0))
-        top_err = float(np.abs(fz[:a, :a] - f.values[i]).max(initial=0.0))
-        r = max(off, top_err) / scale
-        decomp_worst = max(decomp_worst, r)
-        if r > tol:
-            decomp_ok = False
-            decomp_witness = {"pair": [i, j], "residual": float(r)}
-            continue
-        candidate = fz[a:, a:]
-        for y_prev, val_prev in table:
-            if y_prev.close_to(y, tol):
-                if np.abs(val_prev - candidate).max(initial=0.0) \
-                        > tol * scale:
-                    raise ContradictionError(
-                        "two decompositions force different companion "
-                        f"values at a level-{y.n} point")
-                break
-        else:
-            table.append((y, candidate))
-    hat_table = [{"level": y.n,
-                  "value": [[_c2l(e) for e in row] for row in val]}
-                 for y, val in table]
-    report.add("companion-extraction", decomp_ok, decomp_worst,
-               decomp_witness if not decomp_ok else hat_table)
+
+    def extractions():
+        for i, j, y in _decompositions(f.domain, tol):
+            fz, a = f.values[j], f.domain[i].n
+            scale = 1.0 + float(np.abs(fz).max(initial=0.0))
+            off = max(np.abs(fz[:a, a:]).max(initial=0.0),
+                      np.abs(fz[a:, :a]).max(initial=0.0))
+            top_err = float(np.abs(fz[:a, :a] - f.values[i]).max(initial=0.0))
+            r = max(off, top_err) / scale
+            yield {"pair": [i, j]}, r
+            if r > tol:
+                continue
+            candidate = fz[a:, a:]
+            for y_prev, val_prev in table:
+                if y_prev.close_to(y, tol):
+                    if np.abs(val_prev - candidate).max(initial=0.0) \
+                            > tol * scale:
+                        raise ContradictionError(
+                            "two decompositions force different companion "
+                            f"values at a level-{y.n} point")
+                    break
+            else:
+                table.append((y, candidate))
+
+    check = report.add_worst("companion-extraction", extractions(), tol)
+    if check.passed:
+        check.witness = [{"level": y.n, "value": matrix_to_lists(val)}
+                         for y, val in table]
     return report
-
-
-def _c2l(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
 
 
 # -- symmetric similarity transfer ---------------------------------------------
@@ -339,7 +317,8 @@ def pascoe_counterexample(r: float = 0.1, scale: float = 0.4) -> Report:
     expected = 32.0 * r * r * scale * scale
     entry_err = abs(gap[0, 3] - expected)
     report.add("entry-1-4-discrepancy", entry_err <= 1e-10, entry_err,
-               {"expected": expected, "got": _c2l(gap[0, 3])})
+               {"expected": expected,
+                "got": [float(gap[0, 3].real), float(gap[0, 3].imag)]})
 
     beta_norm = op_norm(p1[1])
     report.add("v-squared-vanishes", beta_norm <= 1e-14, beta_norm)
@@ -363,6 +342,8 @@ def random_symmetric_poly(max_degree: int,
 
 def run_suite(name: str, seed: int = 0) -> Report:
     """Named verification suites used by the command-line front end."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     report = Report(seed=seed)
 

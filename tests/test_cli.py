@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
+import ncsym
 from ncsym import cli, errors
 from ncsym import ratexpr as rx
 from ncsym.cli import main
@@ -277,6 +281,33 @@ def test_a_tol_that_is_not_finite_and_positive_exits_2(tol, files, capsys,
     assert main(["check-domain", "--pred", "Ugamma", "--tuple", str(path),
                  "--centers", "1,4", "--radius", "0.4", "--tol", tol]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("gap", ["nan", "-1", "0", "inf"])
+def test_a_gap_that_is_not_finite_and_positive_exits_2(gap, files, capsys):
+    # diag(1, 4) has four roots and a matrix without roots an empty list,
+    # but no such gap can cluster a spectrum
+    diag14 = _matrix_file(files["tmp"], "diag14.json", np.diag([1.0, 4.0]))
+    for path in (diag14, files["nil"]):
+        assert main(["sqrt", "--matrix", path, "--enumerate",
+                     "--gap", gap]) == 2
+    assert main(["fiber", "--input", files["pair42"], "--gap", gap]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "nc", "--seed", "-1"],
+    ["girard", "--n", "2", "--verify", "--seed", "-5"],
+])
+def test_a_negative_seed_exits_2_without_a_traceback(argv):
+    src = os.path.dirname(os.path.dirname(ncsym.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ncsym.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "seed" in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("pred, centers, radius", [

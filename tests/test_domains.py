@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ncsym import domains
+from ncsym import domains, sqrtlib
 from ncsym.errors import (ClusteringError, DomainError, PreconditionError,
                           UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
@@ -333,6 +333,20 @@ def test_a_tol_that_is_not_finite_and_positive_is_refused(tol):
     u, x = np.diag([2.0, 3.0]), np.diag([1.0, 4.0])
     with pytest.raises(PreconditionError, match="tol"):
         domains.in_U_gamma(u, x, domains.SimpleSet((1.0, 4.0), 0.4), tol=tol)
+
+
+@pytest.mark.parametrize("gap", [float("nan"), -1.0, 0.0, float("inf")])
+def test_a_gap_that_is_not_finite_and_positive_is_refused(gap):
+    # a NaN gap passes the cluster-at-0 test that refuses 1e-9 by default
+    with pytest.raises(PreconditionError, match="gap"):
+        domains.propose_simple_set([1e-9, 1.0], gap=gap)
+    # the zero matrix has its root without a covering: refused all the same
+    for x in (np.diag([1.0, 4.0]), np.zeros((2, 2))):
+        with pytest.raises(PreconditionError, match="gap"):
+            sqrtlib.all_square_roots(x, gap=gap)
+    w = MatrixTuple((np.array([[4.0]]), np.array([[2.0]])))
+    with pytest.raises(PreconditionError, match="gap"):
+        domains.fiber(w, gap=gap)
 
 
 def test_fiber_degenerate_u_zero():

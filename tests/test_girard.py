@@ -124,6 +124,37 @@ def test_levels_below_one_are_refused(levels):
         girard.verify_girard_random(2, levels=levels, trials=3, seed=1)
 
 
+def test_verify_girard_random_builds_p_n_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return pair(n)
+
+    pair = girard.girard_pair
+    monkeypatch.setattr(girard, "girard_pair", counted)
+    assert girard.verify_girard_random(2, levels=(2, 3), trials=5,
+                                       seed=0).passed
+    assert calls == [2]
+
+
+def test_a_failing_level_names_its_first_failing_trial():
+    rep = girard.verify_girard_random(2, levels=(2,), trials=3, tol=1e-300,
+                                      seed=0)
+    check = rep.checks[0]
+    assert not check.passed
+    assert check.witness["trial"] == 0 and set(check.witness) == {
+        "trial", "residual"}
+    assert 1e-300 < check.witness["residual"] <= check.residual
+
+
+def test_a_negative_seed_is_refused():
+    with pytest.raises(PreconditionError, match="seed"):
+        girard.verify_girard_random(2, seed=-1)
+    girard.verify_girard_random(2, trials=1, rng=np.random.default_rng(1),
+                                seed=-1)  # the rng, not the seed, draws
+
+
 def test_domain_error_on_singular_sample():
     w = MatrixTuple((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     with pytest.raises(DomainError):

@@ -23,6 +23,20 @@ def test_polynomial_evaluation_passes_all_axioms():
     assert report.passed, report.failures()
 
 
+def test_each_sampled_value_is_computed_once():
+    # f at each sample, each pair's direct sum, each similarity orbit
+    # point and each x (+) x: the direct sums serve two checks
+    rng = np.random.default_rng(0)
+    calls = []
+
+    def counted(t):
+        calls.append(t.n)
+        return X.evaluate(t)
+
+    verify.check_nc_properties(counted, _samples(rng), rng=rng)
+    assert len(calls) == 4 * 3
+
+
 def test_conjugation_map_fails_similarity_with_witness():
     rng = np.random.default_rng(1)
     report = verify.check_nc_properties(lambda t: np.conj(t[0]),
@@ -139,6 +153,35 @@ def test_check_anc_flags_offdiagonal_blocks():
     report = verify.check_anc(f)
     ext = next(c for c in report.checks if c.name == "companion-extraction")
     assert not ext.passed
+
+
+def test_check_anc_names_the_first_failing_pair():
+    # diag(1, 2) and diag(2, 1) are similar, so f must swap its entries too;
+    # both pairs (0, 1) and (1, 0) fail, and the first is named
+    f = verify.FiniteGradedMap([_diag_tuple(1.0, 2.0), _diag_tuple(2.0, 1.0)],
+                               [np.diag([5.0, 6.0]), np.diag([5.0, 6.0])])
+    sim = verify.check_anc(f).checks[0]
+    assert sim.name == "similarity-preserving" and not sim.passed
+    assert sim.witness["pair"] == [0, 1]
+
+
+def test_check_anc_splits_blocks_at_its_tolerance():
+    # at tol 1e-8, z = 3 (+) 2 up to a 1e-10 entry, and f(z)'s top block 7
+    # differs from f(3) = 5 by 2 / (1 + 7)
+    x = _diag_tuple(3.0)
+    z = MatrixTuple((np.array([[3.0, 1e-10], [0.0, 2.0]], dtype=complex),))
+    f = verify.FiniteGradedMap([x, z],
+                               [np.array([[5.0]]), np.diag([7.0, 6.0])])
+    report = verify.check_anc(f, tol=1e-8)
+    ext = next(c for c in report.checks if c.name == "companion-extraction")
+    assert not ext.passed
+    assert ext.witness == {"pair": [0, 1], "residual": 0.25}
+
+
+def test_check_anc_refuses_an_empty_domain():
+    # with nothing sampled both checks would pass vacuously
+    with pytest.raises(PreconditionError, match="no samples"):
+        verify.check_anc(verify.FiniteGradedMap([], []))
 
 
 def test_finite_graded_map_validates_shapes():
