@@ -5,7 +5,7 @@ map pi(w) = (u, v^2, vuv) with its local sections, and the fibers of pi.
 Fibers and genericity are both read off the coupling graph of a matrix
 over the spectral idempotents of the discs.  The disc geometry itself
 lives in geometry; SimpleSet, default_radius and propose_simple_set are
-re-exported here, next to the function-style aliases of its methods.
+re-exported here.
 """
 
 from __future__ import annotations
@@ -16,22 +16,13 @@ import numpy as np
 
 from .errors import (DimensionMismatchError, DomainError, NumericalError,
                      SpectrumOutsideDomainError, UnsupportedError)
-from .funcalc import (SIGN_BLOCK, involution_I, sign_patterns,
-                      spectral_idempotents, sqrt_branch_S)
+from .funcalc import (SIGN_BLOCK, sign_patterns, spectral_idempotents,
+                      sqrt_branch_S)
 from .geometry import (SimpleSet, _require_positive, default_radius,
                        propose_simple_set)
-from .linalg import (commutator_norm, fro_norms, in_I, in_Q, op_norm,
-                     op_norms, spectrum)
+from .linalg import fro_norms, in_I, in_Q, op_norm, op_norms, spectrum
 from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
-from .words import FreePoly, MatrixTuple
-
-
-def separation(delta: SimpleSet) -> float:
-    return delta.separation()
-
-
-def is_t_isolated(delta: SimpleSet, t: float) -> bool:
-    return delta.is_t_isolated(t)
+from .words import MatrixTuple
 
 
 def is_subordinate(delta2: SimpleSet, delta1: SimpleSet) -> bool:
@@ -44,11 +35,6 @@ def is_subordinate(delta2: SimpleSet, delta1: SimpleSet) -> bool:
 def in_D_gamma(x, delta: SimpleSet) -> bool:
     """sigma(x) in delta with a shrink margin, x a matrix or its Spectrum."""
     return delta.covers(spectrum(x).eigenvalues)
-
-
-def in_W_gamma(u: np.ndarray, x: np.ndarray, delta: SimpleSet) -> bool:
-    """u is unconstrained; only x's spectrum matters."""
-    return in_D_gamma(x, delta)
 
 
 def _coupling_components(m: np.ndarray, idem: np.ndarray,
@@ -135,20 +121,6 @@ def in_S_o(w: MatrixTuple) -> bool:
     return in_Q(uv_parts(w)[1])
 
 
-def variety_residual_V(u: np.ndarray, x: np.ndarray, spec) -> float:
-    """Commutator norm against the branch involution of the given spec."""
-    return commutator_norm(u, involution_I(x, spec))
-
-
-def in_free_closure_of_variety(p: FreePoly, x: np.ndarray) -> bool:
-    """One-variable free closure: membership iff p(x) is singular."""
-    if p.d != 1:
-        raise DimensionMismatchError("free-closure test takes a one-variable "
-                                     f"polynomial, got d={p.d}")
-    value = p.evaluate(MatrixTuple((x,)))
-    return not in_I(value)
-
-
 # -- the symmetrization map and its sections ----------------------------------
 
 def uv_parts(w: MatrixTuple) -> tuple:
@@ -181,12 +153,6 @@ def omega(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
     """(u + S, u - S): the local section with pi(omega(u, x)) = phi(u, x)."""
     s = sqrt_branch_S(x, spec)
     return MatrixTuple((u + s, u - s))
-
-
-def omega_inverse(w: MatrixTuple) -> tuple:
-    """((w^1+w^2)/2, ((w^1-w^2)/2)^2); round-trips with omega."""
-    u, v = uv_parts(w)
-    return u, v @ v
 
 
 def fiber(w: MatrixTuple, tol: float = 1e-8,

@@ -158,11 +158,6 @@ def eval_delta(delta: Sequence[Sequence[FreePoly]], x: MatrixTuple) -> np.ndarra
     return np.block(rows)
 
 
-def in_B_delta(delta: Sequence[Sequence[FreePoly]], x: MatrixTuple) -> bool:
-    """Membership in the basic set {x : ||[delta_ij(x)]|| < 1}."""
-    return op_norm(eval_delta(delta, x)) < 1.0
-
-
 def in_Q(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff the spectrum of x, a matrix or its Spectrum, is disjoint
     from its negative.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Optional
 
@@ -36,17 +37,17 @@ class Report:
                   tol: float) -> CheckResult:
         """One check over (where, residual) pairs; where is a dict.
 
-        Passes iff every residual is within tol.  Records the worst
-        residual, and as witness the where of the first failure with its
-        residual added.
+        Passes iff every residual is within tol, so a NaN fails.  Records
+        the worst residual, and as witness the where of the first failure
+        with its residual added, null when it is not finite.
         """
-        worst, ok, witness = 0.0, True, None
+        worst, witness = 0.0, None
         for where, r in measured:
             worst = max(worst, r)
-            if r > tol and witness is None:
-                witness = {**where, "residual": float(r)}
-            ok = ok and r <= tol
-        return self.add(name, ok, worst, witness)
+            if not r <= tol and witness is None:
+                witness = {**where,
+                           "residual": float(r) if math.isfinite(r) else None}
+        return self.add(name, witness is None, worst, witness)
 
     def merge(self, other: "Report", prefix: str = "") -> None:
         for c in other.checks:

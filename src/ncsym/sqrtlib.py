@@ -300,19 +300,3 @@ def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
     disc = int(np.argmin(bounds))
     return float(bounds[disc]), disc, piece_norms.sum()
 
-
-def riemann_fiber(m: np.ndarray, gap: Optional[float] = None) -> list:
-    """All points (m, n) of the square-root surface over m: 2^k of them."""
-    rs = all_square_roots(m, gap=gap)
-    return [(rs.base, root) for root in rs.roots]
-
-
-def sigma_map(y: np.ndarray) -> tuple:
-    """y -> (y^2, y); injective, and a section of the surface over Q."""
-    y = np.asarray(y, dtype=complex)
-    return y @ y, y
-
-
-def sigma_inverse(pair) -> np.ndarray:
-    """(a, b) -> b; round-trips with sigma_map."""
-    return np.asarray(pair[1], dtype=complex)

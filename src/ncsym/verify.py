@@ -2,9 +2,8 @@
 
 Black-box checks of the direct-sum / similarity / intertwining axioms on
 sampled points, companion-function extraction on finite explicit domains,
-the symmetric-similarity transfer check, and the four-by-four regression
-showing that no function on the image of the symmetrization map reproduces
-16*v*u^2*v when v is nilpotent.
+and the four-by-four regression showing that no function on the image of
+the symmetrization map reproduces 16*v*u^2*v when v is nilpotent.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import numpy as np
 
 from .domains import in_S_o, pi
 from .errors import ContradictionError, EvaluatorError, PreconditionError
+from .geometry import _require_positive
 from .girard import verify_girard_random
 from .linalg import (block_diag, conjugate, direct_sum, in_I,
                      matrix_to_lists, op_norm, random_similarity, random_tuple,
@@ -27,7 +27,7 @@ from .symbasis import decompose_symmetric, factor_through_pi
 from .words import FreePoly, MatrixTuple
 
 ENTRY_TOL = 1e-12  # finite-set matrix identity tolerance
-RESIDUAL_TOL = 1e-8  # passing relative residual of an axiom or a transfer
+RESIDUAL_TOL = 1e-8  # passing relative residual of an axiom
 
 
 @dataclass
@@ -190,8 +190,10 @@ def check_anc(f: FiniteGradedMap, tol: float = ENTRY_TOL,
     carries the table of companion values on the derived domain; a
     failing check names its first failing pair.  Raises ContradictionError
     when two decompositions force different companion values at one
-    point, and PreconditionError for an empty domain.
+    point, and PreconditionError for an empty domain or a tol that is not
+    finite and positive.
     """
+    _require_positive("tol", tol)
     if not f.domain:
         raise PreconditionError("no samples to judge")
     rng = rng or np.random.default_rng(0)
@@ -241,35 +243,6 @@ def check_anc(f: FiniteGradedMap, tol: float = ENTRY_TOL,
     if check.passed:
         check.witness = [{"level": y.n, "value": matrix_to_lists(val)}
                          for y, val in table]
-    return report
-
-
-# -- symmetric similarity transfer ---------------------------------------------
-
-def check_symmetric_similarity(p: FreePoly, w1: MatrixTuple, w2: MatrixTuple,
-                               s: np.ndarray) -> Report:
-    """p(w1) = s^-1 p(w2) s whenever pi(w1) = s^-1 pi(w2) s and v1 invertible.
-
-    The hypotheses are residual-checked first; a violated one raises
-    PreconditionError naming it.
-    """
-    if not p.is_symmetric():
-        raise PreconditionError("p is not symmetric")
-    if not in_I(np.asarray(s)):
-        raise PreconditionError("conjugator s is singular")
-    if not in_I(0.5 * (w1[0] - w1[1])):
-        raise PreconditionError("w1^1 - w1^2 is not invertible")
-    p1, p2 = pi(w1), pi(w2)
-    conj = conjugate(s, p2)
-    pre_res = max(rel_dist(a, b) for a, b in zip(p1, conj))
-    if pre_res > 1e-7:
-        raise PreconditionError(
-            f"pi(w1) != s^-1 pi(w2) s (residual {pre_res:.3g})")
-    left = p.evaluate(w1)
-    right = np.linalg.inv(s) @ p.evaluate(w2) @ s
-    residual = op_norm(left - right) / (1.0 + op_norm(left))
-    report = Report(tolerances={"residual": RESIDUAL_TOL})
-    report.add("symmetric-similarity", residual <= RESIDUAL_TOL, residual)
     return report
 
 
@@ -380,21 +353,21 @@ def run_suite(name: str, seed: int = 0) -> Report:
     elif name == "pascoe":
         report.merge(pascoe_counterexample())
     elif name == "symbasis":
-        worst = 0.0
-        exact = True
-        for _ in range(25):
-            p = random_symmetric_poly(5, rng)
-            g = decompose_symmetric(p)
-            exact = exact and (g.expand_back() == p.to_uv())
-            expr = factor_through_pi(p)
-            w = random_tuple(3, 2, ("v-invertible",), rng)
+        trials = [({"trial": trial}, random_symmetric_poly(5, rng),
+                   random_tuple(3, 2, ("v-invertible",), rng))
+                  for trial in range(25)]
+        report.add_worst("decompose-roundtrip-exact", (
+            (where, float(decompose_symmetric(p).expand_back() != p.to_uv()))
+            for where, p, _ in trials), 0.0)
+
+        def through_pi(p, w):
             t = pi(w)
-            value = evaluate(expr, {"alpha": t[0], "beta": t[1],
-                                    "gamma": t[2]})
-            direct = p.evaluate(w)
-            worst = max(worst, rel_dist(value, direct))
-        report.add("decompose-roundtrip-exact", exact)
-        report.add("factor-through-pi", worst <= 1e-8, worst)
+            return evaluate(factor_through_pi(p),
+                            {"alpha": t[0], "beta": t[1], "gamma": t[2]})
+
+        report.add_worst("factor-through-pi", (
+            (where, rel_dist(through_pi(p, w), p.evaluate(w)))
+            for where, p, w in trials), 1e-8)
     else:
         raise ValueError(f"unknown suite {name!r}")
     return report

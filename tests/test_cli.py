@@ -295,19 +295,35 @@ def test_a_gap_that_is_not_finite_and_positive_exits_2(gap, files, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _run_module(argv):
+    """python -m ncsym.cli argv in a fresh process, warnings included."""
+    src = os.path.dirname(os.path.dirname(ncsym.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-m", "ncsym.cli"] + argv,
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--suite", "nc", "--seed", "-1"],
     ["girard", "--n", "2", "--verify", "--seed", "-5"],
 ])
 def test_a_negative_seed_exits_2_without_a_traceback(argv):
-    src = os.path.dirname(os.path.dirname(ncsym.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "ncsym.cli"] + argv,
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
+    proc = _run_module(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "seed" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("n", ["1000", "-1000"])
+def test_girard_overflow_is_one_numerical_failure_line(n):
+    # x^n overflows at these indices: no numpy warning may reach stderr
+    proc = _run_module(["girard", "--n", n, "--verify"])
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+    assert "overflows" in lines[0]
 
 
 @pytest.mark.parametrize("pred, centers, radius", [

@@ -10,7 +10,7 @@ from ncsym.errors import (ClusteringError, DomainError, PreconditionError,
 from ncsym.funcalc import BranchSpec, involution_I
 from ncsym.linalg import (commutator_norm, direct_sum, op_norm, random_tuple,
                           rel_dist, spectrum)
-from ncsym.words import FreePoly, MatrixTuple
+from ncsym.words import MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
                      clustered_matrix, ginibre, record_eigensolves,
@@ -19,13 +19,13 @@ from helpers import (brute_force_fiber, cluster_centers_off_cut,
 
 def test_separation_and_isolation_examples():
     d = domains.SimpleSet((1.0, 5.0), 0.5)
-    assert domains.separation(d) == pytest.approx(4.0)
-    assert domains.is_t_isolated(d, 0.25)
+    assert d.separation() == pytest.approx(4.0)
+    assert d.is_t_isolated(0.25)
     d2 = domains.SimpleSet((1.0, 2.0), 0.3)
-    assert not domains.is_t_isolated(d2, 0.25)
+    assert not d2.is_t_isolated(0.25)
     single = domains.SimpleSet((3.0,), 2.9)
-    assert domains.separation(single) == np.inf
-    assert domains.is_t_isolated(single, 0.25)
+    assert single.separation() == np.inf
+    assert single.is_t_isolated(0.25)
 
 
 def test_subordination_examples():
@@ -95,8 +95,6 @@ def test_spectral_membership():
     d = domains.SimpleSet((1.0, 5.0), 0.5)
     assert domains.in_D_gamma(np.diag([1.0, 5.0]).astype(complex), d)
     assert not domains.in_D_gamma(np.diag([1.0, 3.0]).astype(complex), d)
-    u = np.full((2, 2), 9.0, dtype=complex)  # unconstrained slot
-    assert domains.in_W_gamma(u, np.diag([1.0, 5.0]).astype(complex), d)
 
 
 def test_in_U_gamma_examples():
@@ -276,7 +274,7 @@ def test_direct_sum_keeps_genericity():
     if not domains.in_U_gamma(u1, x1, d):
         pytest.skip("rare degenerate draw")
     big = direct_sum(MatrixTuple((u1, x1)), MatrixTuple((u2, x2)))
-    assert domains.in_W_gamma(u2, x2, d)
+    assert domains.in_D_gamma(x2, d)
     assert domains.in_U_gamma(big[0], big[1], d)
 
 
@@ -306,9 +304,9 @@ def test_omega_phi_identities():
     lhs = domains.pi(w)
     rhs = domains.phi(u, x, spec)
     assert max(rel_dist(a, b) for a, b in zip(lhs, rhs)) < 1e-9
-    # omega_inverse round trip
-    ui, xi = domains.omega_inverse(w)
-    assert rel_dist(ui, u) < 1e-12 and rel_dist(xi, x) < 1e-9
+    # round trip through (u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), v^2 = x
+    ui, vi = domains.uv_parts(w)
+    assert rel_dist(ui, u) < 1e-12 and rel_dist(vi @ vi, x) < 1e-9
     # identity-branch section: omega(u, I) = (u + I, u - I)
     spec1 = BranchSpec((1.0,), 0.3, (1,))
     w1 = domains.omega(u, np.eye(3, dtype=complex), spec1)
@@ -421,22 +419,3 @@ def test_in_S_o_examples():
     assert not domains.in_S_o(MatrixTuple((a, a)))
     v = np.diag([1.0, -1.0]).astype(complex)
     assert not domains.in_S_o(MatrixTuple((v, -v)))
-
-
-def test_variety_residual():
-    x = np.diag([1.0, 4.0]).astype(complex)
-    spec = BranchSpec((1.0, 4.0), 0.4, (1, -1))
-    assert domains.variety_residual_V(np.diag([2.0, 3.0]).astype(complex),
-                                      x, spec) < 1e-12
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert domains.variety_residual_V(swap, x, spec) > 1.0
-
-
-def test_free_closure_of_one_variable_variety():
-    z = FreePoly.letter(0, 1)
-    assert domains.in_free_closure_of_variety(
-        z, np.diag([0.0, 1.0]).astype(complex))  # singular but nonzero
-    assert not domains.in_free_closure_of_variety(
-        z - 1.0, 2.0 * np.eye(2, dtype=complex))
-    assert domains.in_free_closure_of_variety(
-        z - 1.0, np.eye(3, dtype=complex))

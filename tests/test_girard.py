@@ -104,12 +104,6 @@ def test_commutative_collapse_to_classical_identities():
         assert abs(p4 - (e1 ** 4 - 4 * e1 ** 2 * e2 + 2 * e2 ** 2)) < 1e-12
 
 
-def test_verify_girard_scalar_anchor():
-    w = MatrixTuple((np.array([[4.0]]), np.array([[2.0]])))
-    report = girard.verify_girard(1, w)
-    assert report.passed and report.checks[0].residual < 1e-14
-
-
 def test_verify_girard_random_positive_and_negative():
     rep = girard.verify_girard_random(4, levels=(3,), trials=5, seed=2)
     assert rep.passed
@@ -155,10 +149,18 @@ def test_a_negative_seed_is_refused():
                                 seed=-1)  # the rng, not the seed, draws
 
 
-def test_domain_error_on_singular_sample():
+def test_domain_error_on_singular_sample(monkeypatch):
     w = MatrixTuple((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
-    with pytest.raises(DomainError):
-        girard.verify_girard(-1, w)  # v = 0: every coefficient is singular
+    draws = []
+
+    def singular(*args):
+        draws.append(args)
+        return w  # v = 0: every coefficient is singular
+
+    monkeypatch.setattr(girard, "random_tuple", singular)
+    with pytest.raises(DomainError, match="in 50 draws"):
+        girard.verify_girard_random(-1, levels=(2,), trials=1, seed=0)
+    assert len(draws) == 50
 
 
 def test_expression_growth_is_linear():

@@ -65,3 +65,30 @@ def test_one_function_solves_for_eigenvalues():
                and _eig_calls(func)]
     assert solvers == ["linalg.spectrum"]
     assert sum(len(_eig_calls(tree)) for tree in trees.values()) == 1
+
+
+def _readme_entry_points() -> set:
+    """Names the README's "Library entry points" section imports from
+    ncsym in its code blocks."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Library entry points\n")[1]
+    section = section.split("\n## ")[0]
+    blocks = section.split("```python\n")[1:]
+    return {alias.name
+            for block in blocks
+            for node in ast.walk(ast.parse(block.split("```")[0]))
+            if isinstance(node, ast.ImportFrom) and node.module == "ncsym"
+            for alias in node.names}
+
+
+def test_package_binds_exactly_the_documented_entry_points():
+    tree = _trees()["__init__"]
+    bound = {alias.asname or alias.name
+             for node in tree.body if isinstance(node, ast.ImportFrom)
+             for alias in node.names}
+    bound |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+              for target in node.targets}
+    documented = _readme_entry_points()
+    assert documented
+    assert {name for name in bound if not name.startswith("__")} \
+        == documented

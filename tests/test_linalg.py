@@ -98,9 +98,9 @@ def test_op_norm_submultiplicative_and_unitary_invariant():
 
 def test_eval_delta_and_membership():
     z2 = MatrixTuple((np.zeros((2, 2)),))
-    assert linalg.in_B_delta([[X1]], z2)
+    assert linalg.op_norm(linalg.eval_delta([[X1]], z2)) < 1.0
     i2 = MatrixTuple((np.eye(2),))
-    assert not linalg.in_B_delta([[2.0 * X1]], i2)
+    assert not linalg.op_norm(linalg.eval_delta([[2.0 * X1]], i2)) < 1.0
     assert linalg.op_norm(linalg.eval_delta([[2.0 * X1]], i2)) \
         == pytest.approx(2.0)
 

@@ -435,25 +435,3 @@ def test_unisolable_clusters_are_refused():
         sqrtlib.all_square_roots(x, gap=0.25)
     # a finer gap separates everything and enumeration succeeds
     assert len(sqrtlib.all_square_roots(x, gap=0.05)) == 8
-
-
-def test_riemann_fiber_counts():
-    assert len(sqrtlib.riemann_fiber(np.eye(2, dtype=complex))) == 2
-    assert len(sqrtlib.riemann_fiber(
-        np.diag([1.0, 4.0, 9.0]).astype(complex))) == 8
-    pairs = sqrtlib.riemann_fiber(np.diag([1.0, 1.04]).astype(complex),
-                                  gap=0.2)
-    assert len(pairs) == 2  # close pair treated as one cluster
-    for m, n in pairs:
-        assert rel_dist(n @ n, m) < 1e-8
-
-
-def test_sigma_map_round_trip():
-    rng = np.random.default_rng(3)
-    y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    a, b = sqrtlib.sigma_map(y)
-    assert np.allclose(a, y @ y)
-    assert np.allclose(sqrtlib.sigma_inverse((a, b)), y)
-    assert np.allclose(sqrtlib.sigma_map(np.eye(2))[0], np.eye(2))
-    assert np.allclose(
-        sqrtlib.sigma_map(np.diag([1.0, 2.0]))[0], np.diag([1.0, 4.0]))

@@ -1,12 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from ncsym import verify
 from ncsym.errors import ContradictionError, EvaluatorError, PreconditionError
-from ncsym.linalg import conjugate, random_tuple
+from ncsym.linalg import random_tuple
+from ncsym.report import Report
 from ncsym.words import FreePoly, MatrixTuple
 
-from helpers import ginibre, random_poly, well_conditioned
+from helpers import ginibre, random_poly
 
 X = FreePoly.letter(0, 2)
 Y = FreePoly.letter(1, 2)
@@ -184,32 +187,28 @@ def test_check_anc_refuses_an_empty_domain():
         verify.check_anc(verify.FiniteGradedMap([], []))
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_check_anc_refuses_a_tol_that_is_not_finite_and_positive(tol):
+    # a negative bound splits no block, so the extraction would pass empty
+    f = verify.FiniteGradedMap(
+        [_diag_tuple(3.0), MatrixTuple((np.diag([3.0, 2.0]),))],
+        [np.array([[5.0]]), np.diag([7.0, 6.0])])
+    with pytest.raises(PreconditionError, match="tol"):
+        verify.check_anc(f, tol=tol)
+
+
+def test_add_worst_fails_a_nan_and_names_it_with_a_null_residual():
+    report = Report()
+    check = report.add_worst("x", [({"trial": 0}, 1e-20),
+                                   ({"trial": 1}, float("nan"))], 1e-8)
+    assert not check.passed and check.residual == 1e-20
+    assert check.witness == {"trial": 1, "residual": None}
+    json.dumps(report.to_json_dict(), allow_nan=False)
+
+
 def test_finite_graded_map_validates_shapes():
     with pytest.raises(ValueError):
         verify.FiniteGradedMap([_diag_tuple(1.0)], [np.eye(2)])
-
-
-def test_symmetric_similarity_transfer():
-    rng = np.random.default_rng(7)
-    p = random_poly(rng).symmetrize()
-    w2 = random_tuple(3, 2, ("v-invertible",), rng)
-    s = well_conditioned(3, rng)
-    w1 = conjugate(s, w2)
-    rep = verify.check_symmetric_similarity(p, w1, w2, s)
-    assert rep.passed
-
-    # flipped pair with the identity conjugator
-    rep2 = verify.check_symmetric_similarity(p, w2.flip(), w2, np.eye(3))
-    assert rep2.passed
-
-    # unrelated pairs violate the hypothesis
-    other = random_tuple(3, 2, ("v-invertible",), rng)
-    with pytest.raises(PreconditionError) as info:
-        verify.check_symmetric_similarity(p, other, w2, np.eye(3))
-    assert info.type is PreconditionError
-    with pytest.raises(PreconditionError) as info:
-        verify.check_symmetric_similarity(X * Y, w1, w2, s)
-    assert info.type is PreconditionError
 
 
 def test_pascoe_counterexample_numbers():
