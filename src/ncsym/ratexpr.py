@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -27,10 +28,12 @@ import numpy as np
 from .errors import (AssignmentError, ExpansionError, InconclusiveError,
                      PreconditionError, SingularityError)
 from .linalg import op_norm, random_unit_norm
-from .words import FreePoly, add_terms, format_complex, mul_terms, render_terms
+from .words import (TERM_BUDGET, FreePoly, add_terms, format_complex,
+                    mul_terms, render_terms)
 
 SINGULARITY_RTOL = 1e-10
 RESAMPLE_CAP = 50
+TEXT_BUDGET = 2 ** 24  # the longest text to_text writes, in characters
 
 
 class RatExpr:
@@ -340,10 +343,20 @@ def as_ncpoly(e: RatExpr) -> dict:
     """Expand into {word: coefficient} over atoms (name, +1|-1).
 
     Inverse is only admitted directly on a Variable; anything else raises
-    ExpansionError.  Words are reduced by cancelling adjacent inverse
-    pairs, which is sound wherever the inverses are defined.
+    ExpansionError, and so does an expression whose term bound exceeds
+    TERM_BUDGET: a leaf counts 1, a Sum adds its children's bounds and
+    any other node multiplies them.  Words are reduced by cancelling
+    adjacent inverse pairs, which is sound wherever the inverses are
+    defined.
     """
     order = _postorder(e)
+    bound: dict[int, int] = {}
+    for node in order:  # bounds grow toward the root: the first over decides
+        kids = [bound[id(c)] for c in _children(node)]
+        bound[id(node)] = sum(kids) if isinstance(node, Sum) else prod(kids)
+        if bound[id(node)] > TERM_BUDGET:
+            raise ExpansionError(
+                f"the expansion may exceed TERM_BUDGET = {TERM_BUDGET} terms")
     join = _join if any(isinstance(n, Inverse) for n in order) else None
     terms: dict[int, dict] = {}
     for node in order:
@@ -469,7 +482,12 @@ _PREC_ATOM = 3
 
 
 def to_text(e: RatExpr) -> str:
-    """Structural text form using the expression grammar (inv(...), ^)."""
+    """Structural text form using the expression grammar (inv(...), ^).
+
+    Raises PreconditionError as soon as one node's text is longer than
+    TEXT_BUDGET characters; shared sub-DAGs print once per use, so the
+    text can grow exponentially in the DAG's size.
+    """
     # each node's text unwrapped, with its precedence; a parent wraps it
     # in parentheses where the context binds tighter.  A text is dropped
     # once its last parent is rendered, so a deep chain does not hold
@@ -511,6 +529,9 @@ def to_text(e: RatExpr) -> str:
         else:
             parts = [wrapped(c, _PREC_SUM + 1) for c in node.children]
             text[id(node)] = " + ".join(parts).replace("+ -", "- "), _PREC_SUM
+        if len(text[id(node)][0]) > TEXT_BUDGET:
+            raise PreconditionError(f"the text form exceeds TEXT_BUDGET = "
+                                    f"{TEXT_BUDGET} characters")
         for c in _children(node):
             pending[id(c)] -= 1
             if not pending[id(c)]:

@@ -15,8 +15,9 @@ class CheckResult:
     witness: Optional[Any] = None  # JSON-serializable description, if any
 
     def to_json_dict(self) -> dict:
+        residual = float(self.residual)
         out = {"name": self.name, "pass": bool(self.passed),
-               "residual": float(self.residual)}
+               "residual": residual if math.isfinite(residual) else None}
         out["witness-ref"] = self.witness
         return out
 
@@ -38,12 +39,14 @@ class Report:
         """One check over (where, residual) pairs; where is a dict.
 
         Passes iff every residual is within tol, so a NaN fails.  Records
-        the worst residual, and as witness the where of the first failure
-        with its residual added, null when it is not finite.
+        the worst residual, a NaN or an infinity included, and as witness
+        the where of the first failure with its residual added, null when
+        it is not finite.
         """
         worst, witness = 0.0, None
         for where, r in measured:
-            worst = max(worst, r)
+            if r > worst or math.isnan(r):  # a NaN, once met, stays worst
+                worst = r
             if not r <= tol and witness is None:
                 witness = {**where,
                            "residual": float(r) if math.isfinite(r) else None}

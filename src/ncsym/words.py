@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ChartError, DimensionMismatchError
+from .errors import ChartError, DimensionMismatchError, PreconditionError
 
 Word = tuple  # tuple[int, ...], letters in range(d)
 
@@ -24,6 +24,10 @@ CHART_XY = "xy"
 CHART_UV = "uv"
 
 _LETTER_NAMES = {CHART_XY: ("x", "y"), CHART_UV: ("u", "v")}
+
+# the most coefficients of one degree a chart change transforms, and the
+# largest term bound ratexpr.as_ncpoly expands
+TERM_BUDGET = 2 ** 18
 
 
 # -- the sparse word algebra --------------------------------------------------
@@ -254,36 +258,35 @@ class FreePoly:
 
     def to_uv(self) -> "FreePoly":
         """Substitute x -> u+v, y -> u-v."""
-        self._require_two_vars()
-        if self.chart != CHART_XY:
-            raise ChartError("to_uv expects the x,y chart")
-        u = FreePoly.letter(0, 2, chart=CHART_UV)
-        v = FreePoly.letter(1, 2, chart=CHART_UV)
-        return self.substitute_letters([u + v, u - v])
+        return self._change_chart("to_uv", CHART_XY, CHART_UV, 1.0)
 
     def from_uv(self) -> "FreePoly":
         """Substitute u -> (x+y)/2, v -> (x-y)/2; inverse of to_uv."""
-        self._require_two_vars()
-        if self.chart != CHART_UV:
-            raise ChartError("from_uv expects the u,v chart")
-        x = FreePoly.letter(0, 2, chart=CHART_XY)
-        y = FreePoly.letter(1, 2, chart=CHART_XY)
-        return self.substitute_letters([0.5 * (x + y), 0.5 * (x - y)])
+        return self._change_chart("from_uv", CHART_UV, CHART_XY, 0.5)
 
-    def substitute_letters(self, images: Sequence["FreePoly"]) -> "FreePoly":
-        """Ring homomorphism sending letter k to images[k]."""
-        if len(images) != self.d:
-            raise DimensionMismatchError(
-                f"need {self.d} images, got {len(images)}")
-        for image in images[1:]:
-            images[0]._check_compatible(image)
+    def _change_chart(self, name: str, source: str, target: str,
+                      factor: float) -> "FreePoly":
+        """Letter a -> factor*(l0 + (-1)^a l1): (factor*H)^(x n) on degree n,
+        H = [[1, 1], [1, -1]], as n butterflies on the binary word codes."""
+        self._require_two_vars()
+        if self.chart != source:
+            raise ChartError(f"{name} expects the {','.join(source)} chart")
+        if 2 ** self.degree > TERM_BUDGET:
+            raise PreconditionError(f"degree {self.degree} needs more than "
+                                    f"TERM_BUDGET = {TERM_BUDGET} terms")
         out: dict[Word, complex] = {}
-        for word, coeff in self.terms.items():
-            term = {(): coeff}
-            for k in word:
-                term = mul_terms(term, images[k].terms)
-            add_terms(out, term)
-        return FreePoly(images[0].d, out, chart=images[0].chart)
+        for n in sorted({len(w) for w in self.terms}):
+            words = [w for w in self.terms if len(w) == n]
+            place = 1 << np.arange(n - 1, -1, -1)
+            vec = np.zeros(2 ** n, dtype=complex)
+            vec[np.array(words, dtype=int).reshape(len(words), n) @ place] = \
+                [self.terms[w] for w in words]
+            for b in (vec.reshape(-1, 2, 2 ** i) for i in range(n)):
+                b[:, 0], b[:, 1] = b[:, 0] + b[:, 1], b[:, 0] - b[:, 1]
+            code = np.flatnonzero(vec)
+            out.update(zip(map(tuple, (code[:, None] // place % 2).tolist()),
+                           (factor ** n * vec[code]).tolist()))
+        return FreePoly(2, out, chart=target)
 
     def v_parity_split(self) -> tuple["FreePoly", "FreePoly"]:
         """Split by parity of the letter-v count (u,v chart only)."""

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -49,6 +50,42 @@ def test_girard_with_verification(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     report = json.loads(lines[1])
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("n, digest", [
+    ("16", "accbfa335ccbc96a3d19f7b8127db610f633819dab6a6e1939c719613e1a9ec6"),
+    ("-16", "c9915ea3269fd1775b81d9eb8744c3efe71f4b9a42f57e695ff78517b47a3d9a"),
+])
+def test_girard_text_within_the_budgets_is_unchanged(n, digest, capsys):
+    # 2^15 table words for 16; 3.5 MB of tree text for -16
+    assert main(["girard", "--n", n]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, budget", [
+    (["girard", "--n", "400"], "TERM_BUDGET"),
+    (["girard", "--n", "-400", "--verify"], "TEXT_BUDGET"),
+    (["decompose", "--expr", "(x+y)^40"], "TERM_BUDGET"),
+])
+def test_output_over_a_budget_is_refused_at_once(argv, budget, capsys):
+    # the text of P_-400 and the words of P_400 or (x+y)^40 would not fit
+    # in memory; they are refused before anything is printed
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("precondition violation:")
+    assert budget in captured.err
+
+
+def test_decompose_of_a_high_power_is_one_transform(capsys):
+    # 2^12 coefficients pass through 12 butterflies, not 4^12 products
+    start = time.perf_counter()
+    assert main(["decompose", "--expr", "(x+y)^12"]) == 0
+    assert time.perf_counter() - start < 2
+    assert json.loads(capsys.readouterr().out)["genpoly"] == "4096*U^12"
 
 
 def test_girard_verify_without_trials_is_refused(capsys):
@@ -129,6 +166,9 @@ def test_pi_overflow_is_a_numerical_failure(files, capsys):
     assert main(["pi", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "overflows" in captured.err
+    # as a process, with no numpy warning before the one stderr line
+    proc = _run_module(["pi", "--input", str(path)])
+    assert proc.returncode == 1 and proc.stderr == captured.err
 
 
 def test_pairs_near_the_float_range_are_halved_before_they_are_summed(

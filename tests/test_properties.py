@@ -99,6 +99,42 @@ def test_decompose_expand_back_round_trip(p):
     assert decompose_symmetric(p).expand_back() == p.to_uv()
 
 
+def _to_uv_by_letters(terms: dict) -> dict:
+    """x -> u + v, y -> u - v, one letter at a time: the sign of (a, b) is
+    -1 exactly when a y becomes a v."""
+    out: dict = {}
+    for word, c in terms.items():
+        images = {(): c}
+        for a in word:
+            images = {w + (b,): -k if a and b else k
+                      for w, k in images.items() for b in (0, 1)}
+        for w, k in images.items():
+            out[w] = out.get(w, 0) + k
+    return {w: k for w, k in out.items() if k != 0}
+
+
+_words_to_8 = st.lists(st.integers(0, 1), max_size=8).map(tuple)
+
+
+@_SETTINGS
+@given(st.dictionaries(_words_to_8, _gaussian, max_size=6))
+def test_to_uv_matches_letter_by_letter_substitution(terms):
+    got = FreePoly(2, terms).to_uv()
+    assert got.chart == CHART_UV
+    assert got.terms == _to_uv_by_letters(FreePoly(2, terms).terms)
+
+
+_dyadic = st.integers(-64, 64).map(lambda k: k / 16)
+
+
+@_SETTINGS
+@given(st.dictionaries(_words_to_8, st.builds(complex, _dyadic, _dyadic),
+                       max_size=6))
+def test_from_uv_inverts_to_uv_on_dyadic_coefficients(terms):
+    p = FreePoly(2, terms)
+    assert p.to_uv().from_uv() == p
+
+
 # matrix JSON: [re, im] pairs of finite numbers near 0, 1, 1e308 and the
 # subnormal 1e-320, with at most one defect per document: a ragged or
 # non-square layout, a non-finite or malformed cell, or a header that

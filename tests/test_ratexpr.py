@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ncsym import girard
 from ncsym import ratexpr as rx
 from ncsym.errors import (AssignmentError, ExpansionError, PreconditionError,
                           SingularityError)
 from ncsym.linalg import rel_dist
-from ncsym.words import FreePoly
+from ncsym.parsing import parse
+from ncsym.words import TERM_BUDGET, FreePoly
 
 from helpers import ginibre, scalar_eval, well_conditioned
 
@@ -186,8 +188,28 @@ def test_equivalence_needs_a_sample(kwargs):
 def test_expansion_cancels_inverse_pairs():
     e = rx.mul(G, rx.inv(B), B)
     assert rx.as_ncpoly(e) == {(("gamma", 1),): 1.0}
-    with pytest.raises(ExpansionError):
+    with pytest.raises(ExpansionError, match="inverse of a compound"):
         rx.as_ncpoly(rx.inv(rx.add(A, B)))
+
+
+def test_expansion_is_refused_above_the_term_budget():
+    # the bound multiplies over products: (x + x)^18 may have 2^18 terms,
+    # though it has one, and (x + x)^19 may have twice the budget
+    x = rx.Variable("x")
+    assert rx.as_ncpoly(rx.power(rx.Sum([x, x]), 18)) == {
+        (("x", 1),) * 18: 2.0 ** 18}
+    with pytest.raises(ExpansionError, match=f"TERM_BUDGET = {TERM_BUDGET}"):
+        rx.as_ncpoly(rx.power(rx.Sum([x, x]), 19))
+    with pytest.raises(ExpansionError, match="TERM_BUDGET"):
+        parse("(x+y)^40")
+    with pytest.raises(ExpansionError, match="TERM_BUDGET"):
+        girard.table_expression(40)
+
+
+def test_text_is_refused_above_the_text_budget():
+    # the tree text of P_-n doubles with each index: 14 MB at -18
+    with pytest.raises(PreconditionError, match="TEXT_BUDGET"):
+        rx.to_text(girard.girard_pair(-19).P)
 
 
 def test_from_freepoly_matches_evaluation():

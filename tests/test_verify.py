@@ -201,9 +201,22 @@ def test_add_worst_fails_a_nan_and_names_it_with_a_null_residual():
     report = Report()
     check = report.add_worst("x", [({"trial": 0}, 1e-20),
                                    ({"trial": 1}, float("nan"))], 1e-8)
-    assert not check.passed and check.residual == 1e-20
+    assert not check.passed and np.isnan(check.residual)
     assert check.witness == {"trial": 1, "residual": None}
     json.dumps(report.to_json_dict(), allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_add_worst_keeps_a_non_finite_worst_residual(bad):
+    # a later finite residual must not replace it, and strict JSON holds it
+    # as null
+    report = Report()
+    check = report.add_worst("x", [({"t": 0}, bad), ({"t": 1}, 1e-20),
+                                   ({"t": 2}, 2.0)], 1e-8)
+    assert not check.passed and not np.isfinite(check.residual)
+    assert check.witness == {"t": 0, "residual": None}
+    out = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+    assert out["checks"][0]["residual"] is None
 
 
 def test_finite_graded_map_validates_shapes():

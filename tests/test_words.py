@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ncsym.errors import ChartError, DimensionMismatchError
+from ncsym.errors import ChartError, DimensionMismatchError, PreconditionError
 from ncsym.linalg import direct_sum, rel_dist
-from ncsym.words import CHART_UV, FreePoly, MatrixTuple, s_even, s_odd
+from ncsym.words import (CHART_UV, TERM_BUDGET, FreePoly, MatrixTuple, s_even,
+                         s_odd)
 
 from helpers import ginibre, random_poly, well_conditioned
 
@@ -105,6 +108,20 @@ def test_chart_guard_blocks_double_substitution():
         (X + Y).to_uv().to_uv()
     with pytest.raises(ChartError):
         X.from_uv()
+
+
+def test_a_chart_change_over_the_term_budget_allocates_nothing():
+    # one word of degree 19 maps to 2^19 terms, twice TERM_BUDGET
+    p = FreePoly.word((0, 1) * 9 + (0,), 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="degree 19") as info:
+            p.to_uv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(TERM_BUDGET) in str(info.value)
+    assert peak < 2 ** 16  # a 2^19 complex vector is 8 MiB
 
 
 def test_v_parity_split():
