@@ -14,7 +14,11 @@ checked against direct u,v forms and matrix power sums.
 
 Sub-DAGs are shared, so P_n grows linearly in n; gamma beta^-1 Q_n is kept
 unexpanded, and symbolic comparisons go through the expansion with
-adjacent inverse pairs cancelled.
+adjacent inverse pairs cancelled.  The expanded table of P_n, n >= 0, is
+not read off the DAG: x^n + y^n is twice the sum of the even-v words of
+length n in u, v, each of which factors uniquely into u and blocks
+v u^j v (see symbasis), so table_expression enumerates those words
+directly, every coefficient 2, in time linear in the table's size.
 """
 
 from __future__ import annotations
@@ -25,14 +29,14 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .domains import pi
-from .errors import (DomainError, NumericalError, PreconditionError,
-                     SingularityError)
+from .errors import (DomainError, ExpansionError, NumericalError,
+                     PreconditionError, SingularityError)
 from .linalg import op_norm, random_tuple
-from .ratexpr import (ONE, ZERO, RatExpr, Scalar, Variable, add, as_ncpoly,
-                      evaluate, from_freepoly, inv, mul, scale)
+from .ratexpr import (ONE, ZERO, RatExpr, Scalar, Variable, add, evaluate,
+                      from_freepoly, inv, mul, scale)
 from .report import Report
-from .symbasis import ALPHA, BETA, GAMMA
-from .words import MatrixTuple, s_even, s_odd
+from .symbasis import ALPHA, BETA, GAMMA, U_ATOM, generator_word
+from .words import TERM_BUDGET, MatrixTuple, s_even, s_odd
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,28 @@ def girard_via_T(n: int) -> tuple:
 
 
 def table_expression(n: int) -> dict:
-    """Canonically expanded word form of P_n (n >= 0), inverse pairs
-    cancelled."""
-    return as_ncpoly(girard_positive(n).P)
+    """Expanded word form of P_n (n >= 0), {word: 2} over the atoms of
+    as_ncpoly.
+
+    The words are enumerated from the factorization of the even-v words
+    of length n into u and blocks v u^j v, each mapped by
+    generator_word, so there are no inverse pairs left to cancel.  The
+    table has 2^(n-1) words for n >= 1; above TERM_BUDGET it raises
+    ExpansionError before anything is built.
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if 2 ** (n - 1) > TERM_BUDGET:
+        raise ExpansionError(
+            f"the expansion may exceed TERM_BUDGET = {TERM_BUDGET} terms")
+    blocks = [generator_word(j) for j in range(n - 1)]
+    alpha = generator_word(U_ATOM)
+    words = [[()]]  # words[m]: the table words of the even-v words of length m
+    for m in range(1, n + 1):
+        words.append([alpha + w for w in words[m - 1]]
+                     + [blocks[j] + w for j in range(m - 1)
+                        for w in words[m - 2 - j]])
+    return dict.fromkeys(words[n], 2 + 0j)
 
 
 def _residual(n: int, p: RatExpr, w: MatrixTuple) -> float:

@@ -113,13 +113,23 @@ GAMMA = Variable("gamma")
 _BETA_INV = inv(BETA)
 
 
-def generator_image(atom: int) -> RatExpr:
-    """U -> alpha, M_0 -> beta, M_j -> gamma (beta^-1 gamma)^(j-1)."""
+_LETTERS = {("alpha", 1): ALPHA, ("beta", 1): BETA, ("gamma", 1): GAMMA,
+            ("beta", -1): _BETA_INV}
+
+
+def generator_word(atom: int) -> tuple:
+    """U -> alpha, M_0 -> beta, M_j -> gamma (beta^-1 gamma)^(j-1), as a
+    word over the expansion atoms (name, +1|-1) of ratexpr.as_ncpoly."""
     if atom == U_ATOM:
-        return ALPHA
+        return (("alpha", 1),)
     if atom == 0:
-        return BETA
-    return mul(GAMMA, *([_BETA_INV, GAMMA] * (atom - 1)))
+        return (("beta", 1),)
+    return (("gamma", 1),) + (("beta", -1), ("gamma", 1)) * (atom - 1)
+
+
+def generator_image(atom: int) -> RatExpr:
+    """The expression of generator_word(atom)."""
+    return mul(*map(_LETTERS.__getitem__, generator_word(atom)))
 
 
 def reduce_to_pi(g: GenPoly) -> RatExpr:

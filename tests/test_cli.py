@@ -53,6 +53,7 @@ def test_girard_with_verification(capsys):
 
 
 @pytest.mark.parametrize("n, digest", [
+    ("12", "35db8b80eb69b1035fdb7f29110be67f0d24a4f936d03f3c8d3615b15403e6a3"),
     ("16", "accbfa335ccbc96a3d19f7b8127db610f633819dab6a6e1939c719613e1a9ec6"),
     ("-16", "c9915ea3269fd1775b81d9eb8744c3efe71f4b9a42f57e695ff78517b47a3d9a"),
 ])

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncsym import girard
 from ncsym import ratexpr as rx
-from ncsym.errors import DomainError, PreconditionError
+from ncsym.errors import DomainError, ExpansionError, PreconditionError
 from ncsym.linalg import rel_dist
 from ncsym.words import MatrixTuple, s_even
 
@@ -27,6 +29,31 @@ def test_first_four_expressions_match_table_exactly():
     for n, want in TABLE.items():
         got = girard.table_expression(n)
         assert got == {w: complex(c) for w, c in want.items()}, f"n={n}"
+
+
+def test_table_is_the_expanded_power_sum_expression():
+    # the enumeration and the recursion P_{n+1} = alpha P_n + Q_n agree
+    for n in range(0, 13):
+        got = girard.table_expression(n)
+        assert got == rx.as_ncpoly(girard.girard_positive(n).P), f"n={n}"
+        assert all(type(c) is complex for c in got.values())
+
+
+def test_a_table_over_the_term_budget_allocates_nothing():
+    # P_20 has 2^19 table words, twice TERM_BUDGET
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExpansionError, match="TERM_BUDGET = 262144"):
+            girard.table_expression(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+
+
+def test_a_table_of_a_negative_index_is_refused():
+    with pytest.raises(ValueError, match="index must be >= 0"):
+        girard.table_expression(-1)
 
 
 def test_base_cases():

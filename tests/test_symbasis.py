@@ -7,7 +7,8 @@ from ncsym.errors import NotSymmetricError
 from ncsym.linalg import random_tuple, rel_dist
 from ncsym.parsing import parse
 from ncsym.symbasis import (GenPoly, U_ATOM, decompose_symmetric,
-                            factor_through_pi, generator_image, reduce_to_pi)
+                            factor_through_pi, generator_image, generator_word,
+                            reduce_to_pi)
 from ncsym.words import FreePoly
 
 from helpers import random_poly
@@ -68,6 +69,13 @@ def test_generator_images():
     assert rx.as_ncpoly(generator_image(1)) == {(G,): 1.0}
     assert rx.as_ncpoly(generator_image(2)) == {(G, Binv, G): 1.0}
     assert rx.as_ncpoly(generator_image(U_ATOM)) == {(A,): 1.0}
+    # one rule gives both the expression and the table word of a generator
+    assert generator_word(3) == (G, Binv, G, Binv, G)
+    for atom in range(U_ATOM, 6):
+        assert rx.as_ncpoly(generator_image(atom)) == {
+            generator_word(atom): 1.0}
+    assert rx.to_text(generator_image(3)) == \
+        "gamma*inv(beta)*gamma*inv(beta)*gamma"
 
 
 def test_round_trip_is_coefficient_exact():

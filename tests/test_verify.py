@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncsym import verify
+from ncsym import symbasis, verify
 from ncsym.errors import ContradictionError, EvaluatorError, PreconditionError
 from ncsym.linalg import random_tuple
 from ncsym.report import Report
@@ -38,6 +38,22 @@ def test_each_sampled_value_is_computed_once():
 
     verify.check_nc_properties(counted, _samples(rng), rng=rng)
     assert len(calls) == 4 * 3
+
+
+def test_each_symbasis_polynomial_is_decomposed_once(monkeypatch):
+    # the round trip and the evaluation through pi share one decomposition
+    calls = []
+    decompose = symbasis.decompose_symmetric
+
+    def counted(p):
+        calls.append(p)
+        return decompose(p)
+
+    monkeypatch.setattr(verify, "decompose_symmetric", counted)
+    monkeypatch.setattr(symbasis, "decompose_symmetric", counted)
+    report = verify.run_suite("symbasis", seed=0)
+    assert report.passed
+    assert len(calls) == 25
 
 
 def test_conjugation_map_fails_similarity_with_witness():
