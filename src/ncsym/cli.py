@@ -77,10 +77,8 @@ def _cmd_girard(args) -> int:
             levels = tuple(int(s) for s in args.levels.split(","))
         except ValueError as exc:
             raise PreconditionError(f"--levels: {exc}") from exc
-        tol = args.tol if args.tol is not None else \
-            (1e-7 if args.n < 0 else 1e-8)
         report = girard.verify_girard_random(
-            args.n, levels=levels, trials=args.trials, tol=tol,
+            args.n, levels=levels, trials=args.trials, tol=args.tol,
             seed=args.seed)
     if args.n >= 0:
         print(render_ncpoly(girard.table_expression(args.n)))
@@ -143,21 +141,21 @@ def _cmd_check_domain(args) -> int:
     out: dict = {"pred": pred}
     if pred in ("Q", "I", "So"):
         geometry._require_positive("tol", args.tol)
-    if pred in ("Q", "I"):
-        m = _load_matrix(args.matrix)
+    if pred == "I":
+        ratio = linalg.sv_ratio(_load_matrix(args.matrix))
+        out["value"] = ratio > args.tol  # in_I, from the same SVD
+        out["residuals"] = {"sv-ratio": ratio}
+    elif pred in ("Q", "So"):
         if pred == "Q":
-            s = linalg.spectrum(m)
-            out["value"] = linalg.in_Q(s, args.tol)
-            out["residuals"] = {"min-pair-sum": _q_margin(s)}
-        else:
-            ratio = linalg.sv_ratio(m)
-            out["value"] = ratio > args.tol  # in_I, from the same SVD
-            out["residuals"] = {"sv-ratio": ratio}
-    elif pred == "So":
-        w = _load_tuple(args.tuple, "--tuple")
-        s = linalg.spectrum(domains.uv_parts(w)[1])
-        out["value"] = linalg.in_Q(s, args.tol)  # in_S_o, from the same solve
-        out["residuals"] = {"min-pair-sum": _q_margin(s)}
+            m = _load_matrix(args.matrix)
+        else:  # in_S_o: v in Q, from the same split as pi's
+            m = domains.uv_parts(_load_tuple(args.tuple, "--tuple"))[1]
+        s = linalg.spectrum(m)
+        margin = linalg.q_margin(s)
+        if not np.isfinite(margin):  # JSON has no infinity
+            raise NumericalError("min-pair-sum overflows the float range")
+        out["value"] = linalg.in_Q(s, args.tol)
+        out["residuals"] = {"min-pair-sum": margin}
     elif pred == "D":
         m = _load_matrix(args.matrix)
         out["value"] = domains.in_D_gamma(m, _load_simple_set(args))
@@ -183,16 +181,6 @@ def _cmd_check_domain(args) -> int:
         raise PreconditionError(f"unknown predicate {pred}")
     _emit(out)
     return 0
-
-
-def _q_margin(m) -> float:
-    """Smallest |a + b| over eigenvalues a, b of m (or its Spectrum);
-    NumericalError when that overflows, as JSON has no infinity."""
-    eigs = linalg.spectrum(m).eigenvalues
-    margin = float(np.abs(eigs[:, None] + eigs[None, :]).min())
-    if not np.isfinite(margin):
-        raise NumericalError("min-pair-sum overflows the float range")
-    return margin
 
 
 def _as_poly(value, d: int) -> FreePoly:

@@ -27,7 +27,7 @@ from .errors import (IllConditionedInterpolationError,
 from .geometry import SimpleSet, propose_simple_set
 from .linalg import cluster_eigenvalues, spectrum
 
-MERGE_RTOL = 1e-6  # eigenvalues closer than this (rel. spectral radius) confluesce
+MERGE_LADDER = (1e-6, 1e-4, 1e-2)  # merge thresholds, rel. spectral radius
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ def _newton_coefficients(nodes: Sequence[tuple], reference: tuple,
 
 
 def matrix_function(x, domain: SimpleSet, const, root,
-                    merge_rtol: float = MERGE_RTOL) -> np.ndarray:
+                    merge_rtol: float = MERGE_LADDER[0]) -> np.ndarray:
     """Hermite-interpolated primary functions of x, a matrix or its
     Spectrum: an (m, n, n) stack, one matrix per germ.
 

@@ -31,12 +31,13 @@ import numpy as np
 from .domains import pi
 from .errors import (DomainError, ExpansionError, NumericalError,
                      PreconditionError, SingularityError)
-from .linalg import op_norm, random_tuple
-from .ratexpr import (ONE, ZERO, RatExpr, Scalar, Variable, add, evaluate,
-                      from_freepoly, inv, mul, scale)
+from .geometry import _require_positive
+from .linalg import random_tuple, rel_dist
+from .ratexpr import (ONE, RESAMPLE_CAP, ZERO, RatExpr, Scalar, Variable, add,
+                      evaluate, inv, mul, scale)
 from .report import Report
 from .symbasis import ALPHA, BETA, GAMMA, U_ATOM, generator_word
-from .words import TERM_BUDGET, MatrixTuple, s_even, s_odd
+from .words import TERM_BUDGET, MatrixTuple
 
 
 @dataclass(frozen=True)
@@ -96,20 +97,19 @@ def girard_pair(n: int) -> GirardPair:
 
 
 def girard_via_T(n: int) -> tuple:
-    """(p_n, q_n) directly in the variables u, v.
+    """(p_n, q_n) directly in the variables u, v: the u,v transfer
+    (p, q) -> (a p + b q, b p + a q), |n| times from (1, 0), doubled.
 
-    For n >= 0 these are twice the even/odd degree-n monomial sums; for
-    n < 0 they come from the entries of the inverse transfer matrix,
-    f_1 = (u - v u^-1 v)^-1 and g_1 = (v - u v^-1 u)^-1, composed by the
-    product recursion.
+    For n >= 0, (a, b) = (u, v) and p_n, q_n are twice the even/odd
+    degree-n monomial sums; for n < 0, (a, b) are the entries
+    (u - v u^-1 v)^-1 and (v - u v^-1 u)^-1 of the inverse transfer
+    matrix.  The DAG grows linearly in |n|.
     """
-    if n >= 0:
-        return (scale(2, from_freepoly(s_even(n), ("u", "v"))),
-                scale(2, from_freepoly(s_odd(n), ("u", "v"))))
-    u, v = Variable("u"), Variable("v")
-    f1 = inv(add(u, scale(-1, mul(v, inv(u), v))))
-    g1 = inv(add(v, scale(-1, mul(u, inv(v), u))))
-    f, g = _transfer(((f1, g1), (g1, f1)), (ONE, ZERO), -n)
+    a, b = u, v = Variable("u"), Variable("v")
+    if n < 0:
+        a = inv(add(u, scale(-1, mul(v, inv(u), v))))
+        b = inv(add(v, scale(-1, mul(u, inv(v), u))))
+    f, g = _transfer(((a, b), (b, a)), (ONE, ZERO), abs(n))
     return scale(2, f), scale(2, g)
 
 
@@ -160,22 +160,24 @@ def _residual(n: int, p: RatExpr, w: MatrixTuple) -> float:
         if not np.isfinite(m).all():
             raise NumericalError(f"{name} overflows the float range at "
                                  f"level {w.n}")
-    return op_norm(oracle - value) / (1.0 + op_norm(oracle))
+    return rel_dist(value, oracle)
 
 
 def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
-                         trials: int = 20, tol: float = 1e-8,
+                         trials: int = 20, tol: Optional[float] = None,
                          rng: Optional[np.random.Generator] = None,
                          seed: Optional[int] = None) -> Report:
     """Sampled verification over random pairs with v invertible.
 
-    P_n is built once.  Inadmissible draws (singular inverses for negative
-    indices) are resampled up to 50 times per trial; exhausting that
-    raises DomainError.  A sample at which P_n(pi(w)) or x^n + y^n
-    overflows raises NumericalError.  No levels or no trials would give a
-    verdict without a sample, so either raises PreconditionError, as do a
-    level below 1 and, when no rng is given, a negative seed.  A failing
-    level's witness is its first failing trial.
+    P_n is built once; tol defaults to 1e-7 for n < 0 and 1e-8 otherwise.
+    Inadmissible draws (singular inverses for negative indices) are
+    resampled up to RESAMPLE_CAP times per trial; exhausting that raises
+    DomainError.  A sample at which P_n(pi(w)) or x^n + y^n overflows
+    raises NumericalError.  No levels or no trials would give a verdict
+    without a sample, so either raises PreconditionError, as do a level
+    below 1, a tol that is not finite and positive and, when no rng is
+    given, a negative seed.  A failing level's witness is its first
+    failing trial.
     """
     levels = tuple(levels)
     if len(levels) * trials < 1 or min(levels) < 1:
@@ -183,13 +185,16 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                                 f"(each at least 1), trials={trials}")
     if rng is None and seed is not None and seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {seed}")
+    if tol is None:
+        tol = 1e-7 if n < 0 else 1e-8
+    _require_positive("tol", tol)
     rng = rng if rng is not None else np.random.default_rng(seed)
     p = girard_pair(n).P
     report = Report(seed=seed, tolerances={"residual": tol})
 
     def residuals(level):
         for trial in range(trials):
-            for _attempt in range(50):
+            for _attempt in range(RESAMPLE_CAP):
                 w = random_tuple(level, 2, ("v-invertible",), rng)
                 try:
                     r = _residual(n, p, w)
@@ -198,7 +203,7 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                 break
             else:
                 raise DomainError(f"no admissible level-{level} sample for "
-                                  f"P_{n} in 50 draws")
+                                  f"P_{n} in {RESAMPLE_CAP} draws")
             yield {"trial": trial}, r
 
     with np.errstate(over="ignore", invalid="ignore"):

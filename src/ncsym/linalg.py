@@ -65,11 +65,19 @@ def rel_dist(a: np.ndarray, b: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """A matrix, its eigenvalues with multiplicity sorted by (real, imag),
-    and its 2-norm once asked for: every spectral function takes one."""
+    """A matrix, its eigenvalues with multiplicity sorted by (real, imag)
+    and its 2-norm, each solved on first read: every spectral function
+    takes one."""
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        try:
+            eigs = np.linalg.eigvals(self.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK
+            raise NumericalError(f"eigensolver failed: {exc}") from exc
+        return eigs[np.lexsort((eigs.imag, eigs.real))]
 
     @cached_property
     def norm(self) -> float:
@@ -80,13 +88,7 @@ def spectrum(x) -> Spectrum:
     """The Spectrum of a matrix; a Spectrum is returned as it is."""
     if isinstance(x, Spectrum):
         return x
-    x = np.asarray(x, dtype=complex)
-    try:
-        eigs = np.linalg.eigvals(x)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigensolver failed: {exc}") from exc
-    order = np.lexsort((eigs.imag, eigs.real))
-    return Spectrum(x, eigs[order])
+    return Spectrum(np.asarray(x, dtype=complex))
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,17 @@ def eval_delta(delta: Sequence[Sequence[FreePoly]], x: MatrixTuple) -> np.ndarra
 
 def in_Q(x, tol: float = DEFAULT_TOL) -> bool:
     """True iff the spectrum of x, a matrix or its Spectrum, is disjoint
-    from its negative.
+    from its negative: q_margin(x) > tol (1 + spectral radius).  Any
+    matrix with 0 in its spectrum fails (0 pairs with itself)."""
+    s = spectrum(x)
+    scale = 1.0 + float(np.abs(s.eigenvalues).max(initial=0.0))
+    return q_margin(s) > tol * scale
 
-    Any matrix with 0 in its spectrum fails (0 pairs with itself).
-    """
+
+def q_margin(x) -> float:
+    """Min |a + b| over eigenvalues a, b of x, a matrix or its Spectrum."""
     eigs = spectrum(x).eigenvalues
-    scale = 1.0 + float(np.abs(eigs).max(initial=0.0))
-    sums = np.abs(eigs[:, None] + eigs[None, :])
-    return bool(sums.min() > tol * scale)
+    return float(np.abs(eigs[:, None] + eigs[None, :]).min())
 
 
 def in_I(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import (AssignmentError, ExpansionError, InconclusiveError,
                      PreconditionError, SingularityError)
-from .linalg import op_norm, random_unit_norm
+from .linalg import in_I, op_norm, random_unit_norm
 from .words import (TERM_BUDGET, FreePoly, add_terms, format_complex,
                     mul_terms, render_terms)
 
@@ -248,6 +248,8 @@ def _as_square(value, name: str) -> np.ndarray:
         m = m.reshape(1, 1)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise AssignmentError(f"value for {name!r} is not square: {m.shape}")
+    if not np.isfinite(m).all():
+        raise AssignmentError(f"value for {name!r} is not finite")
     return m
 
 
@@ -255,9 +257,11 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
              n: Optional[int] = None) -> np.ndarray:
     """Bottom-up evaluation on an assignment of square matrices.
 
-    All assigned matrices must share one size; plain complex numbers are
-    treated as 1x1 matrices.  n fixes the level when the expression uses
-    no variables at all.
+    All assigned matrices must be finite and share one size; plain
+    complex numbers are treated as 1x1 matrices.  n fixes the level when
+    the expression uses no variables at all.  An Inverse node is singular
+    when its child fails in_I at SINGULARITY_RTOL; an overflowed child
+    raises NumericalError.
     """
     mats = {name: _as_square(v, name) for name, v in assignment.items()}
     sizes = {m.shape[0] for m in mats.values()}
@@ -294,8 +298,7 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
             val = node.coeff * vals[id(node.child)]
         else:
             child = vals[id(node.child)]
-            s = np.linalg.svd(child, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= SINGULARITY_RTOL * s[0]:
+            if not in_I(child, SINGULARITY_RTOL):
                 raise SingularityError(
                     f"singular inverse at sub-expression {to_text(node)}",
                     expression=node)

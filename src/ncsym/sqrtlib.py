@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (ClusteringError, NumericalError, PreconditionError,
                      UnsupportedError)
-from .funcalc import SIGN_BLOCK, matrix_function, sign_patterns
+from .funcalc import MERGE_LADDER, SIGN_BLOCK, matrix_function, sign_patterns
 from .geometry import SimpleSet, _require_positive, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
 from .linalg import (alg_residual, fro_norms, matrix_to_lists,
@@ -120,9 +120,6 @@ def _zero_extended_domain(nonzero: SimpleSet, eigenvalues) -> SimpleSet:
     return domain
 
 
-MERGE_LADDER = (1e-6, 1e-4, 1e-2)
-
-
 def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
                      gap: Optional[float] = None) -> RootSet:
     """Enumerate every square root of x, a matrix or its Spectrum, in
@@ -141,12 +138,14 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
-    (UnsupportedError), a gap that is not finite and positive or more
-    roots than STACK_BUDGET holds (PreconditionError), and roots failing
-    a check at every rung (NumericalError): a partial list would betray
-    the 2^k contract.  A looser tol opts in to degraded accuracy, which
-    the result records per root.
+    (UnsupportedError), a tol, alg_tol or gap that is not finite and
+    positive or more roots than STACK_BUDGET holds (PreconditionError),
+    and roots failing a check at every rung (NumericalError): a partial
+    list would betray the 2^k contract.  A looser tol opts in to degraded
+    accuracy, which the result records per root.
     """
+    _require_positive("tol", tol)
+    _require_positive("alg_tol", alg_tol)
     if gap is not None:
         _require_positive("gap", gap)
     s = spectrum(x)

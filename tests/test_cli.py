@@ -321,6 +321,8 @@ def test_a_tol_that_is_not_finite_and_positive_exits_2(tol, files, capsys,
     path.write_text(json.dumps(tuple_to_json_dict(w)))
     assert main(["check-domain", "--pred", "Ugamma", "--tuple", str(path),
                  "--centers", "1,4", "--radius", "0.4", "--tol", tol]) == 2
+    # P_5 is refused with its verification, before it is printed
+    assert main(["girard", "--n", "5", "--verify", "--tol", tol]) == 2
     assert capsys.readouterr().out == ""
 
 

@@ -226,6 +226,7 @@ def test_in_U_gamma_with_more_discs_than_eigenvalues():
 def test_in_U_gamma_solves_for_the_spectrum_once(monkeypatch):
     x = np.diag([1.0, 4.0]).astype(complex)
     s = spectrum(x)
+    s.eigenvalues  # solved on first read, before the recording starts
     calls = record_eigensolves(monkeypatch)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     for delta, generic in ((domains.SimpleSet((1.0, 4.0), 0.4), True),
@@ -331,6 +332,10 @@ def test_a_tol_that_is_not_finite_and_positive_is_refused(tol):
     u, x = np.diag([2.0, 3.0]), np.diag([1.0, 4.0])
     with pytest.raises(PreconditionError, match="tol"):
         domains.in_U_gamma(u, x, domains.SimpleSet((1.0, 4.0), 0.4), tol=tol)
+    # x has four roots, but no such tol can judge them
+    for name in ("tol", "alg_tol"):
+        with pytest.raises(PreconditionError, match=name):
+            sqrtlib.all_square_roots(x, **{name: tol})
 
 
 @pytest.mark.parametrize("gap", [float("nan"), -1.0, 0.0, float("inf")])

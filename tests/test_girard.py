@@ -7,7 +7,7 @@ from ncsym import girard
 from ncsym import ratexpr as rx
 from ncsym.errors import DomainError, ExpansionError, PreconditionError
 from ncsym.linalg import rel_dist
-from ncsym.words import MatrixTuple, s_even
+from ncsym.words import MatrixTuple, s_even, s_odd
 
 from helpers import ginibre, scalar_eval
 
@@ -92,6 +92,25 @@ def test_via_T_examples():
     pm1, _ = girard.girard_via_T(-1)
     got = rx.evaluate(pm1, {"u": 3.0, "v": 1.0})
     assert abs(got[0, 0] - 0.75) < 1e-12
+
+
+def test_via_T_expands_to_twice_the_even_and_odd_word_sums():
+    # a pin: the u,v transfer against the words enumerated by s_even, s_odd
+    for n in range(0, 13):
+        for got, want in zip(girard.girard_via_T(n), (s_even(n), s_odd(n))):
+            assert rx.as_ncpoly(got) == {
+                tuple((("u", "v")[k], 1) for k in w): 2 * c
+                for w, c in want.terms.items()}, f"n={n}"
+
+
+def test_via_T_grows_linearly():
+    # two sums and four products per step; each index is bounded before
+    # the next is built, as a word expansion would hold 2^(n-1) words
+    sizes = []
+    for n in (8, 16, 24):
+        sizes.append(len(rx._postorder(girard.girard_via_T(n)[0])))
+        assert sizes[-1] <= 6 * n
+    assert sizes[2] - sizes[1] == sizes[1] - sizes[0]
 
 
 def test_via_T_agrees_with_coordinate_path():

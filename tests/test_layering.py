@@ -45,26 +45,39 @@ def test_module_graph_is_acyclic_and_layered():
         assert not graph[name] & set(LAYERS[i + 1:]), name
 
 
-def _eig_calls(tree) -> list:
-    """The calls in tree of a routine named eig*, as np.linalg.eigvals or
-    as a name imported from numpy.linalg."""
+def _calls(tree, prefix: str) -> list:
+    """The calls in tree of a routine whose name starts with prefix, as
+    np.linalg.<name> or as a name imported from numpy.linalg."""
     return [node for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and getattr(node.func, "attr", getattr(node.func, "id", ""))
-            .startswith("eig")]
+            .startswith(prefix)]
+
+
+def _callers(trees, prefix: str) -> list:
+    """module.function for each function that makes such a call."""
+    return [f"{name}.{func.name}"
+            for name, tree in trees.items()
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and _calls(func, prefix)]
 
 
 def test_one_function_solves_for_eigenvalues():
     # every other spectral function takes the Spectrum that linalg.spectrum
-    # returns, so a second solve path cannot creep back
+    # returns and reads its eigenvalues, so a second solve path cannot
+    # creep back
     trees = _trees()
-    solvers = [f"{name}.{func.name}"
-               for name, tree in trees.items()
-               for func in ast.walk(tree)
-               if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and _eig_calls(func)]
-    assert solvers == ["linalg.spectrum"]
-    assert sum(len(_eig_calls(tree)) for tree in trees.values()) == 1
+    assert _callers(trees, "eig") == ["linalg.eigenvalues"]  # Spectrum's
+    assert sum(len(_calls(tree, "eig")) for tree in trees.values()) == 1
+
+
+def test_singular_values_are_taken_in_linalg():
+    # norms and the invertibility test live in linalg; outside it only a
+    # rank test and a null space need the singular values themselves
+    outside = [name for name in _callers(_trees(), "svd")
+               if not name.startswith("linalg.")]
+    assert outside == ["sqrtlib.sqrt_exists", "verify._intertwiner_basis"]
 
 
 def _readme_entry_points() -> set:

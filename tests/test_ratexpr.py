@@ -6,8 +6,8 @@ import pytest
 
 from ncsym import girard
 from ncsym import ratexpr as rx
-from ncsym.errors import (AssignmentError, ExpansionError, PreconditionError,
-                          SingularityError)
+from ncsym.errors import (AssignmentError, ExpansionError, NumericalError,
+                          PreconditionError, SingularityError)
 from ncsym.linalg import rel_dist
 from ncsym.parsing import parse
 from ncsym.words import TERM_BUDGET, FreePoly
@@ -43,6 +43,16 @@ def test_singularity_error_carries_subexpression():
         assert exc.expression is e2
     else:  # pragma: no cover
         pytest.fail("expected SingularityError")
+
+
+def test_non_finite_values_are_refused_not_inverted():
+    x = rx.Variable("x")
+    with pytest.raises(AssignmentError, match="not finite"):
+        rx.evaluate(rx.inv(x), {"x": [[np.nan]]})
+    # x*x overflows to inf: its inverse has no singular values to judge
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError):
+        rx.evaluate(rx.inv(x * x), {"x": np.diag([1e200, 1.0])})
 
 
 def test_missing_assignment_and_size_mismatch():

@@ -298,15 +298,17 @@ def test_square_certificate_bounds_the_exact_residuals(x, gap, monkeypatch):
     assert rs.square_residuals == (bounds[-1],) * len(roots)
     assert same(rs, outcome(sqrtlib.SQ_TOL, exact_path))
     # a tol that only the exact residuals meet: the fallback decides, with
-    # the same roots and rung
-    mid = 0.5 * (exact.max() + bounds[-1])
+    # the same roots and rung.  A tol must be positive: where both are 0
+    # (far-from-normal-1e+09), the least positive double stands in for 0
+    least = np.nextafter(0.0, 1.0)
+    mid = max(0.5 * (exact.max() + bounds[-1]), least)
     fallback = outcome(mid, certificate)
     assert same(fallback, rs)
     assert fallback.square_residuals == outcome(mid, exact_path)\
         .square_residuals
     # a tol below them: the same root is named in the same refusal, or a
     # later rung passes on both paths
-    low = 0.5 * exact.min()
+    low = max(0.5 * exact.min(), least)
     assert same(outcome(low, certificate), outcome(low, exact_path))
 
 

@@ -41,19 +41,25 @@ def test_each_sampled_value_is_computed_once():
 
 
 def test_each_symbasis_polynomial_is_decomposed_once(monkeypatch):
-    # the round trip and the evaluation through pi share one decomposition
-    calls = []
-    decompose = symbasis.decompose_symmetric
+    # the round trip and the evaluation through pi share one decomposition,
+    # and the decomposition and the round trip one chart change
+    calls, charts = [], []
+    decompose, to_uv = symbasis.decompose_symmetric, FreePoly.to_uv
 
     def counted(p):
         calls.append(p)
         return decompose(p)
 
+    def counted_chart(p):
+        charts.append(p)
+        return to_uv(p)
+
     monkeypatch.setattr(verify, "decompose_symmetric", counted)
     monkeypatch.setattr(symbasis, "decompose_symmetric", counted)
+    monkeypatch.setattr(FreePoly, "to_uv", counted_chart)
     report = verify.run_suite("symbasis", seed=0)
     assert report.passed
-    assert len(calls) == 25
+    assert len(calls) == len(charts) == 25
 
 
 def test_conjugation_map_fails_similarity_with_witness():
