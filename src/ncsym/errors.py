@@ -64,11 +64,13 @@ class DomainError(PreconditionError):
 
 
 class SingularityError(NumericalError):
-    """An inverse node was evaluated at a numerically singular matrix."""
+    """An inverse node was evaluated at a numerically singular matrix;
+    samples masks the points of the evaluated stack singular there."""
 
-    def __init__(self, message, expression=None):
+    def __init__(self, message, expression=None, samples=None):
         super().__init__(message)
         self.expression = expression
+        self.samples = samples
 
 
 class InconclusiveError(NumericalError):

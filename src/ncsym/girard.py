@@ -34,10 +34,10 @@ from .errors import (DomainError, ExpansionError, NumericalError,
 from .geometry import _require_positive
 from .linalg import random_tuple, rel_dist
 from .ratexpr import (ONE, RESAMPLE_CAP, ZERO, RatExpr, Scalar, Variable, add,
-                      evaluate, inv, mul, scale)
+                      evaluate, inv, mul, sample_nonsingular, scale)
 from .report import Report
 from .symbasis import ALPHA, BETA, GAMMA, U_ATOM, generator_word
-from .words import TERM_BUDGET, MatrixTuple
+from .words import TERM_BUDGET
 
 
 @dataclass(frozen=True)
@@ -138,29 +138,40 @@ def table_expression(n: int) -> dict:
     return dict.fromkeys(words[n], 2 + 0j)
 
 
-def _residual(n: int, p: RatExpr, w: MatrixTuple) -> float:
-    """Relative residual of x^n + y^n, by direct matrix powers, against
-    p = P_n at pi(w).
+def _power_sums(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """x^n + y^n, by direct matrix powers, for each pair of two stacks.
+
+    For n < 0 a pair with a matrix that LAPACK finds exactly singular has
+    no such powers: SingularityError, whose samples masks those pairs.
+    """
+    try:
+        return np.linalg.matrix_power(x, n) + np.linalg.matrix_power(y, n)
+    except np.linalg.LinAlgError as exc:
+        singular = np.zeros(len(x), dtype=bool)
+        for t, pair in enumerate(zip(x, y)):
+            try:
+                np.linalg.inv(pair)
+            except np.linalg.LinAlgError:
+                singular[t] = True
+        raise SingularityError(f"matrix power failed: {exc}",
+                               samples=singular) from exc
+
+
+def _residuals(n: int, p: RatExpr, points: list) -> list:
+    """Relative residuals of x^n + y^n against p = P_n at pi(w), for the
+    pairs w of points, evaluated as one stack.
 
     Raises NumericalError, before any norm is taken, when either side
     overflows the float range.
     """
-    t = pi(w)
-    try:
-        value = evaluate(p, {"alpha": t[0], "beta": t[1], "gamma": t[2]})
-    except SingularityError as exc:
-        raise DomainError(
-            f"sample outside the domain of P_{n}: {exc}") from exc
-    try:
-        oracle = np.linalg.matrix_power(np.asarray(w[0]), n) \
-            + np.linalg.matrix_power(np.asarray(w[1]), n)
-    except np.linalg.LinAlgError as exc:
-        raise DomainError(f"matrix power failed: {exc}") from exc
+    alpha, beta, gamma = (np.stack(c) for c in zip(*map(pi, points)))
+    value = evaluate(p, {"alpha": alpha, "beta": beta, "gamma": gamma})
+    oracle = _power_sums(*(np.stack(w) for w in zip(*points)), n)
     for name, m in ((f"P_{n}(pi(w))", value), (f"x^{n} + y^{n}", oracle)):
         if not np.isfinite(m).all():
             raise NumericalError(f"{name} overflows the float range at "
-                                 f"level {w.n}")
-    return rel_dist(value, oracle)
+                                 f"level {points[0].n}")
+    return rel_dist(value, oracle).tolist()
 
 
 def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
@@ -169,15 +180,16 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                          seed: Optional[int] = None) -> Report:
     """Sampled verification over random pairs with v invertible.
 
-    P_n is built once; tol defaults to 1e-7 for n < 0 and 1e-8 otherwise.
-    Inadmissible draws (singular inverses for negative indices) are
-    resampled up to RESAMPLE_CAP times per trial; exhausting that raises
-    DomainError.  A sample at which P_n(pi(w)) or x^n + y^n overflows
-    raises NumericalError.  No levels or no trials would give a verdict
-    without a sample, so either raises PreconditionError, as do a level
-    below 1, a tol that is not finite and positive and, when no rng is
-    given, a negative seed.  A failing level's witness is its first
-    failing trial.
+    P_n is built once, and the trials of a level are drawn in turn and
+    evaluated as one stack; tol defaults to 1e-7 for n < 0 and 1e-8
+    otherwise.  Inadmissible draws (singular inverses for negative
+    indices) are redrawn alone, up to RESAMPLE_CAP draws per trial;
+    exhausting that raises DomainError.  A sample at which P_n(pi(w)) or
+    x^n + y^n overflows raises NumericalError.  No levels or no trials
+    would give a verdict without a sample, so either raises
+    PreconditionError, as do a level below 1, a tol that is not finite
+    and positive and, when no rng is given, a negative seed.  A failing
+    level's witness is its first failing trial.
     """
     levels = tuple(levels)
     if len(levels) * trials < 1 or min(levels) < 1:
@@ -191,23 +203,14 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
     rng = rng if rng is not None else np.random.default_rng(seed)
     p = girard_pair(n).P
     report = Report(seed=seed, tolerances={"residual": tol})
-
-    def residuals(level):
-        for trial in range(trials):
-            for _attempt in range(RESAMPLE_CAP):
-                w = random_tuple(level, 2, ("v-invertible",), rng)
-                try:
-                    r = _residual(n, p, w)
-                except DomainError:
-                    continue
-                break
-            else:
-                raise DomainError(f"no admissible level-{level} sample for "
-                                  f"P_{n} in {RESAMPLE_CAP} draws")
-            yield {"trial": trial}, r
-
     with np.errstate(over="ignore", invalid="ignore"):
         for level in levels:
+            _, measured, _ = sample_nonsingular(
+                lambda: random_tuple(level, 2, ("v-invertible",), rng),
+                lambda points: _residuals(n, p, points), trials,
+                DomainError(f"no admissible level-{level} sample for "
+                            f"P_{n} in {RESAMPLE_CAP} draws"))
             report.add_worst(f"girard-n={n}-level={level}-x{trials}",
-                             residuals(level), tol)
+                             (({"trial": t}, r) for t, r in
+                              enumerate(measured)), tol)
     return report

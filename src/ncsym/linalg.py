@@ -23,6 +23,7 @@ from .errors import (DimensionMismatchError, GenerationError, NumericalError,
 from .words import FreePoly, MatrixTuple
 
 DEFAULT_TOL = 1e-10
+_LEAST = np.nextafter(0.0, 1.0)  # the least positive (subnormal) double
 
 
 def op_norm(x: np.ndarray) -> float:
@@ -58,9 +59,12 @@ def _finite_norms(a: np.ndarray) -> np.ndarray:
     return s[..., 0]
 
 
-def rel_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b|| / (1 + ||b||) with the operator norm."""
-    return op_norm(np.asarray(a) - np.asarray(b)) / (1.0 + op_norm(b))
+def rel_dist(a: np.ndarray, b: np.ndarray):
+    """||a - b|| / (1 + ||b||) with the operator norm: a float for two
+    matrices, an array of m for two (m, n, n) stacks, pair by pair."""
+    b = np.asarray(b)
+    norm = op_norm if b.ndim == 2 else op_norms
+    return norm(np.asarray(a) - b) / (1.0 + norm(b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,29 +180,38 @@ def q_margin(x) -> float:
 
 
 def in_I(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """Numerical invertibility: smallest singular value > tol * largest."""
+    """Numerical invertibility: smallest singular value > tol * largest;
+    a mask of m for an (m, n, n) stack."""
     return sv_ratio(x) > tol
 
 
-def sv_ratio(x: np.ndarray) -> float:
+def sv_ratio(x: np.ndarray):
     """Smallest over largest singular value; 0.0 for a zero or empty x.
 
-    Taken on x / (largest entry), whose 2-norm cannot overflow: LAPACK
-    returns inf or NaN singular values for a matrix whose norm does.  A
-    non-finite x has no singular values: NumericalError.
+    x is one matrix (the result is a float) or an (m, n, n) stack (an
+    array of m ratios from one batched SVD).  Taken on x / (largest
+    entry), whose 2-norm cannot overflow: LAPACK returns inf or NaN
+    singular values for a matrix whose norm does.  A non-finite x has no
+    singular values: NumericalError.
     """
     y, peak = peak_scaled(x)
-    if peak == 0.0:
-        return 0.0
-    if not np.isfinite(peak):
-        raise NumericalError("singular values of a non-finite matrix")
-    s = np.linalg.svd(y, compute_uv=False)
-    return float(s[-1] / s[0])
+    if y.shape[-1] == 0:
+        return np.zeros(y.shape[:-2]) if y.ndim > 2 else 0.0
+    try:
+        s = np.linalg.svd(y, compute_uv=False)
+    except np.linalg.LinAlgError as exc:  # NaNs in y: LAPACK checks for them
+        raise NumericalError("singular values of a non-finite matrix") \
+            from exc
+    # an entry of y has a part of size 1, so s[0] >= 1 unless y = 0
+    ratio = s[..., -1] / np.maximum(s[..., 0], _LEAST)
+    return ratio if y.ndim > 2 else float(ratio)
 
 
 def peak_scaled(x: np.ndarray) -> tuple:
     """(x / peak, peak), with peak the largest real or imaginary part of an
-    entry in absolute value; (x, 0.0) for a zero or empty x.
+    entry in absolute value; a zero or empty x is left as it is, with
+    peak 0.0.  For an (m, n, n) stack each matrix is scaled by its own
+    peak, and peak is an array of m.
 
     Every entry of the quotient lies in the unit square, so its norms and
     its square cannot overflow.  The division goes part by part, on the
@@ -206,10 +219,10 @@ def peak_scaled(x: np.ndarray) -> tuple:
     """
     x = np.ascontiguousarray(x, dtype=complex)
     parts = x.view(np.float64)
-    peak = float(np.abs(parts).max(initial=0.0))
-    if peak == 0.0:
-        return x, 0.0
-    return (parts / peak).view(complex), peak
+    peak = np.abs(parts).max(axis=(-2, -1), initial=0.0)
+    # any nonzero peak is at least _LEAST; a zero x divided by it stays 0
+    y = parts / np.maximum(peak, _LEAST)[..., None, None]
+    return y.view(complex), (peak if x.ndim > 2 else float(peak))
 
 
 def numerical_rank(x: np.ndarray, threshold: float) -> int:

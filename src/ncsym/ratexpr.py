@@ -5,9 +5,10 @@ Inverse.  Constructors flatten nested sums/products and fold scalar
 arithmetic but perform no other simplification, so generated expressions
 keep their structure and sub-DAGs stay shared.
 
-Evaluation substitutes square matrices for variables bottom-up; an Inverse
-node whose child is numerically singular raises SingularityError carrying
-that sub-expression.  Expansion to a word polynomial over variables and
+Evaluation substitutes square matrices, or stacks of them, one point
+each, for variables bottom-up; an Inverse node whose child is numerically
+singular raises SingularityError carrying that sub-expression and the
+points where it is singular.  Expansion to a word polynomial over variables and
 their formal inverses (with adjacent x*inv(x) pairs cancelled) provides
 exact symbolic comparison for expressions that are polynomial in atomic
 inverses.
@@ -26,8 +27,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (AssignmentError, ExpansionError, InconclusiveError,
-                     PreconditionError, SingularityError)
-from .linalg import in_I, op_norm, random_unit_norm
+                     NumericalError, PreconditionError, SingularityError)
+from .linalg import in_I, op_norms, random_unit_norm
 from .words import (TERM_BUDGET, FreePoly, add_terms, format_complex,
                     mul_terms, render_terms)
 
@@ -243,10 +244,11 @@ def _postorder(e: RatExpr) -> list:
 # -- evaluation ---------------------------------------------------------------
 
 def _as_square(value, name: str) -> np.ndarray:
-    m = np.asarray(value, dtype=complex)
+    """A complex copy of value: one (n, n) matrix or an (m, n, n) stack."""
+    m = np.array(value, dtype=complex)
     if m.ndim == 0:
         m = m.reshape(1, 1)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise AssignmentError(f"value for {name!r} is not square: {m.shape}")
     if not np.isfinite(m).all():
         raise AssignmentError(f"value for {name!r} is not finite")
@@ -257,16 +259,24 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
              n: Optional[int] = None) -> np.ndarray:
     """Bottom-up evaluation on an assignment of square matrices.
 
-    All assigned matrices must be finite and share one size; plain
-    complex numbers are treated as 1x1 matrices.  n fixes the level when
-    the expression uses no variables at all.  An Inverse node is singular
-    when its child fails in_I at SINGULARITY_RTOL; an overflowed child
-    raises NumericalError.
+    Every value is one (n, n) matrix, or every value is an (m, n, n)
+    stack of m points, all evaluated in one walk of the DAG; the result
+    is a new array of that shape.  All values must be finite and share
+    one size; plain complex numbers are treated as 1x1 matrices.  n fixes
+    the level when the expression uses no variables at all.  An Inverse
+    node is singular at the points where its child fails in_I at
+    SINGULARITY_RTOL: SingularityError, whose samples masks those points.
+    A child that overflowed raises NumericalError.  Both name the
+    sub-expression, and the arithmetic runs with numpy's overflow and
+    invalid-value warnings off.
     """
     mats = {name: _as_square(v, name) for name, v in assignment.items()}
-    sizes = {m.shape[0] for m in mats.values()}
+    sizes = {m.shape[-1] for m in mats.values()}
     if len(sizes) > 1:
         raise AssignmentError(f"assigned sizes differ: {sorted(sizes)}")
+    stacks = {m.shape[:-2] for m in mats.values()}
+    if len(stacks) > 1:
+        raise AssignmentError(f"assigned stacks differ: {sorted(stacks)}")
     if sizes:
         level = sizes.pop()
         if n is not None and n != level:
@@ -275,36 +285,48 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
         level = n
     else:
         raise AssignmentError("no assignment values and no explicit size")
-    eye = np.eye(level, dtype=complex)
+    eye = np.empty((stacks.pop() if stacks else ()) + (level, level),
+                   dtype=complex)
+    eye[...] = np.eye(level)
     vals: dict[int, np.ndarray] = {}
-    for node in _postorder(e):
-        if isinstance(node, Variable):
-            try:
-                val = mats[node.name]
-            except KeyError:
-                raise AssignmentError(f"no value for variable {node.name!r}") \
-                    from None
-        elif isinstance(node, Scalar):
-            val = node.value * eye
-        elif isinstance(node, Sum):
-            val = vals[id(node.children[0])].copy()
-            for c in node.children[1:]:
-                val += vals[id(c)]
-        elif isinstance(node, Product):
-            val = vals[id(node.children[0])]
-            for c in node.children[1:]:
-                val = val @ vals[id(c)]
-        elif isinstance(node, ScalarMul):
-            val = node.coeff * vals[id(node.child)]
-        else:
-            child = vals[id(node.child)]
-            if not in_I(child, SINGULARITY_RTOL):
-                raise SingularityError(
-                    f"singular inverse at sub-expression {to_text(node)}",
-                    expression=node)
-            val = np.linalg.inv(child)
-        vals[id(node)] = val
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node in _postorder(e):
+            if isinstance(node, Variable):
+                try:
+                    val = mats[node.name]
+                except KeyError:
+                    raise AssignmentError(
+                        f"no value for variable {node.name!r}") from None
+            elif isinstance(node, Scalar):
+                val = node.value * eye
+            elif isinstance(node, Sum):
+                val = vals[id(node.children[0])].copy()
+                for c in node.children[1:]:
+                    val += vals[id(c)]
+            elif isinstance(node, Product):
+                val = vals[id(node.children[0])]
+                for c in node.children[1:]:
+                    val = val @ vals[id(c)]
+            elif isinstance(node, ScalarMul):
+                val = node.coeff * vals[id(node.child)]
+            else:
+                val = _inverse(node, vals[id(node.child)])
+            vals[id(node)] = val
     return vals[id(e)]
+
+
+def _inverse(node: Inverse, child: np.ndarray) -> np.ndarray:
+    """The inverse of an Inverse node's value at every point at once."""
+    try:
+        invertible = np.atleast_1d(in_I(child, SINGULARITY_RTOL))
+    except NumericalError as exc:
+        raise NumericalError(
+            f"{exc} at sub-expression {to_text(node)}") from exc
+    if not invertible.all():
+        raise SingularityError(
+            f"singular inverse at sub-expression {to_text(node)}",
+            expression=node, samples=~invertible)
+    return np.linalg.inv(child)
 
 
 def substitute(e: RatExpr, mapping: Mapping[str, RatExpr]) -> RatExpr:
@@ -421,7 +443,11 @@ def from_freepoly(p: FreePoly, names: Sequence[str]) -> RatExpr:
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
-    """Outcome of sampling-based comparison; never a proof of equality."""
+    """Outcome of sampling-based comparison; never a proof of equality.
+
+    samples counts the points at which both expressions were evaluated
+    and compared, resamples the singular draws replaced on the way.
+    """
 
     equal_on_samples: bool
     levels: tuple
@@ -429,9 +455,34 @@ class EquivalenceVerdict:
     residual: float = 0.0
     witness_level: Optional[int] = None
     witness: Optional[dict] = None
+    samples: int = 0
+    resamples: int = 0
 
     def __bool__(self):
         return self.equal_on_samples
+
+
+def sample_nonsingular(draw: Callable[[], object],
+                       judge: Callable[[list], object], trials: int,
+                       exhausted: Exception) -> tuple:
+    """(points, judge(points), resamples) for trials points from draw().
+
+    judge takes every point at once.  When it raises SingularityError,
+    the points its samples mask are redrawn alone, in order, the others
+    kept, and judge runs again.  A point still singular at its
+    RESAMPLE_CAP-th draw raises exhausted instead.
+    """
+    points = [draw() for _ in range(trials)]
+    draws = [1] * trials
+    while True:
+        try:
+            return points, judge(points), sum(draws) - trials
+        except SingularityError as exc:
+            for t in np.flatnonzero(exc.samples):
+                if draws[t] == RESAMPLE_CAP:
+                    raise exhausted from exc
+                points[t] = draw()
+                draws[t] += 1
 
 
 def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
@@ -442,9 +493,12 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
     """Compare on random unit-norm complex Gaussian assignments per level;
     a relative residual above 1e-8 is a witness that the two differ.
 
-    Resamples on SingularityError up to a retry cap for each (level, trial);
-    raises InconclusiveError if the cap is exhausted (domain too thin), and
-    PreconditionError when no levels or no trials leave nothing to sample.
+    The trials of a level are drawn in turn and evaluated as one stack,
+    one walk of each DAG; the witness is the first failing trial.  A
+    singular draw is redrawn alone, up to RESAMPLE_CAP draws for each
+    (level, trial); InconclusiveError once the cap is exhausted (domain
+    too thin), and PreconditionError when no levels or no trials leave
+    nothing to sample.
     """
     levels = tuple(levels)
     if len(levels) * trials < 1:
@@ -452,29 +506,34 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
             f"no samples to judge: levels={levels}, trials={trials}")
     rng = rng or np.random.default_rng()
     names = sorted(free_variables(e1) | free_variables(e2))
-    worst = 0.0
+
+    def residuals(points: list, level: int) -> list:
+        stack = {nm: np.stack([p[nm] for p in points]) for nm in names}
+        v1 = evaluate(e1, stack, n=level)
+        v2 = evaluate(e2, stack, n=level)
+        gap, n1, n2 = op_norms(np.stack((v1 - v2, v1, v2)))
+        # without variables the value is one matrix, the same at each point
+        return np.broadcast_to(gap / (1.0 + np.maximum(n1, n2)),
+                               len(points)).tolist()
+
+    worst, samples, resamples = 0.0, 0, 0
     for level in levels:
-        for _ in range(trials):
-            for _attempt in range(RESAMPLE_CAP):
-                assignment = {nm: random_unit_norm(level, rng) for nm in names}
-                try:
-                    v1 = evaluate(e1, assignment, n=level)
-                    v2 = evaluate(e2, assignment, n=level)
-                except SingularityError:
-                    continue
-                residual = op_norm(v1 - v2) / (1.0 + max(op_norm(v1),
-                                                         op_norm(v2)))
-                worst = max(worst, residual)
-                if residual > 1e-8:
-                    return EquivalenceVerdict(
-                        False, levels, trials, residual=residual,
-                        witness_level=level, witness=assignment)
-                break
-            else:
-                raise InconclusiveError(
-                    f"no nonsingular sample at level {level} after "
-                    f"{RESAMPLE_CAP} draws")
-    return EquivalenceVerdict(True, levels, trials, residual=worst)
+        points, measured, redrawn = sample_nonsingular(
+            lambda: {nm: random_unit_norm(level, rng) for nm in names},
+            lambda points: residuals(points, level), trials,
+            InconclusiveError(f"no nonsingular sample at level {level} "
+                              f"after {RESAMPLE_CAP} draws"))
+        samples += trials
+        resamples += redrawn
+        for point, residual in zip(points, measured):
+            worst = max(worst, residual)
+            if residual > 1e-8:
+                return EquivalenceVerdict(
+                    False, levels, trials, residual=residual,
+                    witness_level=level, witness=point, samples=samples,
+                    resamples=resamples)
+    return EquivalenceVerdict(True, levels, trials, residual=worst,
+                              samples=samples, resamples=resamples)
 
 
 # -- rendering ----------------------------------------------------------------

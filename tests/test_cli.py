@@ -64,6 +64,19 @@ def test_girard_text_within_the_budgets_is_unchanged(n, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, digest", [
+    (["girard", "--n", "-5", "--verify", "--seed", "3"],
+     "59be72ed33fd27e9ed24052d61072321d5df9b3c670a189fbd062909868239fe"),
+    (["verify", "--suite", "girard", "--seed", "2"],
+     "90e807b5dcbffeee67a436b44bfcd1ec5c6f8b29fb799493888ad01b70238215"),
+])
+def test_sampled_verdicts_print_the_same_bytes(argv, digest, capsys):
+    # the samples, residual floats and witnesses of a seed are pinned
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv, budget", [
     (["girard", "--n", "400"], "TERM_BUDGET"),
     (["girard", "--n", "-400", "--verify"], "TEXT_BUDGET"),

@@ -195,6 +195,41 @@ def test_a_negative_seed_is_refused():
                                 seed=-1)  # the rng, not the seed, draws
 
 
+def test_verify_girard_random_walks_p_n_once_per_level(monkeypatch):
+    calls = []
+
+    def counted(e, assignment, n=None):
+        calls.append(len(assignment["alpha"]))
+        return evaluate(e, assignment, n)
+
+    evaluate = girard.evaluate
+    monkeypatch.setattr(girard, "evaluate", counted)
+    assert girard.verify_girard_random(2, levels=(2, 3), trials=5,
+                                       seed=0).passed
+    assert calls == [5, 5]  # one stack of 5 trials per level
+
+
+def test_a_singular_draw_is_redrawn_alone(monkeypatch):
+    # trial 1 is x = y = I, where v = 0 makes every coefficient of P_-1
+    # singular: it alone is redrawn, after trial 2, and trial 0 stays
+    # the witness of a failing level
+    rng = np.random.default_rng(4)
+    eye = np.eye(2, dtype=complex)
+    good = [MatrixTuple((ginibre(2, rng), ginibre(2, rng)))
+            for _ in range(3)]
+    draws = iter([good[0], MatrixTuple((eye, eye)), good[1], good[2]])
+    monkeypatch.setattr(girard, "random_tuple", lambda *args: next(draws))
+    rep = girard.verify_girard_random(-1, levels=(2,), trials=3, tol=1e-300,
+                                      seed=0)
+    assert next(draws, None) is None
+    check = rep.checks[0]
+    assert not check.passed and check.witness["trial"] == 0
+    want = [girard._residuals(-1, girard.girard_pair(-1).P, [w])[0]
+            for w in good]
+    assert check.witness["residual"] == want[0]
+    assert check.residual == max(want)
+
+
 def test_domain_error_on_singular_sample(monkeypatch):
     w = MatrixTuple((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     draws = []

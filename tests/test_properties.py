@@ -11,6 +11,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -18,6 +19,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from ncsym import ratexpr as rx  # noqa: E402
 from ncsym.cli import main  # noqa: E402
+from ncsym.errors import SingularityError  # noqa: E402
 from ncsym.parsing import parse  # noqa: E402
 from ncsym.symbasis import decompose_symmetric  # noqa: E402
 from ncsym.words import CHART_UV, CHART_XY, FreePoly  # noqa: E402
@@ -53,6 +55,48 @@ def test_expression_text_round_trip(e):
         assert set(again.terms) <= {()}
         again = rx.from_freepoly(again, ("x", "y"))
     assert rx.ncpoly_equal(again, e)
+
+
+def _compound(sub):
+    pairs = st.lists(sub, min_size=2, max_size=2)
+    return st.one_of(
+        pairs.map(lambda cs: rx.add(*cs)),
+        pairs.map(lambda cs: rx.mul(*cs)),
+        st.builds(rx.scale, _gaussian, sub),
+        sub.map(rx.inv),
+        sub.map(lambda e: rx.mul(e, e)))
+
+
+# expressions that may invert anything, a zero scalar included, and that
+# share sub-DAGs (e * e); a root is a Variable, a Scalar or a compound
+_rational = st.recursive(_leaves, _compound, max_leaves=8)
+_roots = st.one_of(_atoms, _gaussian.map(rx.Scalar), _compound(_rational))
+
+
+@_SETTINGS
+@given(_roots, st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_a_stack_evaluates_as_its_points_one_by_one(e, m, level, seed):
+    rng = np.random.default_rng(seed)
+    stack = {name: (rng.standard_normal((m, level, level))
+                    + 1j * rng.standard_normal((m, level, level)))
+             for name in ("alpha", "beta", "gamma")}
+    points = [{name: v[t] for name, v in stack.items()} for t in range(m)]
+    try:
+        got = rx.evaluate(e, stack)
+    except SingularityError as exc:
+        # the masked points are singular at the same node on their own
+        assert exc.samples.shape == (m,) and exc.samples.any()
+        for t in np.flatnonzero(exc.samples):
+            with pytest.raises(SingularityError) as one:
+                rx.evaluate(e, points[t])
+            assert one.value.expression is exc.expression
+        return
+    assert got.shape == (m, level, level)
+    for t in range(m):
+        assert np.array_equal(got[t], rx.evaluate(e, points[t]))
+    assert got.flags.writeable
+    assert not any(np.shares_memory(got, v) for v in stack.values())
 
 
 _words = st.lists(st.integers(0, 1), max_size=4).map(tuple)

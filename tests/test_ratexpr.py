@@ -49,9 +49,10 @@ def test_non_finite_values_are_refused_not_inverted():
     x = rx.Variable("x")
     with pytest.raises(AssignmentError, match="not finite"):
         rx.evaluate(rx.inv(x), {"x": [[np.nan]]})
-    # x*x overflows to inf: its inverse has no singular values to judge
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError):
+    # x*x overflows to inf: its inverse has no singular values to judge.
+    # No RuntimeWarning comes first (tier-1 turns one into an error), and
+    # the error names the node, as a SingularityError does
+    with pytest.raises(NumericalError, match=r"sub-expression inv\(x\^2\)"):
         rx.evaluate(rx.inv(x * x), {"x": np.diag([1e200, 1.0])})
 
 
@@ -185,6 +186,40 @@ def test_equivalence_inconclusive_on_thin_domain():
     with pytest.raises(InconclusiveError):
         rx.equivalent_probabilistic(dead, A, levels=(2,), trials=1,
                                     rng=np.random.default_rng(10))
+
+
+def test_equivalence_walks_each_dag_once_per_level(monkeypatch):
+    calls = []
+
+    def counted(e, assignment, n=None):
+        calls.append(n)
+        return evaluate(e, assignment, n)
+
+    evaluate = rx.evaluate
+    monkeypatch.setattr(rx, "evaluate", counted)
+    verdict = rx.equivalent_probabilistic(
+        rx.mul(G, rx.inv(B), B), G, levels=(1, 2, 3), trials=5,
+        rng=np.random.default_rng(5))
+    assert verdict.equal_on_samples
+    assert (verdict.samples, verdict.resamples) == (15, 0)
+    assert calls == [1, 1, 2, 2, 3, 3]  # one stack per level and expression
+
+
+def test_a_singular_draw_is_redrawn_alone(monkeypatch):
+    # trial 1 draws 0 and is redrawn after the other two are drawn; the
+    # witness is the first failing trial, trial 1's second draw, not
+    # trial 2
+    x = rx.Variable("x")
+    draws = iter([1.0, 0.0, 2.0, 3.0])
+    monkeypatch.setattr(rx, "random_unit_norm",
+                        lambda n, rng: next(draws) * np.eye(n))
+    verdict = rx.equivalent_probabilistic(rx.inv(x), x, levels=(2,),
+                                          trials=3)
+    assert not verdict.equal_on_samples
+    assert np.array_equal(verdict.witness["x"], 3.0 * np.eye(2))
+    assert verdict.residual == pytest.approx((3.0 - 1 / 3) / 4.0)
+    assert (verdict.samples, verdict.resamples) == (3, 1)
+    assert next(draws, None) is None
 
 
 @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"levels": ()}])
