@@ -10,6 +10,7 @@ re-exported here.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Optional
 
 import numpy as np
@@ -165,7 +166,8 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     constant on the components of the coupling graph of M with bound
     tol (1 + ||M||) / 2, so only those 2^c candidates are tested, with w
     itself first.  One Spectrum of v^2 serves the covering, the idempotents
-    and the square check.  Supported on the clean locus only (v invertible
+    and the square check, and one eigendecomposition its eigenvalues and
+    the idempotents.  Supported on the clean locus only (v invertible
     and in Q); for generic u the result is exactly [w, w.flip()].  Raises
     PreconditionError unless tol, and a gap if given, are finite and
     positive.
@@ -181,6 +183,8 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
         raise UnsupportedError("fiber enumeration needs v in Q "
                                "(spectrum disjoint from its negative)")
     x = spectrum(v @ v)
+    with suppress(NumericalError):  # V singular: the idempotents interpolate
+        x.eig  # read first, it gives the eigenvalues too: one solve of v^2
     target = v @ u @ v
     scale = 1.0 + op_norm(target)
     covering = propose_simple_set(x.eigenvalues, gap=gap)

@@ -10,6 +10,13 @@ two agree for functions holomorphic on the covering discs, and the
 interpolant is exactly computable.  Outputs are polynomials in the
 argument, hence commute with it and lie in span{I, x, ..., x^{n-1}}.
 
+The spectral idempotents come from the eigenbasis instead: E_j = V_j W_j
+with W = V^-1, all k in one product, kept only when
+max_j ||x E_j - E_j x||_F <= DEFAULT_TOL (1 + ||x||).  A defective or
+nearly defective x fails that certificate, or has a singular V, and
+falls back to the Hermite interpolant.  The square roots and
+involutions are always interpolated.
+
 Branch data (centers, radius, signs) selects locally constant involutions
 and square-root branches per disc.
 """
@@ -22,10 +29,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (IllConditionedInterpolationError,
+from .errors import (IllConditionedInterpolationError, NumericalError,
                      SpectrumOutsideDomainError)
 from .geometry import SimpleSet, propose_simple_set
-from .linalg import cluster_eigenvalues, spectrum
+from .linalg import DEFAULT_TOL, cluster_eigenvalues, fro_norms, spectrum
 
 MERGE_LADDER = (1e-6, 1e-4, 1e-2)  # merge thresholds, rel. spectral radius
 
@@ -166,11 +173,7 @@ def matrix_function(x, domain: SimpleSet, const, root,
                                       np.asarray(root, dtype=complex))
     s = spectrum(x)
     x, eigs = s.matrix, s.eigenvalues
-    disc = domain.assign(eigs)
-    if (disc < 0).any():
-        raise SpectrumOutsideDomainError(
-            f"spectrum {np.round(eigs, 6)} not covered by "
-            f"discs around {domain.centers} with radius {domain.radius}")
+    disc = _assign(domain, eigs)
     rho = np.abs(eigs).max()
     gap = merge_rtol * (rho if rho > 0 else 1.0)
     nodes = sorted(((c.center, len(c.indices), d) for d in range(domain.k)
@@ -192,11 +195,43 @@ def matrix_function(x, domain: SimpleSet, const, root,
     return out.reshape(m, n, n)
 
 
+def _assign(domain: SimpleSet, eigs: np.ndarray) -> np.ndarray:
+    """The disc of domain that holds each eigenvalue;
+    SpectrumOutsideDomainError if one lies in no disc."""
+    disc = domain.assign(eigs)
+    if (disc < 0).any():
+        raise SpectrumOutsideDomainError(
+            f"spectrum {np.round(eigs, 6)} not covered by "
+            f"discs around {domain.centers} with radius {domain.radius}")
+    return disc
+
+
 def spectral_idempotents(x, domain: SimpleSet) -> np.ndarray:
     """(k, n, n) stack of E_j, the spectral projector of x, a matrix or its
     Spectrum, onto the eigenvalues in disc j (1 on that disc, 0 on the
-    others)."""
-    return matrix_function(x, domain, np.eye(domain.k), 0)
+    others).
+
+    E_j = V_j W_j from the eigenbasis x = V diag(lam) W (Higham, Functions
+    of Matrices, Thm. 1.26), all k in one product.  Its error grows like
+    cond(V) u, so the stack is kept only when it commutes with x:
+    max_j ||x E_j - E_j x||_F <= DEFAULT_TOL (1 + ||x||).  A defective or
+    nearly defective x fails that test, or has a singular V, and takes
+    the Hermite interpolant instead.
+    """
+    s = spectrum(x)
+    try:
+        lam, vecs, inv = s.eig
+        norm = s.norm
+    except NumericalError:  # V singular, or ||x|| overflows
+        return matrix_function(s, domain, np.eye(domain.k), 0)
+    onehot = _assign(domain, lam) == np.arange(domain.k)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        idem = (vecs * onehot[:, None, :]) @ inv
+        y = s.matrix / (norm or 1.0)  # ||y|| <= 1: no commutator overflows
+        drift = fro_norms(y @ idem - idem @ y).max() * (norm / (1.0 + norm))
+    if drift <= DEFAULT_TOL:  # NaN fails it
+        return idem
+    return matrix_function(s, domain, np.eye(domain.k), 0)
 
 
 def involution_I(x, spec: BranchSpec) -> np.ndarray:

@@ -34,7 +34,8 @@ from .errors import (DomainError, ExpansionError, NumericalError,
 from .geometry import _require_positive
 from .linalg import random_tuple, rel_dist
 from .ratexpr import (ONE, RESAMPLE_CAP, ZERO, RatExpr, Scalar, Variable, add,
-                      evaluate, inv, mul, sample_nonsingular, scale)
+                      evaluate, inv, mul, require_samples,
+                      sample_nonsingular, scale)
 from .report import Report
 from .symbasis import ALPHA, BETA, GAMMA, U_ATOM, generator_word
 from .words import TERM_BUDGET
@@ -125,7 +126,7 @@ def table_expression(n: int) -> dict:
     """
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if 2 ** (n - 1) > TERM_BUDGET:
+    if n - 1 >= TERM_BUDGET.bit_length():  # 2^(n-1) > TERM_BUDGET
         raise ExpansionError(
             f"the expansion may exceed TERM_BUDGET = {TERM_BUDGET} terms")
     blocks = [generator_word(j) for j in range(n - 1)]
@@ -187,14 +188,16 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
     exhausting that raises DomainError.  A sample at which P_n(pi(w)) or
     x^n + y^n overflows raises NumericalError.  No levels or no trials
     would give a verdict without a sample, so either raises
-    PreconditionError, as do a level below 1, a tol that is not finite
-    and positive and, when no rng is given, a negative seed.  A failing
-    level's witness is its first failing trial.
+    PreconditionError, as do more than SAMPLE_BUDGET samples, a level
+    below 1, a tol that is not finite and positive and, when no rng is
+    given, a negative seed.  A failing level's witness is its first
+    failing trial.
     """
     levels = tuple(levels)
-    if len(levels) * trials < 1 or min(levels) < 1:
-        raise PreconditionError(f"no samples to judge: levels={levels} "
-                                f"(each at least 1), trials={trials}")
+    require_samples(levels, trials)
+    if min(levels) < 1:
+        raise PreconditionError(f"levels must each be at least 1, "
+                                f"got {levels}")
     if rng is None and seed is not None and seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {seed}")
     if tol is None:

@@ -69,19 +69,35 @@ def rel_dist(a: np.ndarray, b: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """A matrix, its eigenvalues with multiplicity sorted by (real, imag)
-    and its 2-norm, each solved on first read: every spectral function
-    takes one."""
+    """A matrix, its eigenvalues with multiplicity sorted by (real, imag),
+    its eigenbasis and its 2-norm, each solved on first read: every
+    spectral function takes one."""
 
     matrix: np.ndarray
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
+        """The eigenvalues; those of eig once it has been read."""
+        if "eig" in self.__dict__:
+            return self.eig[0]
         try:
             eigs = np.linalg.eigvals(self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK
+        except np.linalg.LinAlgError as exc:  # a non-finite entry
             raise NumericalError(f"eigensolver failed: {exc}") from exc
         return eigs[np.lexsort((eigs.imag, eigs.real))]
+
+    @cached_property
+    def eig(self) -> tuple:
+        """(lam, V, W): the eigenvalues in the order of eigenvalues, the
+        eigenvectors as the columns of V, and W = V^-1.  NumericalError
+        when the solve fails (a non-finite entry) or V is singular."""
+        try:
+            lam, vecs = np.linalg.eig(self.matrix)
+            order = np.lexsort((lam.imag, lam.real))
+            lam, vecs = lam[order], vecs[:, order]
+            return lam, vecs, np.linalg.inv(vecs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigenbasis failed: {exc}") from exc
 
     @cached_property
     def norm(self) -> float:

@@ -34,6 +34,7 @@ from .words import (TERM_BUDGET, FreePoly, add_terms, format_complex,
 
 SINGULARITY_RTOL = 1e-10
 RESAMPLE_CAP = 50
+SAMPLE_BUDGET = 2 ** 14  # points a sampled verdict may draw, over all levels
 TEXT_BUDGET = 2 ** 24  # the longest text to_text writes, in characters
 
 
@@ -462,6 +463,19 @@ class EquivalenceVerdict:
         return self.equal_on_samples
 
 
+def require_samples(levels: tuple, trials: int) -> None:
+    """PreconditionError, before anything is drawn, unless the verdict has
+    between 1 and SAMPLE_BUDGET points to judge: a level draws all its
+    trials at once, so the budget bounds its memory."""
+    count = len(levels) * trials
+    if not 1 <= count <= SAMPLE_BUDGET:
+        raise PreconditionError(
+            f"no samples to judge: levels={levels}, trials={trials}"
+            if count < 1 else
+            f"{count} samples (levels x trials) exceed SAMPLE_BUDGET = "
+            f"{SAMPLE_BUDGET}")
+
+
 def sample_nonsingular(draw: Callable[[], object],
                        judge: Callable[[list], object], trials: int,
                        exhausted: Exception) -> tuple:
@@ -498,12 +512,10 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
     singular draw is redrawn alone, up to RESAMPLE_CAP draws for each
     (level, trial); InconclusiveError once the cap is exhausted (domain
     too thin), and PreconditionError when no levels or no trials leave
-    nothing to sample.
+    nothing to sample or more than SAMPLE_BUDGET points would be drawn.
     """
     levels = tuple(levels)
-    if len(levels) * trials < 1:
-        raise PreconditionError(
-            f"no samples to judge: levels={levels}, trials={trials}")
+    require_samples(levels, trials)
     rng = rng or np.random.default_rng()
     names = sorted(free_variables(e1) | free_variables(e2))
 

@@ -201,8 +201,9 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
 
 def check_stack(k: int, n: int, what: str) -> None:
     """Raise PreconditionError, naming what, before a stack of 2^k (n, n)
-    matrices would exceed STACK_BUDGET entries."""
-    if 2 ** k * n * n > STACK_BUDGET:
+    matrices would exceed STACK_BUDGET entries.  The test shifts the
+    budget, so no 2^k is built for a large k."""
+    if n * n > STACK_BUDGET >> k:  # 2^k n^2 > STACK_BUDGET, in integers
         raise PreconditionError(
             f"{what}: 2^{k} matrices of size {n}x{n} exceed the budget of "
             f"{STACK_BUDGET} entries")

@@ -271,7 +271,7 @@ class FreePoly:
         self._require_two_vars()
         if self.chart != source:
             raise ChartError(f"{name} expects the {','.join(source)} chart")
-        if 2 ** self.degree > TERM_BUDGET:
+        if self.degree >= TERM_BUDGET.bit_length():  # 2^degree > budget
             raise PreconditionError(f"degree {self.degree} needs more than "
                                     f"TERM_BUDGET = {TERM_BUDGET} terms")
         out: dict[Word, complex] = {}

@@ -152,14 +152,26 @@ def reference_alg_residual(y, x, rank_tol=1e-12):
 
 
 def record_eigensolves(monkeypatch):
-    """Patch np.linalg.eigvals to record a copy of every matrix it solves,
-    whichever module asks; returns the list of them."""
+    """Patch np.linalg.eigvals and np.linalg.eig to record every matrix
+    they solve, whichever module asks; returns the list of (name, copy of
+    the matrix) pairs, name being "eigvals" or "eig"."""
     solved = []
-    real = np.linalg.eigvals
 
-    def recording(a):
-        solved.append(np.array(a))
-        return real(a)
+    def recorder(name):
+        real = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigvals", recording)
+        def recording(a):
+            solved.append((name, np.array(a)))
+            return real(a)
+        return recording
+
+    for name in ("eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, recorder(name))
     return solved
+
+
+def solve_counts(solved, x) -> tuple:
+    """(eigvals, eig): how often the recorded solves took x for its
+    eigenvalues alone and for its eigenbasis."""
+    return tuple(sum(kind == name and np.array_equal(m, x)
+                     for kind, m in solved) for name in ("eigvals", "eig"))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ncsym
-from ncsym import cli, errors
+from ncsym import cli, errors, girard
 from ncsym import ratexpr as rx
 from ncsym.cli import main
 from ncsym.girard import girard_positive
@@ -81,6 +81,8 @@ def test_sampled_verdicts_print_the_same_bytes(argv, digest, capsys):
     (["girard", "--n", "400"], "TERM_BUDGET"),
     (["girard", "--n", "-400", "--verify"], "TEXT_BUDGET"),
     (["decompose", "--expr", "(x+y)^40"], "TERM_BUDGET"),
+    # the budget test compares exponents, and builds no 2^(10^9)
+    (["girard", "--n", "1000000000"], "TERM_BUDGET"),
 ])
 def test_output_over_a_budget_is_refused_at_once(argv, budget, capsys):
     # the text of P_-400 and the words of P_400 or (x+y)^40 would not fit
@@ -106,6 +108,19 @@ def test_girard_verify_without_trials_is_refused(capsys):
     # zero trials used to print "passed": true with residual 0
     assert main(["girard", "--n", "-3", "--verify", "--trials", "0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_girard_verify_over_the_sample_budget_draws_nothing(capsys,
+                                                            monkeypatch):
+    monkeypatch.setattr(girard, "random_tuple", _no_draw)
+    assert main(["girard", "--n", "2", "--verify", "--levels", "2,3",
+                 "--trials", str(10 ** 9)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "SAMPLE_BUDGET" in captured.err
+
+
+def _no_draw(*args):
+    raise AssertionError("a sample was drawn")
 
 
 @pytest.mark.parametrize("levels", ["a", "2,,3", "-1", "0"])
@@ -421,7 +436,8 @@ def test_matrix_commands_solve_once(argv, files, capsys, monkeypatch):
         MatrixTuple((eye + x, eye - x)))))
     solves = record_eigensolves(monkeypatch)
     assert main([str(paths.get(a, a)) for a in argv]) == 0
-    assert len(solves) == 1 and np.allclose(solves[0], x)
+    assert [kind for kind, _ in solves] == ["eigvals"]
+    assert np.allclose(solves[0][1], x)
     json.loads(capsys.readouterr().out)
 
 

@@ -14,7 +14,7 @@ from ncsym.words import MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
                      clustered_matrix, ginibre, record_eigensolves,
-                     thirty_distinct, well_conditioned)
+                     solve_counts, thirty_distinct, well_conditioned)
 
 
 def test_separation_and_isolation_examples():
@@ -224,17 +224,24 @@ def test_in_U_gamma_with_more_discs_than_eigenvalues():
 
 
 def test_in_U_gamma_solves_for_the_spectrum_once(monkeypatch):
+    # the idempotents read the eigenbasis, which gives the eigenvalues too;
+    # a Spectrum whose eigenvalues were read is solved once more for it
     x = np.diag([1.0, 4.0]).astype(complex)
-    s = spectrum(x)
-    s.eigenvalues  # solved on first read, before the recording starts
-    calls = record_eigensolves(monkeypatch)
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    for delta, generic in ((domains.SimpleSet((1.0, 4.0), 0.4), True),
-                           # 4 lies in no disc: the interpolation refuses it
-                           (domains.SimpleSet((1.0, 3.0), 0.4), False)):
+    cases = ((domains.SimpleSet((1.0, 4.0), 0.4), True),
+             # 4 lies in no disc: the assignment refuses it
+             (domains.SimpleSet((1.0, 3.0), 0.4), False))
+    spectra = [spectrum(x) for _ in cases]
+    for s in spectra:
+        s.eigenvalues  # solved on first read, before the recording starts
+    calls = record_eigensolves(monkeypatch)
+    for (delta, generic), s in zip(cases, spectra):
         calls.clear()
         assert domains.in_U_gamma(swap, x, delta) is generic
-        assert len(calls) == 1 and np.array_equal(calls[0], x)
+        assert len(calls) == 1 and solve_counts(calls, x) == (0, 1)
+        calls.clear()
+        assert domains.in_U_gamma(swap, s, delta) is generic
+        assert len(calls) == 1 and solve_counts(calls, x) == (0, 1)
         calls.clear()  # the Spectrum of x is not solved again
         assert domains.in_U_gamma(swap, s, delta) is generic
         assert calls == []
@@ -242,15 +249,15 @@ def test_in_U_gamma_solves_for_the_spectrum_once(monkeypatch):
 
 def test_fiber_solves_for_the_spectrum_once(monkeypatch):
     # v is solved for the clean-locus test; the covering, the idempotents
-    # and the square check of v^2 share one eigensolve
+    # and the square check of v^2 share one eigendecomposition
     calls = record_eigensolves(monkeypatch)
     w = random_tuple(4, 2, ("generic-u",), np.random.default_rng(2))
     _, v = domains.uv_parts(w)
     calls.clear()
     assert len(domains.fiber(w)) == 2
     assert len(calls) == 2
-    assert sum(np.array_equal(x, v) for x in calls) == 1
-    assert sum(np.array_equal(x, v @ v) for x in calls) == 1
+    assert solve_counts(calls, v) == (1, 0)
+    assert solve_counts(calls, v @ v) == (0, 1)
 
 
 @pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 1.5), 0.2),
@@ -378,6 +385,30 @@ def test_fiber_generic_is_two_point():
             assert len(points) == 2
             assert any(p.close_to(w, 1e-8) for p in points)
             assert any(p.close_to(w.flip(), 1e-8) for p in points)
+
+
+def _multiplicity_family():
+    """Pairs w = (u + v, u - v) with n = 16 and v = P diag(sqrt lam) P^-1,
+    lam = (1, ..., m, 1, ..., 1) for m = 6..12, three draws each, under
+    P = I + 0.15 G, with Gaussian u: v^2 has eigenvalue 1 17 - m times."""
+    rng = np.random.default_rng(0)
+    for m in range(6, 13):
+        lam = np.concatenate((np.arange(1.0, m + 1), np.ones(16 - m)))
+        for _ in range(3):
+            p = np.eye(16) + 0.15 * ginibre(16, rng)
+            v = p @ np.diag(np.sqrt(lam)) @ np.linalg.inv(p)
+            u = ginibre(16, rng)
+            yield MatrixTuple((u + v, u - v))
+
+
+def test_fiber_through_repeated_eigenvalues_is_two_point():
+    # interpolated idempotents failed the square check on all 21 pairs;
+    # the eigenbasis gives them to working precision
+    for w in _multiplicity_family():
+        points = domains.fiber(w)
+        assert len(points) == 2
+        assert any(p.close_to(w, 1e-8) for p in points)
+        assert any(p.close_to(w.flip(), 1e-8) for p in points)
 
 
 def _assert_same_points(got, want, tol=1e-8):

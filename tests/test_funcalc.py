@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from ncsym import funcalc
+from ncsym import domains, funcalc
 from ncsym.domains import SimpleSet
-from ncsym.errors import SpectrumOutsideDomainError
-from ncsym.linalg import alg_residual, commutator_norm, op_norm, rel_dist
+from ncsym.errors import NumericalError, SpectrumOutsideDomainError
+from ncsym.linalg import (alg_residual, block_diag, commutator_norm, op_norm,
+                          rel_dist, spectrum)
 
-from helpers import cluster_centers_off_cut, clustered_matrix
+from helpers import cluster_centers_off_cut, clustered_matrix, ginibre
 
 RNG = np.random.default_rng(42)
 
@@ -138,6 +139,66 @@ def test_defective_inputs_use_derivative_data():
     spec = funcalc.BranchSpec((1.0,), 0.3, (1,))
     s = funcalc.sqrt_branch_S(j, spec)
     assert np.allclose(s, np.array([[1.0, 0.5], [0.0, 1.0]]))
+
+
+def test_idempotents_of_a_diagonalizable_matrix_take_no_interpolant(
+        monkeypatch):
+    # the eigenbasis idempotents pass their commutator certificate, agree
+    # with the interpolated ones and are exact projectors
+    rng = np.random.default_rng(3)
+    x, _, _, _ = clustered_matrix(
+        rng, cluster_centers_off_cut(rng, 3), [2, 1, 2], 0.05)
+    d = domains.propose_simple_set(np.linalg.eigvals(x), gap=0.5)
+    want = funcalc.matrix_function(x, d, np.eye(d.k), 0)
+    monkeypatch.setattr(funcalc, "matrix_function", _refused)
+    idem = funcalc.spectral_idempotents(x, d)
+    assert np.abs(idem - want).max() <= 1e-10
+    assert np.abs(idem @ idem - idem).max() <= 1e-12
+    assert np.abs(idem.sum(axis=0) - np.eye(len(x))).max() <= 1e-12
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("the interpolant ran")
+
+
+@pytest.mark.parametrize("size", [2, 3])
+def test_defective_idempotents_fall_back_to_the_interpolant(size,
+                                                            monkeypatch):
+    # a Jordan block at 4 beside 1, under a similarity: the eigenbasis
+    # idempotents miss commuting with x by about 4e-9 (size 2) or 8e-7
+    # (size 3), so the interpolant gives them, as it did alone before
+    rng = np.random.default_rng(0)
+    block = 4.0 * np.eye(size) + np.eye(size, k=1)
+    p = np.eye(size + 1) + 0.3 * rng.standard_normal((size + 1, size + 1))
+    x = p @ block_diag(block, np.eye(1)) @ np.linalg.inv(p)
+    d = SimpleSet((1.0, 4.0), 0.4)
+    want = funcalc.matrix_function(x, d, np.eye(2), 0)
+    calls = []
+    interpolant = funcalc.matrix_function
+
+    def counted(*args):
+        calls.append(args)
+        return interpolant(*args)
+
+    monkeypatch.setattr(funcalc, "matrix_function", counted)
+    assert np.array_equal(funcalc.spectral_idempotents(x, d), want)
+    assert len(calls) == 1
+    u = p @ block_diag(ginibre(size, rng), np.eye(1)) @ np.linalg.inv(p)
+    assert domains.in_U_gamma(u, x, d) is False  # u keeps the discs apart
+    assert domains.in_U_gamma(ginibre(size + 1, rng), x, d) is True
+    assert len(calls) == 3
+
+
+def test_a_singular_eigenbasis_falls_back_to_the_interpolant(monkeypatch):
+    x = np.diag([1.0, 4.0]).astype(complex)
+    d = SimpleSet((1.0, 4.0), 0.4)
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda a: (np.diag(a), np.zeros_like(a)))
+    s = spectrum(x)
+    with pytest.raises(NumericalError, match="eigenbasis"):
+        s.eig
+    assert np.array_equal(funcalc.spectral_idempotents(s, d),
+                          funcalc.matrix_function(x, d, np.eye(2), 0))
 
 
 def test_functional_calculus_multiplicativity():

@@ -164,6 +164,18 @@ def test_levels_below_one_are_refused(levels):
         girard.verify_girard_random(2, levels=levels, trials=3, seed=1)
 
 
+@pytest.mark.parametrize("levels, trials", [
+    ((2,), rx.SAMPLE_BUDGET + 1), ((2, 3), 10 ** 9)])
+def test_samples_over_the_budget_are_refused_before_a_draw(levels, trials,
+                                                           monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(girard, "random_tuple", no_draw)
+    with pytest.raises(PreconditionError, match="SAMPLE_BUDGET"):
+        girard.verify_girard_random(2, levels=levels, trials=trials, seed=1)
+
+
 def test_verify_girard_random_builds_p_n_once(monkeypatch):
     calls = []
 

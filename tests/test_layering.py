@@ -65,11 +65,20 @@ def _callers(trees, prefix: str) -> list:
 
 def test_one_function_solves_for_eigenvalues():
     # every other spectral function takes the Spectrum that linalg.spectrum
-    # returns and reads its eigenvalues, so a second solve path cannot
-    # creep back
+    # returns and reads its eigenvalues or its eigenbasis, so a second
+    # solve path cannot creep back: Spectrum.eigenvalues calls eigvals and
+    # Spectrum.eig calls eig, and nothing else calls either
     trees = _trees()
-    assert _callers(trees, "eig") == ["linalg.eigenvalues"]  # Spectrum's
-    assert sum(len(_calls(tree, "eig")) for tree in trees.values()) == 1
+    spectrum_class, = (node for node in trees["linalg"].body
+                       if isinstance(node, ast.ClassDef)
+                       and node.name == "Spectrum")
+    solvers = [func for func in spectrum_class.body
+               if isinstance(func, ast.FunctionDef) and _calls(func, "eig")]
+    assert [(func.name, _calls(func, "eig")[0].func.attr)
+            for func in solvers] == [("eigenvalues", "eigvals"),
+                                     ("eig", "eig")]
+    assert _callers(trees, "eig") == ["linalg.eigenvalues", "linalg.eig"]
+    assert sum(len(_calls(tree, "eig")) for tree in trees.values()) == 2
 
 
 def test_singular_values_are_taken_in_linalg():

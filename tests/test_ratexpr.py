@@ -230,6 +230,21 @@ def test_equivalence_needs_a_sample(kwargs):
         rx.equivalent_probabilistic(x, 2 * x, **kwargs)
 
 
+@pytest.mark.parametrize("levels, trials", [
+    ((1,), rx.SAMPLE_BUDGET + 1), ((1, 2), rx.SAMPLE_BUDGET // 2 + 1),
+    ((1, 2, 3), 10 ** 9)])
+def test_equivalence_over_the_sample_budget_draws_nothing(levels, trials,
+                                                          monkeypatch):
+    # a level draws all its trials at once: the budget is checked first
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(rx, "random_unit_norm", no_draw)
+    x = rx.Variable("x")
+    with pytest.raises(PreconditionError, match="SAMPLE_BUDGET"):
+        rx.equivalent_probabilistic(x, 2 * x, levels=levels, trials=trials)
+
+
 def test_expansion_cancels_inverse_pairs():
     e = rx.mul(G, rx.inv(B), B)
     assert rx.as_ncpoly(e) == {(("gamma", 1),): 1.0}

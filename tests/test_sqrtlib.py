@@ -13,7 +13,8 @@ from ncsym.linalg import (block_diag, commutator_norm, op_norm, op_norms,
                           rel_dist)
 
 from helpers import (cluster_centers_off_cut, clustered_matrix,
-                     record_eigensolves, thirty_distinct, well_conditioned)
+                     record_eigensolves, solve_counts, thirty_distinct,
+                     well_conditioned)
 
 
 def test_existence_examples():
@@ -244,7 +245,7 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     assert len(sqrtlib.all_square_roots(x, gap=0.3)) == 2 ** k
     assert 0 < sum(germs) <= 2 * k * len(sqrtlib.MERGE_LADDER)
     assert germs == [2 * k]  # the pieces and idempotents of one rung
-    assert len(eigensolves) == 1 and np.array_equal(eigensolves[0], x)
+    assert len(eigensolves) == 1 and solve_counts(eigensolves, x) == (1, 0)
     assert len(svds) <= 2
     assert sum(svds) <= 3 * k + 1
 
@@ -322,6 +323,17 @@ def test_distinctness_certificate_measures_only_when_the_bound_fails():
                                  what="fiber candidates")
 
 
+def test_stack_budget_compares_exponents():
+    # 2^25 matrices of one entry fill the budget exactly; a k of 10^9
+    # is refused without building 2^k
+    sqrtlib.check_stack(25, 1, "roots")
+    start = time.perf_counter()
+    for k, n in ((26, 1), (24, 2), (10 ** 9, 1)):
+        with pytest.raises(PreconditionError, match="budget"):
+            sqrtlib.check_stack(k, n, "roots")
+    assert time.perf_counter() - start < 0.5
+
+
 def test_roots_commute_with_base():
     rng = np.random.default_rng(2)
     centers = cluster_centers_off_cut(rng, 3)
@@ -337,7 +349,7 @@ def test_semisimple_zero_extension(monkeypatch):
     rs = sqrtlib.all_square_roots(x)
     assert rs.extension and rs.k == 1 and len(rs) == 2
     # the rank test past the zero gate reuses the one solve of x
-    assert len(solves) == 1 and np.array_equal(solves[0], x)
+    assert len(solves) == 1 and solve_counts(solves, x) == (1, 0)
     got = sorted(round(r[2, 2].real, 8) for r in rs.roots)
     assert got == [-2.0, 2.0]
     for r in rs.roots:
