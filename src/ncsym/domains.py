@@ -128,7 +128,11 @@ def uv_parts(w: MatrixTuple) -> tuple:
     """(u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), halved before the sum so that
     a pair of finite entries near the float range cannot overflow."""
     _require_pair(w)
-    a, b = 0.5 * w[0], 0.5 * w[1]
+    return _uv(w[0], w[1])
+
+
+def _uv(a: np.ndarray, b: np.ndarray) -> tuple:
+    a, b = 0.5 * a, 0.5 * b
     return a + b, a - b
 
 
@@ -137,8 +141,15 @@ def pi(w: MatrixTuple) -> MatrixTuple:
 
     Raises NumericalError when a slot overflows the float range.
     """
-    u, v = uv_parts(w)
-    out = MatrixTuple((u, v @ v, v @ u @ v))
+    _require_pair(w)
+    return MatrixTuple(pi_stack(w[0], w[1]))
+
+
+def pi_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(u, v^2, vuv) of the pair w = (a, b), or of each pair when a and b
+    are (m, n, n) stacks: pi's formula, with its overflow check."""
+    u, v = _uv(a, b)
+    out = (u, v @ v, v @ u @ v)
     if not all(np.isfinite(m).all() for m in out):
         raise NumericalError("pi(w) overflows the float range")
     return out

@@ -28,11 +28,11 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .domains import pi
+from .domains import pi_stack
 from .errors import (DomainError, ExpansionError, NumericalError,
                      PreconditionError, SingularityError)
 from .geometry import _require_positive
-from .linalg import random_tuple, rel_dist
+from .linalg import random_tuples, rel_dist
 from .ratexpr import (ONE, RESAMPLE_CAP, ZERO, RatExpr, Scalar, Variable, add,
                       evaluate, inv, mul, require_samples,
                       sample_nonsingular, scale)
@@ -158,20 +158,21 @@ def _power_sums(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
                                samples=singular) from exc
 
 
-def _residuals(n: int, p: RatExpr, points: list) -> list:
+def _residuals(n: int, p: RatExpr, points: np.ndarray) -> list:
     """Relative residuals of x^n + y^n against p = P_n at pi(w), for the
-    pairs w of points, evaluated as one stack.
+    pairs w of an (m, 2, n, n) array, evaluated as one stack.
 
     Raises NumericalError, before any norm is taken, when either side
     overflows the float range.
     """
-    alpha, beta, gamma = (np.stack(c) for c in zip(*map(pi, points)))
+    x, y = points[:, 0], points[:, 1]
+    alpha, beta, gamma = pi_stack(x, y)
     value = evaluate(p, {"alpha": alpha, "beta": beta, "gamma": gamma})
-    oracle = _power_sums(*(np.stack(w) for w in zip(*points)), n)
+    oracle = _power_sums(x, y, n)
     for name, m in ((f"P_{n}(pi(w))", value), (f"x^{n} + y^{n}", oracle)):
         if not np.isfinite(m).all():
             raise NumericalError(f"{name} overflows the float range at "
-                                 f"level {points[0].n}")
+                                 f"level {points.shape[-1]}")
     return rel_dist(value, oracle).tolist()
 
 
@@ -181,16 +182,18 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
                          seed: Optional[int] = None) -> Report:
     """Sampled verification over random pairs with v invertible.
 
-    P_n is built once, and the trials of a level are drawn in turn and
-    evaluated as one stack; tol defaults to 1e-7 for n < 0 and 1e-8
-    otherwise.  Inadmissible draws (singular inverses for negative
-    indices) are redrawn alone, up to RESAMPLE_CAP draws per trial;
-    exhausting that raises DomainError.  A sample at which P_n(pi(w)) or
-    x^n + y^n overflows raises NumericalError.  No levels or no trials
-    would give a verdict without a sample, so either raises
-    PreconditionError, as do more than SAMPLE_BUDGET samples, a level
-    below 1, a tol that is not finite and positive and, when no rng is
-    given, a negative seed.  A failing level's witness is its first
+    P_n is built once.  The trials of a level are drawn as one block,
+    tested for v invertible with one batched SVD, mapped through pi as
+    one stack and evaluated as one stack; tol defaults to 1e-7 for n < 0
+    and 1e-8 otherwise.  Inadmissible draws (singular inverses for
+    negative indices) are redrawn together, the others kept, up to
+    RESAMPLE_CAP draws per trial; exhausting that raises DomainError, and
+    each check records the redrawn count as its resamples.  A sample at
+    which P_n(pi(w)) or x^n + y^n overflows raises NumericalError.  No
+    levels or no trials would give a verdict without a sample, so either
+    raises PreconditionError, as do more than SAMPLE_BUDGET samples, a
+    level below 1, a tol that is not finite and positive and, when no rng
+    is given, a negative seed.  A failing level's witness is its first
     failing trial.
     """
     levels = tuple(levels)
@@ -208,12 +211,13 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
     report = Report(seed=seed, tolerances={"residual": tol})
     with np.errstate(over="ignore", invalid="ignore"):
         for level in levels:
-            _, measured, _ = sample_nonsingular(
-                lambda: random_tuple(level, 2, ("v-invertible",), rng),
+            _, measured, redrawn = sample_nonsingular(
+                lambda count: random_tuples(count, level, 2,
+                                            ("v-invertible",), rng),
                 lambda points: _residuals(n, p, points), trials,
                 DomainError(f"no admissible level-{level} sample for "
                             f"P_{n} in {RESAMPLE_CAP} draws"))
             report.add_worst(f"girard-n={n}-level={level}-x{trials}",
                              (({"trial": t}, r) for t, r in
-                              enumerate(measured)), tol)
+                              enumerate(measured)), tol).resamples = redrawn
     return report

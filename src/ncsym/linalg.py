@@ -219,8 +219,9 @@ def sv_ratio(x: np.ndarray):
         raise NumericalError("singular values of a non-finite matrix") \
             from exc
     # an entry of y has a part of size 1, so s[0] >= 1 unless y = 0
-    ratio = s[..., -1] / np.maximum(s[..., 0], _LEAST)
-    return ratio if y.ndim > 2 else float(ratio)
+    if y.ndim > 2:
+        return s[..., -1] / np.maximum(s[..., 0], _LEAST)
+    return float(s[-1] / max(s[0], _LEAST))
 
 
 def peak_scaled(x: np.ndarray) -> tuple:
@@ -237,8 +238,11 @@ def peak_scaled(x: np.ndarray) -> tuple:
     parts = x.view(np.float64)
     peak = np.abs(parts).max(axis=(-2, -1), initial=0.0)
     # any nonzero peak is at least _LEAST; a zero x divided by it stays 0
-    y = parts / np.maximum(peak, _LEAST)[..., None, None]
-    return y.view(complex), (peak if x.ndim > 2 else float(peak))
+    if x.ndim > 2:
+        return (parts / np.maximum(peak, _LEAST)[..., None, None]
+                ).view(complex), peak
+    peak = float(peak)
+    return (parts / max(peak, _LEAST)).view(complex), peak
 
 
 def numerical_rank(x: np.ndarray, threshold: float) -> int:
@@ -322,16 +326,32 @@ RETRY_CAP = 100
 
 def ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian matrix with iid standard entries."""
-    return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) \
-        / np.sqrt(2.0)
+    return ginibre_block((), n, rng)
+
+
+def ginibre_block(shape: tuple, n: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrices in an array of shape + (n, n), from one
+    draw that reads the rng as one ginibre call per matrix, in order."""
+    g = rng.standard_normal(shape + (2, n, n))
+    return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
 def random_unit_norm(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = ginibre(n, rng)
-    nrm = op_norm(g)
-    if nrm == 0.0:  # pragma: no cover - probability zero
-        return np.eye(n, dtype=complex)
-    return g / nrm
+    """The one-draw case of random_unit_norms."""
+    return random_unit_norms((), n, rng)
+
+
+def random_unit_norms(shape: tuple, n: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Complex Gaussian matrices of 2-norm 1 in an array of shape + (n, n),
+    drawn as by ginibre_block and scaled after one batched SVD."""
+    g = ginibre_block(shape, n, rng)
+    nrm = op_norms(g)
+    zero = nrm == 0.0
+    if zero.any():  # pragma: no cover - probability zero, or n = 0
+        g[zero], nrm[zero] = np.eye(n), 1.0
+    return g / nrm[..., None, None]
 
 
 def random_similarity(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -348,36 +368,61 @@ CONSTRAINTS = ("v-invertible", "generic-u")
 
 def random_tuple(level: int, d: int, constraints: Iterable[str] = (),
                  rng: Optional[np.random.Generator] = None) -> MatrixTuple:
-    """Seeded random level-n tuple satisfying the requested predicates.
+    """Seeded random level-n tuple satisfying the requested predicates:
+    the one-draw case of random_tuples."""
+    return MatrixTuple(random_tuples(1, level, d, constraints, rng)[0])
+
+
+def random_tuples(count: int, level: int, d: int,
+                  constraints: Iterable[str] = (),
+                  rng: Optional[np.random.Generator] = None) -> np.ndarray:
+    """count seeded random level-n tuples satisfying the requested
+    predicates, as a (count, d, n, n) array.
 
     "v-invertible" asks for an invertible v = (w^1 - w^2)/2 when d = 2,
     for an invertible w^1 otherwise.  "generic-u" draws v with distinct
     nonzero eigenvalues in Q and u with no zero entries in v's eigenbasis,
     which pins the fiber of the symmetrization map down to the pair
-    {w, w^f}.  GenerationError after RETRY_CAP draws that all fail.
+    {w, w^f}; such pairs are drawn one at a time.  Otherwise the tuples
+    come as one ginibre_block and are tested with one batched SVD.  The
+    tuples that fail are drawn again after the block, together and in
+    order.  GenerationError once a tuple has failed RETRY_CAP draws.
     """
     rng = rng or np.random.default_rng()
     wanted = set(constraints)
     unknown = wanted - set(CONSTRAINTS)
     if unknown:
         raise ValueError(f"unknown constraints: {sorted(unknown)}")
-    for _ in range(RETRY_CAP):
+
+    def draw(m: int) -> np.ndarray:
         if "generic-u" in wanted:
-            t = _generic_u_pair(level, rng)
-        else:
-            t = MatrixTuple(tuple(ginibre(level, rng) for _ in range(d)))
-        if "v-invertible" in wanted and not in_I(_v_part(t)):
-            continue
-        return t
+            return np.array([tuple(_generic_u_pair(level, rng))
+                             for _ in range(m)],
+                            dtype=complex).reshape(m, 2, level, level)
+        return ginibre_block((m, d), level, rng)
+
+    points = np.empty((count, 2 if "generic-u" in wanted else d, level,
+                       level), dtype=complex)
+    todo = np.arange(count)
+    for _ in range(RETRY_CAP):
+        block = draw(todo.size)
+        ok = (in_I(_v_parts(block)) if "v-invertible" in wanted
+              else np.ones(todo.size, dtype=bool))
+        points[todo[ok]] = block[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            return points
     raise GenerationError(
         f"no level-{level} tuple satisfying {sorted(wanted)} "
         f"after {RETRY_CAP} draws")
 
 
-def _v_part(t: MatrixTuple) -> np.ndarray:
-    if t.d == 2:
-        return 0.5 * (t[0] - t[1])
-    return t[0]
+def _v_parts(block: np.ndarray) -> np.ndarray:
+    """The v of each tuple in a (m, d, n, n) block, as "v-invertible"
+    reads it."""
+    if block.shape[1] == 2:
+        return 0.5 * (block[:, 0] - block[:, 1])
+    return block[:, 0]
 
 
 def _generic_u_pair(n: int, rng: np.random.Generator) -> MatrixTuple:

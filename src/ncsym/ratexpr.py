@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (AssignmentError, ExpansionError, InconclusiveError,
                      NumericalError, PreconditionError, SingularityError)
-from .linalg import in_I, op_norms, random_unit_norm
+from .linalg import in_I, op_norms, random_unit_norms
 from .words import (TERM_BUDGET, FreePoly, add_terms, format_complex,
                     mul_terms, render_terms)
 
@@ -245,8 +245,9 @@ def _postorder(e: RatExpr) -> list:
 # -- evaluation ---------------------------------------------------------------
 
 def _as_square(value, name: str) -> np.ndarray:
-    """A complex copy of value: one (n, n) matrix or an (m, n, n) stack."""
-    m = np.array(value, dtype=complex)
+    """value as a complex array, not copied: one (n, n) matrix or an
+    (m, n, n) stack."""
+    m = np.asarray(value, dtype=complex)
     if m.ndim == 0:
         m = m.reshape(1, 1)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
@@ -313,20 +314,21 @@ def evaluate(e: RatExpr, assignment: Mapping[str, np.ndarray],
             else:
                 val = _inverse(node, vals[id(node.child)])
             vals[id(node)] = val
-    return vals[id(e)]
+    # every other node's value is computed here; a variable's is its input
+    return vals[id(e)].copy() if isinstance(e, Variable) else vals[id(e)]
 
 
 def _inverse(node: Inverse, child: np.ndarray) -> np.ndarray:
     """The inverse of an Inverse node's value at every point at once."""
     try:
-        invertible = np.atleast_1d(in_I(child, SINGULARITY_RTOL))
+        invertible = in_I(child, SINGULARITY_RTOL)  # a bool, or a mask
     except NumericalError as exc:
         raise NumericalError(
             f"{exc} at sub-expression {to_text(node)}") from exc
-    if not invertible.all():
+    if not (invertible if child.ndim == 2 else invertible.all()):
         raise SingularityError(
             f"singular inverse at sub-expression {to_text(node)}",
-            expression=node, samples=~invertible)
+            expression=node, samples=~np.atleast_1d(invertible))
     return np.linalg.inv(child)
 
 
@@ -370,16 +372,21 @@ def as_ncpoly(e: RatExpr) -> dict:
 
     Inverse is only admitted directly on a Variable; anything else raises
     ExpansionError, and so does an expression whose term bound exceeds
-    TERM_BUDGET: a leaf counts 1, a Sum adds its children's bounds and
-    any other node multiplies them.  Words are reduced by cancelling
+    TERM_BUDGET: a leaf counts 1, a Sum adds the bounds of its children
+    once per _term_key, and any other node multiplies them.  Children
+    with one key expand to one set of words, so this bounds the terms
+    before anything is expanded.  Words are reduced by cancelling
     adjacent inverse pairs, which is sound wherever the inverses are
     defined.
     """
     order = _postorder(e)
     bound: dict[int, int] = {}
     for node in order:  # bounds grow toward the root: the first over decides
-        kids = [bound[id(c)] for c in _children(node)]
-        bound[id(node)] = sum(kids) if isinstance(node, Sum) else prod(kids)
+        if isinstance(node, Sum):
+            keys = {_term_key(c): bound[id(c)] for c in node.children}
+            bound[id(node)] = sum(keys.values())
+        else:
+            bound[id(node)] = prod(bound[id(c)] for c in _children(node))
         if bound[id(node)] > TERM_BUDGET:
             raise ExpansionError(
                 f"the expansion may exceed TERM_BUDGET = {TERM_BUDGET} terms")
@@ -413,6 +420,17 @@ def as_ncpoly(e: RatExpr) -> dict:
                 out = mul_terms(out, terms[id(c)], join)
         terms[id(node)] = out
     return terms[id(e)]
+
+
+def _term_key(node: RatExpr):
+    """A key shared by the sub-expressions that expand to the same words:
+    a variable's name, one key for every scalar, and otherwise the node
+    itself, a scalar factor set aside."""
+    if isinstance(node, ScalarMul):
+        node = node.child
+    if isinstance(node, Variable):
+        return node.name
+    return Scalar if isinstance(node, Scalar) else id(node)
 
 
 def ncpoly_equal(e1: RatExpr, e2: RatExpr) -> bool:
@@ -476,27 +494,28 @@ def require_samples(levels: tuple, trials: int) -> None:
             f"{SAMPLE_BUDGET}")
 
 
-def sample_nonsingular(draw: Callable[[], object],
-                       judge: Callable[[list], object], trials: int,
+def sample_nonsingular(draw: Callable[[int], np.ndarray],
+                       judge: Callable[[np.ndarray], object], trials: int,
                        exhausted: Exception) -> tuple:
-    """(points, judge(points), resamples) for trials points from draw().
+    """(points, judge(points), resamples) for the trials points of
+    draw(trials), an array of them.
 
     judge takes every point at once.  When it raises SingularityError,
-    the points its samples mask are redrawn alone, in order, the others
-    kept, and judge runs again.  A point still singular at its
+    the points its samples mask are redrawn as one draw, in order, the
+    others kept, and judge runs again.  A point still singular at its
     RESAMPLE_CAP-th draw raises exhausted instead.
     """
-    points = [draw() for _ in range(trials)]
-    draws = [1] * trials
+    points = draw(trials)
+    draws = np.ones(trials, dtype=int)
     while True:
         try:
-            return points, judge(points), sum(draws) - trials
+            return points, judge(points), int(draws.sum()) - trials
         except SingularityError as exc:
-            for t in np.flatnonzero(exc.samples):
-                if draws[t] == RESAMPLE_CAP:
-                    raise exhausted from exc
-                points[t] = draw()
-                draws[t] += 1
+            redo = np.flatnonzero(exc.samples)
+            if (draws[redo] == RESAMPLE_CAP).any():
+                raise exhausted from exc
+            points[redo] = draw(redo.size)
+            draws[redo] += 1
 
 
 def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
@@ -507,20 +526,21 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
     """Compare on random unit-norm complex Gaussian assignments per level;
     a relative residual above 1e-8 is a witness that the two differ.
 
-    The trials of a level are drawn in turn and evaluated as one stack,
-    one walk of each DAG; the witness is the first failing trial.  A
-    singular draw is redrawn alone, up to RESAMPLE_CAP draws for each
-    (level, trial); InconclusiveError once the cap is exhausted (domain
-    too thin), and PreconditionError when no levels or no trials leave
-    nothing to sample or more than SAMPLE_BUDGET points would be drawn.
+    The trials of a level are drawn as one block, scaled with one batched
+    SVD, and evaluated as one stack, one walk of each DAG; the witness is
+    the first failing trial, copied out of the block.  A singular draw is
+    redrawn, up to RESAMPLE_CAP draws for each (level, trial);
+    InconclusiveError once the cap is exhausted (domain too thin), and
+    PreconditionError when no levels or no trials leave nothing to sample
+    or more than SAMPLE_BUDGET points would be drawn.
     """
     levels = tuple(levels)
     require_samples(levels, trials)
     rng = rng or np.random.default_rng()
     names = sorted(free_variables(e1) | free_variables(e2))
 
-    def residuals(points: list, level: int) -> list:
-        stack = {nm: np.stack([p[nm] for p in points]) for nm in names}
+    def residuals(points: np.ndarray, level: int) -> list:
+        stack = {nm: points[:, i] for i, nm in enumerate(names)}
         v1 = evaluate(e1, stack, n=level)
         v2 = evaluate(e2, stack, n=level)
         gap, n1, n2 = op_norms(np.stack((v1 - v2, v1, v2)))
@@ -531,19 +551,20 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
     worst, samples, resamples = 0.0, 0, 0
     for level in levels:
         points, measured, redrawn = sample_nonsingular(
-            lambda: {nm: random_unit_norm(level, rng) for nm in names},
+            lambda count: random_unit_norms((count, len(names)), level, rng),
             lambda points: residuals(points, level), trials,
             InconclusiveError(f"no nonsingular sample at level {level} "
                               f"after {RESAMPLE_CAP} draws"))
         samples += trials
         resamples += redrawn
-        for point, residual in zip(points, measured):
+        for t, residual in enumerate(measured):
             worst = max(worst, residual)
             if residual > 1e-8:
                 return EquivalenceVerdict(
                     False, levels, trials, residual=residual,
-                    witness_level=level, witness=point, samples=samples,
-                    resamples=resamples)
+                    witness_level=level,
+                    witness=dict(zip(names, points[t].copy())),
+                    samples=samples, resamples=resamples)
     return EquivalenceVerdict(True, levels, trials, residual=worst,
                               samples=samples, resamples=resamples)
 

@@ -175,3 +175,17 @@ def solve_counts(solved, x) -> tuple:
     eigenvalues alone and for its eigenbasis."""
     return tuple(sum(kind == name and np.array_equal(m, x)
                      for kind, m in solved) for name in ("eigvals", "eig"))
+
+
+def record_svds(monkeypatch):
+    """Patch np.linalg.svd to record every array it decomposes, whichever
+    module asks; returns the list of copies, one per call."""
+    taken = []
+    real = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        taken.append(np.array(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return taken

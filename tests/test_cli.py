@@ -112,7 +112,7 @@ def test_girard_verify_without_trials_is_refused(capsys):
 
 def test_girard_verify_over_the_sample_budget_draws_nothing(capsys,
                                                             monkeypatch):
-    monkeypatch.setattr(girard, "random_tuple", _no_draw)
+    monkeypatch.setattr(girard, "random_tuples", _no_draw)
     assert main(["girard", "--n", "2", "--verify", "--levels", "2,3",
                  "--trials", str(10 ** 9)]) == 2
     captured = capsys.readouterr()

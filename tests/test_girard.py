@@ -9,7 +9,7 @@ from ncsym.errors import DomainError, ExpansionError, PreconditionError
 from ncsym.linalg import rel_dist
 from ncsym.words import MatrixTuple, s_even, s_odd
 
-from helpers import ginibre, scalar_eval
+from helpers import ginibre, record_svds, scalar_eval
 
 A = ("alpha", 1)
 B = ("beta", 1)
@@ -171,7 +171,7 @@ def test_samples_over_the_budget_are_refused_before_a_draw(levels, trials,
     def no_draw(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(girard, "random_tuple", no_draw)
+    monkeypatch.setattr(girard, "random_tuples", no_draw)
     with pytest.raises(PreconditionError, match="SAMPLE_BUDGET"):
         girard.verify_girard_random(2, levels=levels, trials=trials, seed=1)
 
@@ -221,22 +221,44 @@ def test_verify_girard_random_walks_p_n_once_per_level(monkeypatch):
     assert calls == [5, 5]  # one stack of 5 trials per level
 
 
+def _stack(*pairs):
+    return np.array([tuple(w) for w in pairs])
+
+
+def test_each_level_is_drawn_with_one_svd(monkeypatch):
+    # per level: the v-invertible test of the block, then the two norms
+    # of rel_dist, each batched over the 5 trials
+    svds = record_svds(monkeypatch)
+    rep = girard.verify_girard_random(2, levels=(2, 3), trials=5, seed=0)
+    assert rep.passed
+    assert [m.shape for m in svds] == [(5, 2, 2)] * 3 + [(5, 3, 3)] * 3
+    assert [(c.samples, c.resamples) for c in rep.checks] == [(5, 0)] * 2
+
+
 def test_a_singular_draw_is_redrawn_alone(monkeypatch):
     # trial 1 is x = y = I, where v = 0 makes every coefficient of P_-1
-    # singular: it alone is redrawn, after trial 2, and trial 0 stays
-    # the witness of a failing level
+    # singular: it alone is redrawn, after the level's block of 3 trials,
+    # and trial 0 stays the witness of a failing level
     rng = np.random.default_rng(4)
     eye = np.eye(2, dtype=complex)
     good = [MatrixTuple((ginibre(2, rng), ginibre(2, rng)))
             for _ in range(3)]
-    draws = iter([good[0], MatrixTuple((eye, eye)), good[1], good[2]])
-    monkeypatch.setattr(girard, "random_tuple", lambda *args: next(draws))
+    blocks = iter([_stack(good[0], MatrixTuple((eye, eye)), good[1]),
+                   _stack(good[2])])
+    counts = []
+
+    def draws(count, *args):
+        counts.append(count)
+        return next(blocks)
+
+    monkeypatch.setattr(girard, "random_tuples", draws)
     rep = girard.verify_girard_random(-1, levels=(2,), trials=3, tol=1e-300,
                                       seed=0)
-    assert next(draws, None) is None
+    assert counts == [3, 1]  # 4 draws in all
     check = rep.checks[0]
     assert not check.passed and check.witness["trial"] == 0
-    want = [girard._residuals(-1, girard.girard_pair(-1).P, [w])[0]
+    assert (check.samples, check.resamples) == (3, 1)
+    want = [girard._residuals(-1, girard.girard_pair(-1).P, _stack(w))[0]
             for w in good]
     assert check.witness["residual"] == want[0]
     assert check.residual == max(want)
@@ -246,14 +268,14 @@ def test_domain_error_on_singular_sample(monkeypatch):
     w = MatrixTuple((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
     draws = []
 
-    def singular(*args):
-        draws.append(args)
-        return w  # v = 0: every coefficient is singular
+    def singular(count, *args):
+        draws.append(count)
+        return _stack(*[w] * count)  # v = 0: every coefficient is singular
 
-    monkeypatch.setattr(girard, "random_tuple", singular)
+    monkeypatch.setattr(girard, "random_tuples", singular)
     with pytest.raises(DomainError, match="in 50 draws"):
         girard.verify_girard_random(-1, levels=(2,), trials=1, seed=0)
-    assert len(draws) == 50
+    assert sum(draws) == 50
 
 
 def test_expression_growth_is_linear():

@@ -7,7 +7,8 @@ from ncsym import linalg
 from ncsym.errors import GenerationError, NumericalError
 from ncsym.words import FreePoly, MatrixTuple
 
-from helpers import clustered_matrix, ginibre, reference_alg_residual
+from helpers import (clustered_matrix, ginibre, record_svds,
+                     reference_alg_residual)
 
 X1 = FreePoly.letter(0, 1)
 
@@ -147,6 +148,53 @@ def test_random_tuple_constraints(monkeypatch):
     monkeypatch.setattr(linalg, "RETRY_CAP", 0)
     with pytest.raises(GenerationError):
         linalg.random_tuple(1, 2, ("v-invertible",), rng)
+
+
+def test_a_level_draw_reads_the_rng_as_one_ginibre_call_per_matrix():
+    a, b, c = (np.random.default_rng(8) for _ in range(3))
+    block = linalg.random_tuples(4, 3, 2, ("v-invertible",), a)
+    one_by_one = [[ginibre(3, b) for _ in range(2)] for _ in range(4)]
+    assert np.array_equal(block, np.array(one_by_one))
+    units = linalg.random_unit_norms((4, 2), 3, c)
+    assert np.array_equal(units, np.array(
+        [[m / linalg.op_norm(m) for m in pair] for pair in one_by_one]))
+    # the one-draw cases continue the same streams
+    pair = linalg.random_tuple(3, 2, (), a)
+    assert all(np.array_equal(m, ginibre(3, b)) for m in pair)
+    g = ginibre(3, np.random.default_rng(8))
+    assert np.array_equal(linalg.random_unit_norm(3, np.random.default_rng(8)),
+                          g / linalg.op_norm(g))
+
+
+def test_a_rejected_draw_is_redrawn_after_the_block(monkeypatch):
+    # trial 1 fails its v-invertible test once: it is drawn again after
+    # the block of all 4 trials, and the others keep their first draw
+    seen = []
+
+    def reject_trial_1_once(x, tol=linalg.DEFAULT_TOL):
+        seen.append(len(x))
+        ok = real(x, tol)
+        if len(seen) == 1:
+            ok[1] = False
+        return ok
+
+    real = linalg.in_I
+    monkeypatch.setattr(linalg, "in_I", reject_trial_1_once)
+    got = linalg.random_tuples(4, 3, 2, ("v-invertible",),
+                               np.random.default_rng(9))
+    assert seen == [4, 1]  # one batched test per round
+    rng = np.random.default_rng(9)
+    block = linalg.ginibre_block((4, 2), 3, rng)
+    block[1] = linalg.ginibre_block((1, 2), 3, rng)[0]
+    assert np.array_equal(got, block)
+
+
+def test_a_level_draw_takes_one_svd(monkeypatch):
+    svds = record_svds(monkeypatch)
+    rng = np.random.default_rng(10)
+    linalg.random_tuples(6, 3, 2, ("v-invertible",), rng)
+    linalg.random_unit_norms((6, 3), 2, rng)
+    assert [m.shape for m in svds] == [(6, 3, 3), (6, 3, 2, 2)]
 
 
 def test_generic_u_tuple_properties():

@@ -1,4 +1,5 @@
 import gc
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from ncsym.linalg import rel_dist
 from ncsym.parsing import parse
 from ncsym.words import TERM_BUDGET, FreePoly
 
-from helpers import ginibre, scalar_eval, well_conditioned
+from helpers import ginibre, record_svds, scalar_eval, well_conditioned
 
 A, B, G = rx.variables("alpha", "beta", "gamma")
 
@@ -211,8 +212,13 @@ def test_a_singular_draw_is_redrawn_alone(monkeypatch):
     # trial 2
     x = rx.Variable("x")
     draws = iter([1.0, 0.0, 2.0, 3.0])
-    monkeypatch.setattr(rx, "random_unit_norm",
-                        lambda n, rng: next(draws) * np.eye(n))
+
+    def unit_norms(shape, n, rng):
+        return np.array([next(draws) * np.eye(n)
+                         for _ in range(np.prod(shape, dtype=int))]
+                        ).reshape(shape + (n, n))
+
+    monkeypatch.setattr(rx, "random_unit_norms", unit_norms)
     verdict = rx.equivalent_probabilistic(rx.inv(x), x, levels=(2,),
                                           trials=3)
     assert not verdict.equal_on_samples
@@ -220,6 +226,39 @@ def test_a_singular_draw_is_redrawn_alone(monkeypatch):
     assert verdict.residual == pytest.approx((3.0 - 1 / 3) / 4.0)
     assert (verdict.samples, verdict.resamples) == (3, 1)
     assert next(draws, None) is None
+
+
+def test_each_level_is_drawn_with_one_svd(monkeypatch):
+    # per level: the scaling of the block, the inverse test of beta and
+    # the three norms of the residual, each batched over the 5 trials
+    svds = record_svds(monkeypatch)
+    verdict = rx.equivalent_probabilistic(
+        rx.mul(G, rx.inv(B), B), G, levels=(1, 2, 3), trials=5,
+        rng=np.random.default_rng(5))
+    assert verdict.equal_on_samples
+    assert [m.shape for m in svds] == [
+        shape for n in (1, 2, 3)
+        for shape in ((5, 2, n, n), (5, n, n), (3, 5, n, n))]
+
+
+def test_a_witness_shares_no_memory_with_its_block(monkeypatch):
+    blocks = []
+
+    def recorded(*args):
+        blocks.append(draw(*args))
+        return blocks[-1]
+
+    draw = rx.random_unit_norms
+    monkeypatch.setattr(rx, "random_unit_norms", recorded)
+    x, y = rx.variables("x", "y")
+    verdict = rx.equivalent_probabilistic(rx.mul(x, y), rx.mul(y, x),
+                                          levels=(2,), trials=3,
+                                          rng=np.random.default_rng(6))
+    assert not verdict.equal_on_samples and len(blocks) == 1
+    assert np.array_equal(verdict.witness["x"], blocks[0][0, 0])
+    assert np.array_equal(verdict.witness["y"], blocks[0][0, 1])
+    assert not any(np.shares_memory(m, blocks[0])
+                   for m in verdict.witness.values())
 
 
 @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"levels": ()}])
@@ -239,7 +278,7 @@ def test_equivalence_over_the_sample_budget_draws_nothing(levels, trials,
     def no_draw(*args):
         raise AssertionError("a sample was drawn")
 
-    monkeypatch.setattr(rx, "random_unit_norm", no_draw)
+    monkeypatch.setattr(rx, "random_unit_norms", no_draw)
     x = rx.Variable("x")
     with pytest.raises(PreconditionError, match="SAMPLE_BUDGET"):
         rx.equivalent_probabilistic(x, 2 * x, levels=levels, trials=trials)
@@ -253,17 +292,35 @@ def test_expansion_cancels_inverse_pairs():
 
 
 def test_expansion_is_refused_above_the_term_budget():
-    # the bound multiplies over products: (x + x)^18 may have 2^18 terms,
-    # though it has one, and (x + x)^19 may have twice the budget
-    x = rx.Variable("x")
-    assert rx.as_ncpoly(rx.power(rx.Sum([x, x]), 18)) == {
-        (("x", 1),) * 18: 2.0 ** 18}
+    # the bound multiplies over products: (x + y)^18 may have 2^18 terms,
+    # and (x + y)^19 twice the budget
+    x, y = rx.variables("x", "y")
+    assert len(rx.as_ncpoly(rx.power(rx.Sum([x, y]), 18))) == 2 ** 18
     with pytest.raises(ExpansionError, match=f"TERM_BUDGET = {TERM_BUDGET}"):
-        rx.as_ncpoly(rx.power(rx.Sum([x, x]), 19))
+        rx.as_ncpoly(rx.power(rx.Sum([x, y]), 19))
     with pytest.raises(ExpansionError, match="TERM_BUDGET"):
         parse("(x+y)^40")
     with pytest.raises(ExpansionError, match="TERM_BUDGET"):
         girard.table_expression(40)
+
+
+def test_a_sum_bounds_its_terms_once_per_repeated_term():
+    # children that expand to one word set count once: a variable, a
+    # scalar, or one sub-expression up to a scalar factor
+    x, y = rx.variables("x", "y")
+    assert parse("(x - x + y)^12") == parse("y^12")
+    assert parse("(x + x)^19") == 2 ** 19 * parse("x^19")
+    assert rx.as_ncpoly(rx.power(rx.Sum([x, x]), 19)) == {
+        (("x", 1),) * 19: 2.0 ** 19}
+    s = rx.mul(x, y)
+    assert rx.as_ncpoly(rx.power(rx.add(s, rx.scale(3, s), 1, 2), 17)) \
+        == rx.as_ncpoly(rx.power(rx.add(rx.scale(4, s), 3), 17))
+    start = time.perf_counter()
+    with pytest.raises(ExpansionError, match="TERM_BUDGET"):
+        parse("(x+y)^19")
+    with pytest.raises(ExpansionError, match="TERM_BUDGET"):
+        parse("(x + y + x - y)^19")  # cancellation is not foreseen
+    assert time.perf_counter() - start < 0.5
 
 
 def test_text_is_refused_above_the_text_budget():

@@ -241,6 +241,20 @@ def test_add_worst_keeps_a_non_finite_worst_residual(bad):
     assert out["checks"][0]["residual"] is None
 
 
+def test_sampled_checks_count_their_samples_outside_the_json():
+    report = Report()
+    check = report.add_worst("x", [({"t": t}, 0.0) for t in range(3)], 1e-8)
+    assert (check.samples, check.resamples) == (3, 0)
+    assert report.add_worst("empty", [], 1e-8).samples == 0
+    suites = verify.run_suite("girard", seed=2), verify.run_suite("symbasis",
+                                                                 seed=2)
+    merged = [c for rep in suites for c in rep.checks]
+    assert [c.samples for c in merged] == [5] * 14 + [25, 25]
+    assert all(c.resamples == 0 for c in merged)
+    assert all(set(c.to_json_dict()) == {"name", "pass", "residual",
+                                         "witness-ref"} for c in merged)
+
+
 def test_finite_graded_map_validates_shapes():
     with pytest.raises(ValueError):
         verify.FiniteGradedMap([_diag_tuple(1.0)], [np.eye(2)])
