@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import domains, geometry, girard, linalg, sqrtlib, verify
+from . import domains, girard, linalg, sqrtlib, verify
 from .errors import NumericalError, ParseError, PreconditionError
 from .parsing import parse
 from .ratexpr import render_ncpoly, to_text
@@ -102,7 +102,7 @@ def _cmd_decompose(args) -> int:
 def _cmd_sqrt(args) -> int:
     m = linalg.spectrum(_load_matrix(args.matrix))
     if args.enumerate and args.gap is not None:
-        geometry._require_positive("gap", args.gap)
+        linalg.require_positive("gap", args.gap)
     exists = sqrtlib.sqrt_exists(m)
     out = {"exists": exists, "enumeration": None}
     if args.enumerate:
@@ -118,7 +118,7 @@ def _cmd_sqrt(args) -> int:
 
 def _cmd_pi(args) -> int:
     w = _load_tuple(args.input, "--input")
-    _emit(linalg.tuple_to_json_dict(domains.pi(w)))
+    _emit(linalg.tuple_to_json_dict(linalg.pi(w)))
     return 0
 
 
@@ -140,7 +140,7 @@ def _cmd_check_domain(args) -> int:
     pred = args.pred
     out: dict = {"pred": pred}
     if pred in ("Q", "I", "So"):
-        geometry._require_positive("tol", args.tol)
+        linalg.require_positive("tol", args.tol)
     if pred == "I":
         ratio = linalg.sv_ratio(_load_matrix(args.matrix))
         out["value"] = ratio > args.tol  # in_I, from the same SVD
@@ -149,7 +149,7 @@ def _cmd_check_domain(args) -> int:
         if pred == "Q":
             m = _load_matrix(args.matrix)
         else:  # in_S_o: v in Q, from the same split as pi's
-            m = domains.uv_parts(_load_tuple(args.tuple, "--tuple"))[1]
+            m = linalg.uv_parts(_load_tuple(args.tuple, "--tuple"))[1]
         s = linalg.spectrum(m)
         margin = linalg.q_margin(s)
         if not np.isfinite(margin):  # JSON has no infinity

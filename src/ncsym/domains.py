@@ -1,11 +1,12 @@
-"""Membership predicates and the symmetrization map.
+"""Spectral membership predicates, local sections and fibers of pi.
 
 This module owns the spectral membership predicates over simple sets, the
-map pi(w) = (u, v^2, vuv) with its local sections, and the fibers of pi.
-Fibers and genericity are both read off the coupling graph of a matrix
-over the spectral idempotents of the discs.  The disc geometry itself
-lives in geometry; SimpleSet, default_radius and propose_simple_set are
-re-exported here.
+local sections phi and omega of the map pi(w) = (u, v^2, vuv), and the
+fibers of pi.  Fibers and genericity are both read off the coupling graph
+of a matrix over the spectral idempotents of the discs.  The map itself,
+its u,v split and its clean locus in_S_o are algebraic and live in linalg;
+pi is bound here too.  The disc geometry lives in geometry; SimpleSet,
+default_radius and propose_simple_set are re-exported here.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatchError, DomainError, NumericalError,
-                     SpectrumOutsideDomainError, UnsupportedError)
+from .errors import (DomainError, NumericalError, SpectrumOutsideDomainError,
+                     UnsupportedError)
 from .funcalc import (SIGN_BLOCK, sign_patterns, spectral_idempotents,
                       sqrt_branch_S)
-from .geometry import (SimpleSet, _require_positive, default_radius,
-                       propose_simple_set)
-from .linalg import fro_norms, in_I, in_Q, op_norm, op_norms, spectrum
+from .geometry import SimpleSet, default_radius, propose_simple_set
+# pi stays bound here for the callers that read domains.pi
+from .linalg import (fro_norms, in_I, in_Q, op_norm, op_norms, pi,
+                     require_positive, spectrum, uv_parts)
 from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
 from .words import MatrixTuple
 
@@ -90,7 +92,7 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     Zariski-open condition, so false negatives near the commutation
     variety are expected at the working tolerance.
     """
-    _require_positive("tol", tol)
+    require_positive("tol", tol)
     problem = delta.branch_problem()
     if problem:
         raise DomainError(problem)
@@ -102,7 +104,7 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     except SpectrumOutsideDomainError:
         return False
     # a nonzero idempotent has norm at least 1, an empty disc's is 0
-    if (np.linalg.norm(idem, axis=(1, 2)) < 0.5).any():
+    if (fro_norms(idem) < 0.5).any():
         return False
     threshold = tol * op_norm(u)
     member = _coupling_components(u, idem, 0.5 * threshold)
@@ -117,43 +119,7 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     return True
 
 
-def in_S_o(w: MatrixTuple) -> bool:
-    """Clean locus of the symmetrization map: (w^1 - w^2)/2 lies in Q."""
-    return in_Q(uv_parts(w)[1])
-
-
-# -- the symmetrization map and its sections ----------------------------------
-
-def uv_parts(w: MatrixTuple) -> tuple:
-    """(u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), halved before the sum so that
-    a pair of finite entries near the float range cannot overflow."""
-    _require_pair(w)
-    return _uv(w[0], w[1])
-
-
-def _uv(a: np.ndarray, b: np.ndarray) -> tuple:
-    a, b = 0.5 * a, 0.5 * b
-    return a + b, a - b
-
-
-def pi(w: MatrixTuple) -> MatrixTuple:
-    """w -> (u, v^2, vuv) with u = (w^1+w^2)/2, v = (w^1-w^2)/2.
-
-    Raises NumericalError when a slot overflows the float range.
-    """
-    _require_pair(w)
-    return MatrixTuple(pi_stack(w[0], w[1]))
-
-
-def pi_stack(a: np.ndarray, b: np.ndarray) -> tuple:
-    """(u, v^2, vuv) of the pair w = (a, b), or of each pair when a and b
-    are (m, n, n) stacks: pi's formula, with its overflow check."""
-    u, v = _uv(a, b)
-    out = (u, v @ v, v @ u @ v)
-    if not all(np.isfinite(m).all() for m in out):
-        raise NumericalError("pi(w) overflows the float range")
-    return out
-
+# -- local sections of pi and its fibers -------------------------------------
 
 def phi(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
     """(u, x, S u S) for the branch square root S of the spec."""
@@ -183,14 +149,13 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     PreconditionError unless tol, and a gap if given, are finite and
     positive.
     """
-    _require_pair(w)
-    _require_positive("tol", tol)
-    if gap is not None:
-        _require_positive("gap", gap)
     u, v = uv_parts(w)
+    require_positive("tol", tol)
+    if gap is not None:
+        require_positive("gap", gap)
     if not in_I(v):
         raise UnsupportedError("fiber enumeration needs v invertible")
-    if not in_S_o(w):
+    if not in_Q(v):
         raise UnsupportedError("fiber enumeration needs v in Q "
                                "(spectrum disjoint from its negative)")
     x = spectrum(v @ v)
@@ -217,8 +182,3 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
                      v_norms.sum(), what="fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]
-
-
-def _require_pair(w: MatrixTuple) -> None:
-    if w.d != 2:
-        raise DimensionMismatchError(f"need a pair of matrices, got d={w.d}")

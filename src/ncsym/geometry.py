@@ -1,8 +1,9 @@
 """Simple sets: finite unions of equal-radius open discs in the plane.
 
-Owns the disc geometry that both the functional calculus and the domain
-predicates use: separation, t-isolation, subordination, the default radius
-rule, and the quarter-isolated covering proposed for a spectrum.
+The lowest module of the spectral half over linalg.  Owns the disc
+geometry that the functional calculus, the square roots and the domain
+predicates use: separation, t-isolation, subordination, the default
+radius rule, and the quarter-isolated covering proposed for a spectrum.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ClusteringError, PreconditionError
-from .linalg import cluster_eigenvalues
+from .errors import ClusteringError
+from .linalg import cluster_eigenvalues, require_positive
 
 CONTAINMENT_MARGIN = 1e-8  # discs are shrunk by this fraction of r for tests
 
@@ -111,13 +112,6 @@ def default_radius(centers: Iterable[complex]) -> float:
     return 0.5 * min(closest, 0.25 * sep)
 
 
-def _require_positive(name: str, value: float) -> None:
-    # a NaN or negative value fails every comparison that it takes part in
-    if not (np.isfinite(value) and value > 0):
-        raise PreconditionError(
-            f"{name} must be finite and positive, got {value}")
-
-
 def propose_simple_set(eigenvalues: Sequence[complex],
                        gap: Optional[float] = None) -> SimpleSet:
     """Quarter-isolated simple set covering the eigenvalues, or raise.
@@ -128,7 +122,7 @@ def propose_simple_set(eigenvalues: Sequence[complex],
     finite and positive raises PreconditionError.
     """
     if gap is not None:
-        _require_positive("gap", gap)
+        require_positive("gap", gap)
     eigs = [complex(z) for z in eigenvalues]
     if not eigs:
         raise ClusteringError("no eigenvalues to cover")

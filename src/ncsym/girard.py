@@ -28,11 +28,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .domains import pi_stack
 from .errors import (DomainError, ExpansionError, NumericalError,
                      PreconditionError, SingularityError)
-from .geometry import _require_positive
-from .linalg import random_tuples, rel_dist
+from .linalg import pi_stack, random_tuples, rel_dist, require_positive
 from .ratexpr import (ONE, RESAMPLE_CAP, ZERO, RatExpr, Scalar, Variable, add,
                       evaluate, inv, mul, require_samples,
                       sample_nonsingular, scale)
@@ -205,7 +203,7 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
         raise PreconditionError(f"seed must be non-negative, got {seed}")
     if tol is None:
         tol = 1e-7 if n < 0 else 1e-8
-    _require_positive("tol", tol)
+    require_positive("tol", tol)
     rng = rng if rng is not None else np.random.default_rng(seed)
     p = girard_pair(n).P
     report = Report(seed=seed, tolerances={"residual": tol})

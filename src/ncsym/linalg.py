@@ -1,9 +1,12 @@
-"""Dense complex linear algebra support.
+"""Dense complex linear algebra support: the base of both halves.
 
 Spectra with deterministic ordering, single-linkage eigenvalue clustering,
 direct sums and similarity, block evaluation of polynomial matrices, the
 invertibility / spectral-symmetry predicates, membership in the algebra
-generated by a matrix, and seeded structured random generators.
+generated by a matrix, and seeded structured random generators.  Also the
+algebraic side of pi(w) = (u, v^2, vuv): the u,v split, pi and its clean
+locus in_S_o, which girard and verify take from here without the spectral
+modules; and require_positive, the one check of a tolerance.
 
 Owns the matrix-tuple JSON format: an object with fields n, d and
 entries[d][n][n], each entry a [re, im] pair.  Finite doubles round-trip
@@ -24,6 +27,14 @@ from .words import FreePoly, MatrixTuple
 
 DEFAULT_TOL = 1e-10
 _LEAST = np.nextafter(0.0, 1.0)  # the least positive (subnormal) double
+
+
+def require_positive(name: str, value: float) -> None:
+    """PreconditionError unless value is finite and positive."""
+    # a NaN or negative value fails every comparison that it takes part in
+    if not (np.isfinite(value) and value > 0):
+        raise PreconditionError(
+            f"{name} must be finite and positive, got {value}")
 
 
 def op_norm(x: np.ndarray) -> float:
@@ -170,6 +181,47 @@ def conjugate(s: np.ndarray, x: MatrixTuple) -> MatrixTuple:
         raise NumericalError("conjugating matrix is numerically singular")
     s_inv = np.linalg.inv(s)
     return MatrixTuple(tuple(s_inv @ m @ s for m in x))
+
+
+def uv_parts(w: MatrixTuple) -> tuple:
+    """(u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), halved before the sum so that
+    a pair of finite entries near the float range cannot overflow."""
+    _require_pair(w)
+    return _uv(w[0], w[1])
+
+
+def _uv(a: np.ndarray, b: np.ndarray) -> tuple:
+    a, b = 0.5 * a, 0.5 * b
+    return a + b, a - b
+
+
+def _require_pair(w: MatrixTuple) -> None:
+    if w.d != 2:
+        raise DimensionMismatchError(f"need a pair of matrices, got d={w.d}")
+
+
+def pi(w: MatrixTuple) -> MatrixTuple:
+    """w -> (u, v^2, vuv) with u = (w^1+w^2)/2, v = (w^1-w^2)/2.
+
+    Raises NumericalError when a slot overflows the float range.
+    """
+    _require_pair(w)
+    return MatrixTuple(pi_stack(w[0], w[1]))
+
+
+def pi_stack(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(u, v^2, vuv) of the pair w = (a, b), or of each pair when a and b
+    are (m, n, n) stacks: pi's formula, with its overflow check."""
+    u, v = _uv(a, b)
+    out = (u, v @ v, v @ u @ v)
+    if not all(np.isfinite(m).all() for m in out):
+        raise NumericalError("pi(w) overflows the float range")
+    return out
+
+
+def in_S_o(w: MatrixTuple) -> bool:
+    """Clean locus of the symmetrization map: (w^1 - w^2)/2 lies in Q."""
+    return in_Q(uv_parts(w)[1])
 
 
 def eval_delta(delta: Sequence[Sequence[FreePoly]], x: MatrixTuple) -> np.ndarray:
@@ -337,11 +389,6 @@ def ginibre_block(shape: tuple, n: int,
     return (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
 
 
-def random_unit_norm(n: int, rng: np.random.Generator) -> np.ndarray:
-    """The one-draw case of random_unit_norms."""
-    return random_unit_norms((), n, rng)
-
-
 def random_unit_norms(shape: tuple, n: int,
                       rng: np.random.Generator) -> np.ndarray:
     """Complex Gaussian matrices of 2-norm 1 in an array of shape + (n, n),
@@ -406,8 +453,12 @@ def random_tuples(count: int, level: int, d: int,
     todo = np.arange(count)
     for _ in range(RETRY_CAP):
         block = draw(todo.size)
-        ok = (in_I(_v_parts(block)) if "v-invertible" in wanted
-              else np.ones(todo.size, dtype=bool))
+        if "v-invertible" not in wanted:
+            ok = np.ones(todo.size, dtype=bool)
+        elif block.shape[1] == 2:  # v = (w^1 - w^2)/2 of a pair
+            ok = in_I(_uv(block[:, 0], block[:, 1])[1])
+        else:
+            ok = in_I(block[:, 0])
         points[todo[ok]] = block[ok]
         todo = todo[~ok]
         if not todo.size:
@@ -415,14 +466,6 @@ def random_tuples(count: int, level: int, d: int,
     raise GenerationError(
         f"no level-{level} tuple satisfying {sorted(wanted)} "
         f"after {RETRY_CAP} draws")
-
-
-def _v_parts(block: np.ndarray) -> np.ndarray:
-    """The v of each tuple in a (m, d, n, n) block, as "v-invertible"
-    reads it."""
-    if block.shape[1] == 2:
-        return 0.5 * (block[:, 0] - block[:, 1])
-    return block[:, 0]
 
 
 def _generic_u_pair(n: int, rng: np.random.Generator) -> MatrixTuple:

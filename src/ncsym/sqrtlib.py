@@ -17,10 +17,11 @@ import numpy as np
 from .errors import (ClusteringError, NumericalError, PreconditionError,
                      UnsupportedError)
 from .funcalc import MERGE_LADDER, SIGN_BLOCK, matrix_function, sign_patterns
-from .geometry import SimpleSet, _require_positive, propose_simple_set
+from .geometry import SimpleSet, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
 from .linalg import (alg_residual, fro_norms, matrix_to_lists,
-                     numerical_rank, op_norm, op_norms, peak_scaled, spectrum)
+                     numerical_rank, op_norm, op_norms, peak_scaled,
+                     require_positive, spectrum)
 
 RANK_RTOL = 1e-10
 ZERO_EIG_RTOL = 1e-8
@@ -144,10 +145,10 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
     list would betray the 2^k contract.  A looser tol opts in to degraded
     accuracy, which the result records per root.
     """
-    _require_positive("tol", tol)
-    _require_positive("alg_tol", alg_tol)
+    require_positive("tol", tol)
+    require_positive("alg_tol", alg_tol)
     if gap is not None:
-        _require_positive("gap", gap)
+        require_positive("gap", gap)
     s = spectrum(x)
     x, eigs, norm = s.matrix, s.eigenvalues, s.norm
     if not sqrt_exists(s):

@@ -14,13 +14,12 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .domains import in_S_o, pi
 from .errors import ContradictionError, EvaluatorError, PreconditionError
-from .geometry import _require_positive
 from .girard import verify_girard_random
-from .linalg import (block_diag, conjugate, direct_sum, in_I,
-                     matrix_to_lists, op_norm, random_similarity, random_tuple,
-                     rel_dist, tuple_to_json_dict)
+from .linalg import (block_diag, conjugate, direct_sum, in_I, in_S_o,
+                     matrix_to_lists, op_norm, pi, random_similarity,
+                     random_tuple, rel_dist, require_positive,
+                     tuple_to_json_dict)
 from .ratexpr import evaluate
 from .report import Report
 from .symbasis import decompose_symmetric, reduce_to_pi
@@ -193,7 +192,7 @@ def check_anc(f: FiniteGradedMap, tol: float = ENTRY_TOL,
     point, and PreconditionError for an empty domain or a tol that is not
     finite and positive.
     """
-    _require_positive("tol", tol)
+    require_positive("tol", tol)
     if not f.domain:
         raise PreconditionError("no samples to judge")
     rng = rng or np.random.default_rng(0)

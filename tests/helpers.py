@@ -3,8 +3,7 @@
 import numpy as np
 
 from ncsym import ratexpr as rx
-from ncsym.domains import uv_parts
-from ncsym.linalg import op_norm, op_norms
+from ncsym.linalg import op_norm, op_norms, uv_parts
 from ncsym.sqrtlib import all_square_roots
 from ncsym.words import FreePoly, MatrixTuple
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from ncsym import domains, sqrtlib
-from ncsym.errors import (ClusteringError, DomainError, PreconditionError,
-                          UnsupportedError)
+from ncsym.errors import (ClusteringError, DomainError, NumericalError,
+                          PreconditionError, UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
-from ncsym.linalg import (commutator_norm, direct_sum, op_norm, random_tuple,
-                          rel_dist, spectrum)
+from ncsym.linalg import (commutator_norm, direct_sum, in_S_o, op_norm,
+                          random_tuple, rel_dist, spectrum, uv_parts)
 from ncsym.words import MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
@@ -252,7 +252,7 @@ def test_fiber_solves_for_the_spectrum_once(monkeypatch):
     # and the square check of v^2 share one eigendecomposition
     calls = record_eigensolves(monkeypatch)
     w = random_tuple(4, 2, ("generic-u",), np.random.default_rng(2))
-    _, v = domains.uv_parts(w)
+    _, v = uv_parts(w)
     calls.clear()
     assert len(domains.fiber(w)) == 2
     assert len(calls) == 2
@@ -313,7 +313,7 @@ def test_omega_phi_identities():
     rhs = domains.phi(u, x, spec)
     assert max(rel_dist(a, b) for a, b in zip(lhs, rhs)) < 1e-9
     # round trip through (u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), v^2 = x
-    ui, vi = domains.uv_parts(w)
+    ui, vi = uv_parts(w)
     assert rel_dist(ui, u) < 1e-12 and rel_dist(vi @ vi, x) < 1e-9
     # identity-branch section: omega(u, I) = (u + I, u - I)
     spec1 = BranchSpec((1.0,), 0.3, (1,))
@@ -411,6 +411,17 @@ def test_fiber_through_repeated_eigenvalues_is_two_point():
         assert any(p.close_to(w.flip(), 1e-8) for p in points)
 
 
+def test_fiber_refuses_candidates_that_fail_their_square_check(monkeypatch):
+    # idempotents 1e-6 too large make every candidate's square miss v^2 by
+    # 2e-6: the candidates are refused, not filtered down to none
+    exact = domains.spectral_idempotents
+    monkeypatch.setattr(domains, "spectral_idempotents",
+                        lambda x, covering: exact(x, covering) * (1 + 1e-6))
+    w = random_tuple(3, 2, ("generic-u",), np.random.default_rng(4))
+    with pytest.raises(NumericalError, match="failed its square check"):
+        domains.fiber(w)
+
+
 def _assert_same_points(got, want, tol=1e-8):
     assert len(got) == len(want)
     scale = 1.0 + max(op_norm(p[0]) for p in want)
@@ -449,9 +460,8 @@ def test_fiber_requires_clean_locus():
 
 
 def test_in_S_o_examples():
-    assert domains.in_S_o(MatrixTuple((np.array([[4.0]]),
-                                       np.array([[2.0]]))))
+    assert in_S_o(MatrixTuple((np.array([[4.0]]), np.array([[2.0]]))))
     a = ginibre(2, np.random.default_rng(7))
-    assert not domains.in_S_o(MatrixTuple((a, a)))
+    assert not in_S_o(MatrixTuple((a, a)))
     v = np.diag([1.0, -1.0]).astype(complex)
-    assert not domains.in_S_o(MatrixTuple((v, -v)))
+    assert not in_S_o(MatrixTuple((v, -v)))

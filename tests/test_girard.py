@@ -5,7 +5,8 @@ import pytest
 
 from ncsym import girard
 from ncsym import ratexpr as rx
-from ncsym.errors import DomainError, ExpansionError, PreconditionError
+from ncsym.errors import (DomainError, ExpansionError, PreconditionError,
+                          SingularityError)
 from ncsym.linalg import rel_dist
 from ncsym.words import MatrixTuple, s_even, s_odd
 
@@ -296,3 +297,13 @@ def test_expression_growth_is_linear():
 
     sizes = [count_nodes(girard.girard_positive(n).P) for n in (8, 16, 24)]
     assert sizes[2] - sizes[1] == sizes[1] - sizes[0]
+
+
+def test_power_sums_mask_the_pairs_with_an_exactly_singular_matrix():
+    # the LU of [[1, 2], [2, 4]] meets an exact zero pivot, so the matrix
+    # power of the stack fails and pair 1 alone is masked
+    x = np.stack((np.eye(2), [[1, 2], [2, 4]], 2 * np.eye(2))).astype(complex)
+    y = 3 * np.stack([np.eye(2)] * 3).astype(complex)
+    with pytest.raises(SingularityError) as info:
+        girard._power_sums(x, y, -1)
+    assert info.value.samples.tolist() == [False, True, False]

@@ -45,6 +45,50 @@ def test_module_graph_is_acyclic_and_layered():
         assert not graph[name] & set(LAYERS[i + 1:]), name
 
 
+def _reach(graph: dict, name: str) -> set:
+    """The package modules name imports, directly or through others."""
+    seen, todo = set(), [name]
+    while todo:
+        for dep in graph[todo.pop()] - seen:
+            seen.add(dep)
+            todo.append(dep)
+    return seen
+
+
+def test_identity_side_reaches_no_spectral_module():
+    # pi, its u,v split and the tolerance check live in linalg, so the
+    # identity code stands on linalg alone, apart from the discs, branch
+    # roots and fibers built over it
+    graph = {name: _package_imports(tree) for name, tree in _trees().items()}
+    for name in ("words", "report", "ratexpr", "symbasis", "parsing",
+                 "girard", "verify"):
+        assert not _reach(graph, name) & {"geometry", "funcalc", "sqrtlib",
+                                          "domains"}, name
+    assert _reach(graph, "girard") == {"errors", "linalg", "ratexpr",
+                                       "report", "symbasis", "words"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reads_a_private_name_of_another():
+    found = []
+    for name, tree in _trees().items():
+        modules = {alias.asname or alias.name
+                   for node in tree.body
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found += [f"{name}: {node.module}.{alias.name}"
+                          for alias in node.names if _private(alias.name)]
+            elif (isinstance(node, ast.Attribute) and _private(node.attr)
+                  and getattr(node.value, "id", None) in modules):
+                found.append(f"{name}: {node.value.id}.{node.attr}")
+    assert found == []
+
+
 def _calls(tree, prefix: str) -> list:
     """The calls in tree of a routine whose name starts with prefix, as
     np.linalg.<name> or as a name imported from numpy.linalg."""

@@ -162,8 +162,9 @@ def test_a_level_draw_reads_the_rng_as_one_ginibre_call_per_matrix():
     pair = linalg.random_tuple(3, 2, (), a)
     assert all(np.array_equal(m, ginibre(3, b)) for m in pair)
     g = ginibre(3, np.random.default_rng(8))
-    assert np.array_equal(linalg.random_unit_norm(3, np.random.default_rng(8)),
-                          g / linalg.op_norm(g))
+    assert np.array_equal(
+        linalg.random_unit_norms((), 3, np.random.default_rng(8)),
+        g / linalg.op_norm(g))
 
 
 def test_a_rejected_draw_is_redrawn_after_the_block(monkeypatch):

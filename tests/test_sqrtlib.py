@@ -449,3 +449,11 @@ def test_unisolable_clusters_are_refused():
         sqrtlib.all_square_roots(x, gap=0.25)
     # a finer gap separates everything and enumeration succeeds
     assert len(sqrtlib.all_square_roots(x, gap=0.05)) == 8
+
+
+def test_a_root_outside_alg_x_is_refused():
+    # the roots of this x lie in alg(x) to 1.4e-16, which alg_tol = 1e-300
+    # does not accept: all four are refused, none is returned
+    with pytest.raises(NumericalError, match="drifted out of alg"):
+        sqrtlib.all_square_roots(np.array([[1, 0.7], [0, 4]]),
+                                 alg_tol=1e-300)
