@@ -22,8 +22,8 @@ from .funcalc import (SIGN_BLOCK, sign_patterns, spectral_idempotents,
                       sqrt_branch_S)
 from .geometry import SimpleSet, default_radius, propose_simple_set
 # pi stays bound here for the callers that read domains.pi
-from .linalg import (fro_norms, in_I, in_Q, op_norm, op_norms, pi,
-                     require_positive, spectrum, uv_parts)
+from .linalg import (connected_components, fro_norms, in_I, in_Q, op_norm,
+                     op_norms, pi, require_positive, spectrum, uv_parts)
 from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
 from .words import MatrixTuple
 
@@ -45,8 +45,10 @@ def _coupling_components(m: np.ndarray, idem: np.ndarray,
     """Connected components of the coupling graph of m over idempotents.
 
     Disc i ~ disc j when ||E_i m E_j|| or ||E_j m E_i|| exceeds
-    bound * ||E_i|| ||E_j||.  Returns a (c, k) 0/1 membership matrix whose
-    rows are the components in the order of their first disc.
+    bound * ||E_i|| ||E_j||; linalg.connected_components, the union-find
+    that also clusters eigenvalues, joins them.  Returns a (c, k) 0/1
+    membership matrix whose rows are the components in the order of their
+    first disc.
     """
     k, n = idem.shape[:2]
     norms = op_norms(idem)
@@ -56,21 +58,11 @@ def _coupling_components(m: np.ndarray, idem: np.ndarray,
     blocks = fro_norms(prods)
     unsure = (blocks > limit) & (blocks <= limit * np.sqrt(n))
     blocks[unsure] = op_norms(prods[unsure])
-    edges = blocks > limit
-    edges |= edges.T
-    label = np.full(k, -1)
-    c = 0
-    for seed in range(k):
-        if label[seed] >= 0:
-            continue
-        label[seed] = c
-        todo = [seed]
-        while todo:
-            reached = np.flatnonzero(edges[todo.pop()] & (label < 0))
-            label[reached] = c
-            todo.extend(reached)
-        c += 1
-    return (label == np.arange(c)[:, None]).astype(float)
+    comps = connected_components(k, zip(*np.nonzero(blocks > limit)))
+    member = np.zeros((len(comps), k))
+    for row, comp in zip(member, comps):
+        row[comp] = 1.0
+    return member
 
 
 def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,

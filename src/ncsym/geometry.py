@@ -46,10 +46,7 @@ class SimpleSet:
 
     def separation(self) -> float:
         """Min pairwise center distance; +inf for a singleton."""
-        if len(self.centers) < 2:
-            return math.inf
-        return min(abs(c - d) for c, d in
-                   itertools.combinations(self.centers, 2))
+        return _separation(self.centers)
 
     def is_t_isolated(self, t: float) -> bool:
         return self.radius < t * self.separation()
@@ -106,10 +103,13 @@ def default_radius(centers: Iterable[complex]) -> float:
     closest = min(abs(c) for c in centers)
     if closest == 0.0:
         raise ValueError("0 is a center; no admissible radius exists")
-    if len(centers) < 2:
-        return 0.5 * closest
-    sep = min(abs(c - d) for c, d in itertools.combinations(centers, 2))
-    return 0.5 * min(closest, 0.25 * sep)
+    return 0.5 * min(closest, 0.25 * _separation(centers))
+
+
+def _separation(centers: tuple) -> float:
+    """Min pairwise distance of the centers; +inf for fewer than two."""
+    return min((abs(c - d) for c, d in itertools.combinations(centers, 2)),
+               default=math.inf)
 
 
 def propose_simple_set(eigenvalues: Sequence[complex],

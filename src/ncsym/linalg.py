@@ -1,12 +1,13 @@
 """Dense complex linear algebra support: the base of both halves.
 
-Spectra with deterministic ordering, single-linkage eigenvalue clustering,
-direct sums and similarity, block evaluation of polynomial matrices, the
-invertibility / spectral-symmetry predicates, membership in the algebra
-generated by a matrix, and seeded structured random generators.  Also the
-algebraic side of pi(w) = (u, v^2, vuv): the u,v split, pi and its clean
-locus in_S_o, which girard and verify take from here without the spectral
-modules; and require_positive, the one check of a tolerance.
+Spectra with deterministic ordering, the one union-find for connected
+components (eigenvalue clusters, coupling graphs), direct sums and
+similarity, block evaluation of polynomial matrices, the invertibility /
+spectral-symmetry predicates, membership in the algebra generated by a
+matrix, and seeded structured random generators.  Also the algebraic side
+of pi(w) = (u, v^2, vuv): the u,v split, pi and its clean locus in_S_o,
+which girard and verify take from here without the spectral modules; and
+require_positive, the one check of a tolerance.
 
 Owns the matrix-tuple JSON format: an object with fields n, d and
 entries[d][n][n], each entry a [re, im] pair.  Finite doubles round-trip
@@ -129,10 +130,10 @@ class EigenCluster:
     spread: float   # max distance of a member from the center
 
 
-def cluster_eigenvalues(eigenvalues: Sequence[complex], gap: float) -> list:
-    """Single-linkage grouping: chains of gaps <= gap land in one cluster."""
-    eigs = list(eigenvalues)
-    m = len(eigs)
+def connected_components(m: int, edges: Iterable[tuple]) -> list:
+    """Components of the graph on vertices 0 .. m-1 with edges (i, j), by
+    union-find with path halving: ascending vertex lists in the order of
+    their least vertex."""
     parent = list(range(m))
 
     def find(i):
@@ -141,18 +142,26 @@ def cluster_eigenvalues(eigenvalues: Sequence[complex], gap: float) -> list:
             i = parent[i]
         return i
 
-    for i in range(m):
-        for j in range(i + 1, m):
-            if abs(eigs[i] - eigs[j]) <= gap:
-                parent[find(i)] = find(j)
+    for i, j in edges:
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def cluster_eigenvalues(eigenvalues: Sequence[complex], gap: float) -> list:
+    """Single-linkage grouping: chains of gaps <= gap land in one cluster,
+    a connected component of the pairs within gap; sorted by center."""
+    eigs = list(eigenvalues)
+    m = len(eigs)
     out = []
-    for idx in groups.values():
+    for idx in connected_components(
+            m, ((i, j) for i in range(m) for j in range(i + 1, m)
+                if abs(eigs[i] - eigs[j]) <= gap)):
         center = sum(eigs[i] for i in idx) / len(idx)
         spread = max(abs(eigs[i] - center) for i in idx)
-        out.append(EigenCluster(center, tuple(sorted(idx)), spread))
+        out.append(EigenCluster(center, tuple(idx), spread))
     out.sort(key=lambda c: (c.center.real, c.center.imag))
     return out
 
@@ -295,12 +304,6 @@ def peak_scaled(x: np.ndarray) -> tuple:
                 ).view(complex), peak
     peak = float(peak)
     return (parts / max(peak, _LEAST)).view(complex), peak
-
-
-def numerical_rank(x: np.ndarray, threshold: float) -> int:
-    """Number of singular values above the absolute threshold."""
-    s = np.linalg.svd(np.asarray(x, dtype=complex), compute_uv=False)
-    return int(np.count_nonzero(s > threshold))
 
 
 def alg_residual(y: np.ndarray, x):

@@ -19,9 +19,8 @@ from .errors import (ClusteringError, NumericalError, PreconditionError,
 from .funcalc import MERGE_LADDER, SIGN_BLOCK, matrix_function, sign_patterns
 from .geometry import SimpleSet, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
-from .linalg import (alg_residual, fro_norms, matrix_to_lists,
-                     numerical_rank, op_norm, op_norms, peak_scaled,
-                     require_positive, spectrum)
+from .linalg import (alg_residual, fro_norms, matrix_to_lists, op_norm,
+                     op_norms, peak_scaled, require_positive, spectrum)
 
 RANK_RTOL = 1e-10
 ZERO_EIG_RTOL = 1e-8
@@ -50,7 +49,7 @@ def sqrt_exists(x) -> bool:
         return True  # the zero matrix squares to itself via 0
     sv = np.linalg.svd(y, compute_uv=False)
     kept = sv[sv > RANK_RTOL * sv[0]]
-    return (kept.size == sv.size or kept.size == numerical_rank(
+    return bool(kept.size == sv.size or kept.size == np.linalg.matrix_rank(
         y @ y, RANK_RTOL * sv[0] * kept[-1]))
 
 

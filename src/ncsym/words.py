@@ -162,9 +162,7 @@ class FreePoly:
                         chart=self.chart)
 
     def __sub__(self, other):
-        if isinstance(other, (int, float, complex)):
-            other = FreePoly(self.d, {(): other}, chart=self.chart)
-        if not isinstance(other, FreePoly):
+        if not isinstance(other, (int, float, complex, FreePoly)):
             return NotImplemented
         return self + (-other)
 

@@ -328,6 +328,33 @@ def test_check_domain_ugamma(files, capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["value"] is True
 
 
+@pytest.mark.parametrize("pred, d, delta, code", [
+    ("Ugamma", 3, None, 2),       # Ugamma reads a pair (u, x)
+    ("Bdelta", 1, "y", 2),        # y is a letter beyond the tuple
+    ("Bdelta", 2, "inv(x)", 2),   # not a word polynomial
+    ("Bdelta", 2, "x*y", 0),      # a pair takes the polynomial as it is
+], ids=["ugamma-triple", "bdelta-letter-out-of-range", "bdelta-rational",
+        "bdelta-pair"])
+def test_check_domain_refuses_what_its_predicate_cannot_read(
+        pred, d, delta, code, tmp_path, capsys):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(tuple_to_json_dict(
+        MatrixTuple(tuple(0.5 ** (k + 1) * np.eye(2) for k in range(d))))))
+    argv = ["check-domain", "--pred", pred, "--tuple", str(path)]
+    if delta is None:
+        argv += ["--centers", "1,4", "--radius", "0.4"]
+    else:
+        (tmp_path / "delta.json").write_text(json.dumps([[delta]]))
+        argv += ["--delta", str(tmp_path / "delta.json")]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == "" and "precondition violation" in err
+    else:
+        # ||x y|| = 1/2 * 1/4 for x = I/2, y = I/4
+        assert json.loads(out)["residuals"]["block-norm"] == 0.125
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
 def test_a_tol_that_is_not_finite_and_positive_exits_2(tol, files, capsys,
                                                        tmp_path):

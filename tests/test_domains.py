@@ -422,6 +422,25 @@ def test_fiber_refuses_candidates_that_fail_their_square_check(monkeypatch):
         domains.fiber(w)
 
 
+@pytest.mark.xfail(raises=NumericalError, strict=True,
+                   reason="the eigenbasis of a nearly defective v^2 fails "
+                          "its drift test, and the Hermite idempotents miss "
+                          "the square check (residual 1.85e-06)")
+def test_fiber_of_a_nearly_defective_v_squared_is_two_point():
+    # v^2 has eigenvalues 1, (1 + 1e-7)^2 coupled by 500, and 9; the
+    # projector onto the cluster at 1 gives roots with square residuals
+    # of at most 5.4e-11, so the fiber of this generic u is {w, w^f}
+    j = np.array([[1, 500, 0], [0, 1 + 1e-7, 0], [0, 0, 3]], dtype=complex)
+    p = np.array([[1, 0.3, -0.2], [0.1, 1, 0.4], [-0.3, 0.2, 1]])
+    v = p @ j @ np.linalg.inv(p)
+    u = np.array([[1, 2, 3], [4, 5, 6], [7, 8, 10]], dtype=complex)
+    w = MatrixTuple((u + v, u - v))
+    points = domains.fiber(w)
+    assert len(points) == 2
+    assert points[0].close_to(w, 1e-8)
+    assert points[1].close_to(w.flip(), 1e-8)
+
+
 def _assert_same_points(got, want, tol=1e-8):
     assert len(got) == len(want)
     scale = 1.0 + max(op_norm(p[0]) for p in want)

@@ -133,6 +133,20 @@ def test_singular_values_are_taken_in_linalg():
     assert outside == ["sqrtlib.sqrt_exists", "verify._intertwiner_basis"]
 
 
+def test_one_union_find_and_numpys_matrix_rank():
+    # eigenvalue clusters and the coupling graphs of fibers and genericity
+    # share linalg's union-find, and sqrt_exists counts its rank with
+    # np.linalg.matrix_rank, not a copy of it
+    trees = _trees()
+    assert sorted(_callers(trees, "connected_components")) == [
+        "domains._coupling_components", "linalg.cluster_eigenvalues"]
+    assert [f"{name}.{func.name}"
+            for name, tree in trees.items()
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and func.name == "numerical_rank"] == []
+
+
 def _readme_entry_points() -> set:
     """Names the README's "Library entry points" section imports from
     ncsym in its code blocks."""

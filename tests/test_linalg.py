@@ -190,6 +190,32 @@ def test_a_rejected_draw_is_redrawn_after_the_block(monkeypatch):
     assert np.array_equal(got, block)
 
 
+def test_a_tuple_of_three_is_tested_on_its_first_matrix(monkeypatch):
+    # for d != 2, "v-invertible" asks for an invertible w^1: the test sees
+    # the first matrix of each tuple, and a rejected trial is drawn again
+    seen = []
+
+    def reject_trial_1_once(x, tol=linalg.DEFAULT_TOL):
+        seen.append(x.copy())
+        ok = real(x, tol)
+        if len(seen) == 1:
+            ok[1] = False
+        return ok
+
+    real = linalg.in_I
+    monkeypatch.setattr(linalg, "in_I", reject_trial_1_once)
+    got = linalg.random_tuples(4, 3, 3, ("v-invertible",),
+                               np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    block = linalg.ginibre_block((4, 3), 3, rng)
+    redraw = linalg.ginibre_block((1, 3), 3, rng)
+    assert [m.shape for m in seen] == [(4, 3, 3), (1, 3, 3)]
+    assert np.array_equal(seen[0], block[:, 0])
+    assert np.array_equal(seen[1], redraw[:, 0])
+    block[1] = redraw[0]
+    assert np.array_equal(got, block)
+
+
 def test_a_level_draw_takes_one_svd(monkeypatch):
     svds = record_svds(monkeypatch)
     rng = np.random.default_rng(10)

@@ -186,6 +186,22 @@ def test_degree_and_canonical_form():
     # no zero coefficients survive arithmetic
     p = X * Y - X * Y + Y
     assert set(p.terms) == {(1,)}
+    one, x = FreePoly.one(1), FreePoly.letter(0, 1)
+    p = (one + x) * (one - x)  # x and -x cancel inside the product
+    assert set(p.terms) == {(), (0, 0)} and p == one - x * x
+
+
+def test_letter_names_for_one_and_three_variables():
+    one, x = FreePoly.one(1), FreePoly.letter(0, 1)
+    assert (one - x * x).to_text() == "1 - x^2"
+    p = FreePoly.word((0, 2, 1), 3) + FreePoly.word((0,), 3)
+    assert p.to_text() == "x1 + x1*x3*x2"
+
+
+def test_subtracting_a_scalar_or_an_unknown_type():
+    assert (X - 2).terms == {(0,): 1, (): -2}
+    with pytest.raises(TypeError):
+        X - "y"
 
 
 def test_matrix_tuple_validation_and_flip():
