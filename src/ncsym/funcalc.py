@@ -15,7 +15,8 @@ with W = V^-1, all k in one product, kept only when
 max_j ||x E_j - E_j x||_F <= DEFAULT_TOL (1 + ||x||).  A defective or
 nearly defective x fails that certificate, or has a singular V, and
 falls back to the Hermite interpolant.  The square roots and
-involutions are always interpolated.
+involutions are always interpolated; root enumeration asks for its k
+spectral pieces alone, the germs root = e_j, and for no idempotent.
 
 Branch data (centers, radius, signs) selects locally constant involutions
 and square-root branches per disc.

@@ -118,20 +118,24 @@ def propose_simple_set(eigenvalues: Sequence[complex],
 
     Single-linkage groups at the given absolute gap become disc centers
     (group means) with the default radius; the proposal is rejected when a
-    group's spread does not fit inside that radius.  A gap that is not
-    finite and positive raises PreconditionError.
+    group's spread does not fit inside that radius, and before anything is
+    clustered when an eigenvalue or a distance of two overflows.  A gap
+    that is not finite and positive raises PreconditionError.
     """
     if gap is not None:
         require_positive("gap", gap)
     eigs = [complex(z) for z in eigenvalues]
     if not eigs:
         raise ClusteringError("no eigenvalues to cover")
-    try:
-        if gap is None:
-            gap = 1e-6 * (1.0 + max(abs(z) for z in eigs))
-        clusters = cluster_eigenvalues(eigs, gap)
-    except OverflowError as exc:  # some |z| or |z - w| exceeds the range
-        raise ClusteringError(f"eigenvalues overflow: {exc}") from exc
+    # no |z| or |z - w| exceeds the diagonal of the box around 0 and the
+    # eigenvalues
+    re, im = [0.0] + [z.real for z in eigs], [0.0] + [z.imag for z in eigs]
+    if not math.isfinite(math.hypot(max(re) - min(re), max(im) - min(im))):
+        raise ClusteringError(
+            "eigenvalues or their distances overflow the float range")
+    if gap is None:
+        gap = 1e-6 * (1.0 + max(abs(z) for z in eigs))
+    clusters = cluster_eigenvalues(eigs, gap)
     centers = [c.center for c in clusters]
     if min(abs(c) for c in centers) <= gap:
         raise ClusteringError(

@@ -251,9 +251,10 @@ def in_Q(x, tol: float = DEFAULT_TOL) -> bool:
 
 
 def q_margin(x) -> float:
-    """Min |a + b| over eigenvalues a, b of x, a matrix or its Spectrum."""
+    """Min |a + b| over eigenvalues a, b of x, a matrix or its Spectrum;
+    +inf for a 0x0 matrix."""
     eigs = spectrum(x).eigenvalues
-    return float(np.abs(eigs[:, None] + eigs[None, :]).min())
+    return float(np.abs(eigs[:, None] + eigs[None, :]).min(initial=np.inf))
 
 
 def in_I(x: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -307,22 +308,34 @@ def peak_scaled(x: np.ndarray) -> tuple:
 
 
 def alg_residual(y: np.ndarray, x):
-    """Relative distance of y from span{I, x, ..., x^{n-1}}, for x a
-    matrix or its Spectrum.
+    """Relative distance ||y - P y||_F / (1 + ||y||_F) of y from alg(x),
+    P y as in alg_complement: a float for one matrix y, an array of m for
+    an (m, n, n) stack.  A 0x0 y lies in alg(x), at distance 0."""
+    y = np.asarray(y, dtype=complex)
+    rows = y.reshape(len(y) if y.ndim > 2 else 1, -1)
+    out = (_row_norms(alg_complement(y, x).reshape(rows.shape))
+           / (1.0 + _row_norms(rows)))
+    return float(out[0]) if y.ndim == 2 else out
 
-    y is one matrix (the result is a float) or an (m, n, n) stack (an
-    array of m distances, all projected onto one basis).  The basis is
-    the orthonormal Krylov (Arnoldi) basis: each new direction is x times
-    the last one, orthogonalized twice by Gram-Schmidt against the basis
-    so far, and the loop stops once that direction is below
-    1e-12 (1 + ||x||), where the span has become invariant under x.
-    Unlike the power basis, this stays well conditioned for clustered
-    spectra.  The directions fill the rows of one preallocated array,
-    their conjugates those of another.
+
+def alg_complement(y: np.ndarray, x) -> np.ndarray:
+    """y - P y, P the orthogonal projection (entrywise inner product) onto
+    alg(x) = span{I, x, ..., x^{n-1}}, for x a matrix or its Spectrum and
+    y one matrix or an (m, n, n) stack, whose shape the result keeps.
+
+    The basis is the orthonormal Krylov (Arnoldi) basis: each new
+    direction is x times the last one, orthogonalized twice by
+    Gram-Schmidt against the basis so far, and the loop stops once that
+    direction is below 1e-12 (1 + ||x||), where the span has become
+    invariant under x.  Unlike the power basis, this stays well
+    conditioned for clustered spectra.  The directions fill the rows of
+    one preallocated array, their conjugates those of another.
     """
     s = spectrum(x)
     y = np.asarray(y, dtype=complex)
     n = s.matrix.shape[0]
+    if n == 0:
+        return y.copy()
     # x / ||x|| spans alg(x) without overflow; the floor scales with it
     scale = s.norm or 1.0
     x = s.matrix / scale
@@ -350,8 +363,7 @@ def alg_residual(y: np.ndarray, x):
     vecs = y.reshape(-1, n * n)
     resid = (vecs @ u.conj()) @ u.T
     np.subtract(vecs, resid, out=resid)
-    out = _row_norms(resid) / (1.0 + _row_norms(vecs))
-    return float(out[0]) if y.ndim == 2 else out
+    return resid.reshape(y.shape)
 
 
 def fro_norms(stack: np.ndarray) -> np.ndarray:
@@ -368,10 +380,6 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     np.linalg.norm would allocate a complex temporary as large as it."""
     flat = np.ascontiguousarray(rows).view(np.float64)
     return np.sqrt(np.einsum("...j,...j->...", flat, flat))
-
-
-def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    return op_norm(a @ b - b @ a)
 
 
 # -- structured random generation -------------------------------------------

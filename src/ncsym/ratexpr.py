@@ -29,8 +29,8 @@ import numpy as np
 from .errors import (AssignmentError, ExpansionError, InconclusiveError,
                      NumericalError, PreconditionError, SingularityError)
 from .linalg import in_I, op_norms, random_unit_norms
-from .words import (TERM_BUDGET, FreePoly, add_terms, format_complex,
-                    mul_terms, render_terms)
+from .words import (TERM_BUDGET, add_terms, format_complex, mul_terms,
+                    render_terms)
 
 SINGULARITY_RTOL = 1e-10
 RESAMPLE_CAP = 50
@@ -433,11 +433,6 @@ def _term_key(node: RatExpr):
     return Scalar if isinstance(node, Scalar) else id(node)
 
 
-def ncpoly_equal(e1: RatExpr, e2: RatExpr) -> bool:
-    """Exact symbolic equality of the expanded, inverse-reduced forms."""
-    return as_ncpoly(e1) == as_ncpoly(e2)
-
-
 def render_ncpoly(poly: dict) -> str:
     """Deterministic text form of an expanded word polynomial."""
     return render_terms(
@@ -449,13 +444,6 @@ def from_terms(terms: Mapping, atom: Callable[[object], RatExpr]) -> RatExpr:
     of a word to its factor."""
     return add(*[scale(terms[w], mul(*map(atom, w)))
                  for w in sorted(terms, key=lambda w: (len(w), w))])
-
-
-def from_freepoly(p: FreePoly, names: Sequence[str]) -> RatExpr:
-    """Word polynomial as an expression over the named variables."""
-    if len(names) != p.d:
-        raise ValueError(f"need {p.d} names, got {len(names)}")
-    return from_terms(p.terms, [Variable(n) for n in names].__getitem__)
 
 
 # -- probabilistic equivalence -----------------------------------------------

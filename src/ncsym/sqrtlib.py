@@ -19,7 +19,7 @@ from .errors import (ClusteringError, NumericalError, PreconditionError,
 from .funcalc import MERGE_LADDER, SIGN_BLOCK, matrix_function, sign_patterns
 from .geometry import SimpleSet, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
-from .linalg import (alg_residual, fro_norms, matrix_to_lists, op_norm,
+from .linalg import (alg_complement, fro_norms, matrix_to_lists, op_norm,
                      op_norms, peak_scaled, require_positive, spectrum)
 
 RANK_RTOL = 1e-10
@@ -71,9 +71,10 @@ class RootSet:
     square_residuals bound ||root^2 - base|| / (1 + ||base||) root by
     root: the certificate of square_bound, the same for every root, or
     each root's exact residual when that certificate did not pass.
-    distinct_margin bounds the distance of any two roots from below, set
-    by sign margin_disc (None: the bound was inconclusive and
-    distinct_margin is the distance).
+    alg_residuals are the relative Frobenius distances of the roots from
+    alg(base).  distinct_margin bounds the distance of any two roots from
+    below, set by sign margin_disc and read off the products of the pieces
+    (None: the bound was inconclusive and distinct_margin is the distance).
     """
 
     base: np.ndarray
@@ -128,13 +129,16 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
     The Hermite interpolant is linear in the germ, so root tau is the
     signed sum S_tau = sum_i tau_i R_i of k spectral pieces (R_i is the
     reference root on nonzero disc i, 0 elsewhere, a 0-block included).
-    Each rung of MERGE_LADDER is one interpolation of the k pieces and the
-    k spectral idempotents, and the set takes the first rung at which
-    every root passes its square check: merging the eigenvalues packed in
-    one disc into a single derivative-matched node is stabler than a
-    tableau over all of them.  The square check of all 2^k roots is one
-    certificate on the k pieces (square_residuals).  Every check shares
-    the Spectrum of x: one eigensolve and one ||x||.
+    Each rung of MERGE_LADDER is one interpolation of the k pieces, and
+    the set takes the first rung at which every root passes its square
+    check: merging the eigenvalues packed in one disc into a single
+    derivative-matched node is stabler than a tableau over all of them.
+    One table of the k^2 products R_i R_j per rung certifies all 2^k
+    roots: their squares (square_bound) and, at the rung taken, their
+    distinctness (_distinctness_margin).  The alg(x) residuals project
+    the k pieces, not the 2^k roots, as the projection is linear.  Every
+    check shares the Spectrum of x: one eigensolve and one ||x||, the
+    only 2-norm taken unless a certificate is inconclusive.
 
     Refuses a spectrum with no quarter-isolated covering at the working
     tolerance (ClusteringError), a defective 0-eigenvalue
@@ -167,19 +171,21 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
     check_stack(k, x.shape[0], "enumerated roots")
     domain = _zero_extended_domain(covering, eigs) if has_zero else covering
     discs = [domain.centers.index(c) for c in covering.centers]
-    rows = np.eye(domain.k)[discs]  # germs: the pieces R_j, then the E_j
-    const = np.concatenate((np.zeros_like(rows), rows))
-    root = np.concatenate((rows, np.zeros_like(rows)))
+    germs = np.eye(domain.k)[discs]  # piece R_j: root = e_j, const = 0
     for rung in MERGE_LADDER:
-        pieces, idem = np.split(
-            matrix_function(s, domain, const, root, rung), 2)
-        roots, sq_res = signed_sums(pieces, s, tol)
+        pieces = matrix_function(s, domain, 0, germs, rung)
+        table = _piece_table(pieces, s)
+        roots, sq_res = _checked_sums(pieces, s, tol, table[-1])
         failed = np.flatnonzero(~(sq_res <= tol))
         if not failed.size:
             break
     # roots are judged in order: the first that fails either check is named
     first = failed[0] if failed.size else len(roots)
-    alg_res = alg_residual(roots[:first], s) if first else np.zeros(0)
+    # (I - P) S_tau = sum_j tau_j (I - P) R_j for the projection P onto
+    # alg(x); no basis is built when the first root already failed
+    off_alg = np.tensordot(sign_patterns(k, 0, first), alg_complement(
+        pieces, s), axes=1) if first else roots[:0]
+    alg_res = fro_norms(off_alg) / (1.0 + fro_norms(roots[:first]))
     drifted = np.flatnonzero(alg_res > alg_tol)
     if drifted.size:
         raise NumericalError(f"branch root drifted out of alg(x): residual "
@@ -188,7 +194,7 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
         raise NumericalError(
             f"branch root failed its square check at every confluence "
             f"level: residual {sq_res[first]:.3g} exceeds {tol:.3g}")
-    bound, disc, norm_bound = _distinctness_margin(idem, pieces)
+    bound, disc, norm_bound = _distinctness_margin(table)
     margin, measured = certify_distinct(roots, bound, norm_bound, tol,
                                         "enumerated roots")
     if measured:
@@ -217,11 +223,17 @@ def square_bound(pieces: np.ndarray, x) -> float:
     tau_j^2 = 1, S_tau^2 - x = (sum_j R_j^2 - x) + sum_{i<j} tau_i tau_j
     (R_i R_j + R_j R_i) (Higham, Functions of Matrices, Thm. 1.26).  The
     Frobenius norms of these k(k-1)/2 + 1 terms add up to a bound for all
-    2^k roots at once, with no SVD beyond ||x||.  They are taken on x / p
-    and R_j / sqrt(p), for a power p of 4 within a factor 4 below ||x||:
-    the scaling is exact, and the squared entries stay in range.
+    2^k roots at once, with no SVD beyond ||x||, read off the table of
+    products R_i R_j of _piece_table.
     """
-    s = spectrum(x)
+    return _piece_table(pieces, spectrum(x))[-1]
+
+
+def _piece_table(pieces: np.ndarray, s) -> tuple:
+    """(half, r, prods, bound) for the pieces R_j and s, a Spectrum: r =
+    R_j / half, prods[i, j] = r_i r_j and bound = square_bound, for half^2
+    = p a power of 4 within a factor 4 below ||x||: an exact scaling under
+    which the squared entries of x / p and r stay in range."""
     x, norm = s.matrix, s.norm
     half = math.ldexp(1.0, (math.frexp(norm)[1] - 1) // 2) if norm else 1.0
     r = pieces / half
@@ -231,7 +243,7 @@ def square_bound(pieces: np.ndarray, x) -> float:
     cross = fro_norms(anti)
     lead = fro_norms(0.5 * np.trace(anti) - x / half / half)
     total = lead + 0.5 * (cross.sum() - np.trace(cross))
-    return float(total * (half / (1.0 + norm) * half))
+    return half, r, prods, float(total * (half / (1.0 + norm) * half))
 
 
 def signed_sums(pieces: np.ndarray, x, tol: float) -> tuple:
@@ -242,8 +254,12 @@ def signed_sums(pieces: np.ndarray, x, tol: float) -> tuple:
     above every exact residual), else each sum's exact residual, SIGN_BLOCK
     sums per batch of SVDs."""
     s = spectrum(x)
+    return _checked_sums(pieces, s, tol, square_bound(pieces, s))
+
+
+def _checked_sums(pieces: np.ndarray, s, tol: float, bound: float) -> tuple:
+    """signed_sums given square_bound of the pieces and s, a Spectrum."""
     sums = np.tensordot(sign_patterns(len(pieces)), pieces, axes=1)
-    bound = square_bound(pieces, s)
     if bound <= tol:
         return sums, np.full(len(sums), bound)
     return sums, np.concatenate([
@@ -275,28 +291,31 @@ def certify_distinct(cands: np.ndarray, bound: float, norm_bound: float,
     return float(bound), measured
 
 
-def _distinctness_margin(idem: np.ndarray, pieces: np.ndarray) -> tuple:
-    """(bound, disc, norm_bound): a lower bound on min ||S_tau - S_tau'||
-    over pairs tau != tau', the disc that sets it, and sum_j ||R_j||, an
-    upper bound on every ||S_tau||.
+def _distinctness_margin(table: tuple) -> tuple:
+    """(bound, disc, norm_bound) from the piece table of _piece_table: a
+    lower bound on min ||S_tau - S_tau'|| over pairs tau != tau', the disc
+    that sets it, and sum_j ||R_j||_F, an upper bound on every ||S_tau||.
 
-    idem[j] is E_j, the spectral idempotent of the disc of piece R_j.  As
-    R_i E_j = 0 for i != j up to rounding, S_tau E_j = tau_j R_j E_j up to
-    dev_j, the sum of the norms of the cross terms R_i E_j.  Roots
-    differing at sign j are thus at least 2 (||R_j E_j|| - dev_j) / ||E_j||
-    apart, whatever E_j is; for one eigenvalue c that is near 2 |sqrt c|,
-    however large ||E_j|| is.  The cross terms are taken in the Frobenius
-    norm, which is at least the 2-norm, so the bound only drops.  The 3k
-    2-norms of the R_j E_j, the E_j and the R_j are one batch of SVDs.
+    If tau and tau' differ at disc j, D = S_tau - S_tau' is twice the
+    signed sum of the R_i over the discs where they differ, so
+    D R_j = 2 tau_j R_j^2 + 2 sum tau_i R_i R_j over some i != j, and
+    ||D|| >= ||D R_j|| / ||R_j||.  Roots differing at sign j are thus at
+    least 2 (||R_j^2||_- - sum_{i != j} ||R_i R_j||_F) / ||R_j||_F apart.
+    ||A||_- = ||A z|| / ||z||, z the conjugate of the largest row of A, is
+    below the 2-norm, as the Frobenius norm is above it, and exact for
+    rank one: as R_j^2 = x E_j, a disc holding one eigenvalue c gives
+    about 2 |sqrt c|.  No SVD is taken.
     """
-    prods = pieces[:, None] @ idem  # prods[i, j] = R_i E_j
-    k = len(pieces)
-    own, idem_norms, piece_norms = np.split(op_norms(np.concatenate(
-        (prods[range(k), range(k)], idem, pieces))), 3)
-    off = ~np.eye(k, dtype=bool)
-    cross = np.zeros((k, k))
-    cross[off] = fro_norms(prods[off])
-    bounds = 2.0 * (own - cross.sum(axis=0)) / idem_norms
+    half, r, prods, _ = table
+    k = len(r)
+    own = prods[range(k), range(k)]  # R_j^2 / p
+    rows = np.linalg.norm(own, axis=-1)
+    z = own[range(k), rows.argmax(axis=-1), :, None].conj()
+    lower = (np.linalg.norm(own @ z, axis=(-2, -1))
+             / np.maximum(rows.max(axis=-1), np.finfo(float).tiny))
+    cross = fro_norms(prods)
+    np.fill_diagonal(cross, 0.0)
+    sizes = fro_norms(r)
+    bounds = 2.0 * half * (lower - cross.sum(axis=0)) / sizes
     disc = int(np.argmin(bounds))
-    return float(bounds[disc]), disc, piece_norms.sum()
-
+    return float(bounds[disc]), disc, float(half * sizes.sum())

@@ -49,11 +49,6 @@ class GenPoly:
         return render_terms(
             self.terms, lambda a: "U" if a == U_ATOM else f"M{a}")
 
-    def weighted_degrees(self) -> set:
-        """Total u,v-degrees of the terms: U weighs 1, M_j weighs j + 2."""
-        return {sum(1 if a == U_ATOM else a + 2 for a in w)
-                for w in self.terms}
-
     def expand_back(self) -> FreePoly:
         """Substitute U -> u, M_j -> v u^j v; exact coefficient level.
 

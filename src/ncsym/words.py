@@ -303,24 +303,6 @@ class FreePoly:
             raise DimensionMismatchError(f"operation needs d=2, got d={self.d}")
 
 
-def s_even(n: int) -> FreePoly:
-    """Sum of all degree-n monomials in u,v with an even number of v's."""
-    return _s_parity(n, 0)
-
-
-def s_odd(n: int) -> FreePoly:
-    """Sum of all degree-n monomials in u,v with an odd number of v's."""
-    return _s_parity(n, 1)
-
-
-def _s_parity(n: int, parity: int) -> FreePoly:
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    terms = {w: 1.0 for w in itertools.product((0, 1), repeat=n)
-             if sum(w) % 2 == parity}
-    return FreePoly(2, terms, chart=CHART_UV)
-
-
 def format_complex(c: complex) -> str:
     if c.imag == 0:
         r = c.real

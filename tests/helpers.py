@@ -1,11 +1,14 @@
 """Shared generators and independent mini-oracles for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from ncsym import ratexpr as rx
 from ncsym.linalg import op_norm, op_norms, uv_parts
 from ncsym.sqrtlib import all_square_roots
-from ncsym.words import FreePoly, MatrixTuple
+from ncsym.symbasis import U_ATOM
+from ncsym.words import CHART_UV, FreePoly, MatrixTuple
 
 
 def ginibre(n, rng):
@@ -96,6 +99,46 @@ def scalar_eval(e, assignment):
     if isinstance(e, rx.Inverse):
         return 1.0 / scalar_eval(e.child, assignment)
     raise TypeError(type(e).__name__)
+
+
+def commutator_norm(a, b):
+    return op_norm(a @ b - b @ a)
+
+
+def s_even(n):
+    """Sum of all degree-n monomials in u,v with an even number of v's."""
+    return _s_parity(n, 0)
+
+
+def s_odd(n):
+    """Sum of all degree-n monomials in u,v with an odd number of v's."""
+    return _s_parity(n, 1)
+
+
+def _s_parity(n, parity):
+    if n < 0:
+        raise ValueError(f"degree must be nonnegative, got {n}")
+    terms = {w: 1.0 for w in itertools.product((0, 1), repeat=n)
+             if sum(w) % 2 == parity}
+    return FreePoly(2, terms, chart=CHART_UV)
+
+
+def weighted_degrees(g):
+    """Total u,v-degrees of the terms of a GenPoly: U weighs 1, M_j
+    weighs j + 2."""
+    return {sum(1 if a == U_ATOM else a + 2 for a in w) for w in g.terms}
+
+
+def ncpoly_equal(e1, e2):
+    """Exact symbolic equality of the expanded, inverse-reduced forms."""
+    return rx.as_ncpoly(e1) == rx.as_ncpoly(e2)
+
+
+def from_freepoly(p, names):
+    """Word polynomial as an expression over the named variables."""
+    if len(names) != p.d:
+        raise ValueError(f"need {p.d} names, got {len(names)}")
+    return rx.from_terms(p.terms, [rx.Variable(n) for n in names].__getitem__)
 
 
 def rel_err(a, b):

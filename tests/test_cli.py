@@ -10,14 +10,13 @@ import pytest
 
 import ncsym
 from ncsym import cli, errors, girard
-from ncsym import ratexpr as rx
 from ncsym.cli import main
 from ncsym.girard import girard_positive
 from ncsym.linalg import tuple_to_json_dict
 from ncsym.parsing import parse
 from ncsym.words import MatrixTuple
 
-from helpers import record_eigensolves, thirty_distinct
+from helpers import ncpoly_equal, record_eigensolves, thirty_distinct
 
 
 @pytest.fixture
@@ -41,7 +40,7 @@ def files(tmp_path):
 def test_girard_output_parses_to_the_generated_expression(capsys):
     assert main(["girard", "--n", "3"]) == 0
     text = capsys.readouterr().out.strip()
-    assert rx.ncpoly_equal(parse(text), girard_positive(3).P)
+    assert ncpoly_equal(parse(text), girard_positive(3).P)
 
 
 def test_girard_with_verification(capsys):
@@ -166,6 +165,17 @@ def test_sqrt_enumerate_ill_conditioned_matrix(files, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["exists"] is True
     assert len(out["enumeration"]["roots"]) == 4
+
+
+def test_sqrt_enumerate_where_eigenvalue_distances_overflow_exits_1(files,
+                                                                   capsys):
+    # 1e308 - (-1e308) overflows: refused before any disc is tested
+    path = _matrix_file(files["tmp"], "apart.json", np.diag([-1e308, 1e308]))
+    assert main(["sqrt", "--matrix", path, "--enumerate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == ("numerical failure: eigenvalues or their "
+                                    "distances overflow the float range")
 
 
 def test_sqrt_enumerate_over_the_stack_budget_exits_2(files, capsys):

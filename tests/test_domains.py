@@ -8,13 +8,14 @@ from ncsym import domains, sqrtlib
 from ncsym.errors import (ClusteringError, DomainError, NumericalError,
                           PreconditionError, UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
-from ncsym.linalg import (commutator_norm, direct_sum, in_S_o, op_norm,
-                          random_tuple, rel_dist, spectrum, uv_parts)
+from ncsym.linalg import (direct_sum, in_S_o, op_norm, random_tuple, rel_dist,
+                          spectrum, uv_parts)
 from ncsym.words import MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
-                     clustered_matrix, ginibre, record_eigensolves,
-                     solve_counts, thirty_distinct, well_conditioned)
+                     clustered_matrix, commutator_norm, ginibre,
+                     record_eigensolves, solve_counts, thirty_distinct,
+                     well_conditioned)
 
 
 def test_separation_and_isolation_examples():

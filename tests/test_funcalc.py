@@ -6,10 +6,10 @@ import pytest
 from ncsym import domains, funcalc
 from ncsym.domains import SimpleSet
 from ncsym.errors import NumericalError, SpectrumOutsideDomainError
-from ncsym.linalg import (alg_residual, block_diag, commutator_norm, op_norm,
-                          rel_dist, spectrum)
+from ncsym.linalg import alg_residual, block_diag, op_norm, rel_dist, spectrum
 
-from helpers import cluster_centers_off_cut, clustered_matrix, ginibre
+from helpers import (cluster_centers_off_cut, clustered_matrix,
+                     commutator_norm, ginibre)
 
 RNG = np.random.default_rng(42)
 

@@ -8,9 +8,10 @@ from ncsym import ratexpr as rx
 from ncsym.errors import (DomainError, ExpansionError, PreconditionError,
                           SingularityError)
 from ncsym.linalg import rel_dist
-from ncsym.words import MatrixTuple, s_even, s_odd
+from ncsym.words import MatrixTuple
 
-from helpers import ginibre, record_svds, scalar_eval
+from helpers import (from_freepoly, ginibre, ncpoly_equal, record_svds,
+                     s_even, s_odd, scalar_eval)
 
 A = ("alpha", 1)
 B = ("beta", 1)
@@ -72,8 +73,8 @@ def test_positive_expands_to_even_monomial_sum():
     coord = {"alpha": u, "beta": rx.mul(v, v), "gamma": rx.mul(v, u, v)}
     for n in range(0, 9):
         image = rx.substitute(girard.girard_positive(n).P, coord)
-        want = rx.scale(2, rx.from_freepoly(s_even(n), ("u", "v")))
-        assert rx.ncpoly_equal(image, want), f"n={n}"
+        want = rx.scale(2, from_freepoly(s_even(n), ("u", "v")))
+        assert ncpoly_equal(image, want), f"n={n}"
 
 
 def test_negative_index_scalar_anchors():

@@ -124,6 +124,21 @@ def test_in_Q_examples():
     assert not linalg.in_Q(np.diag([0.0, 2.0]))  # 0 pairs with itself
 
 
+_EMPTY = np.zeros((0, 0), dtype=complex)
+
+
+@pytest.mark.parametrize("call, want", [
+    (linalg.q_margin, np.inf),
+    (linalg.in_Q, True),
+    (lambda x: linalg.alg_residual(x, x), 0.0),
+    (lambda x: list(linalg.alg_residual(np.zeros((3, 0, 0)), x)), [0.0] * 3),
+], ids=["q_margin", "in_Q", "alg_residual", "alg_residual-stack"])
+def test_level_zero_answers_are_vacuous(call, want):
+    # a 0x0 matrix has no eigenvalue to pair with its negative, and is the
+    # whole of its alg(x)
+    assert call(_EMPTY) == want
+
+
 def test_in_I_examples():
     assert linalg.in_I(np.eye(3))
     assert not linalg.in_I(np.zeros((2, 2)))

@@ -25,6 +25,8 @@ from ncsym.parsing import parse  # noqa: E402
 from ncsym.symbasis import decompose_symmetric  # noqa: E402
 from ncsym.words import CHART_UV, CHART_XY, FreePoly  # noqa: E402
 
+from helpers import from_freepoly, ncpoly_equal  # noqa: E402
+
 _SETTINGS = settings(derandomize=True, max_examples=150, deadline=None,
                      database=None)
 
@@ -54,8 +56,8 @@ def test_expression_text_round_trip(e):
     again = parse(rx.to_text(e))
     if isinstance(again, FreePoly):  # no atom left: a constant
         assert set(again.terms) <= {()}
-        again = rx.from_freepoly(again, ("x", "y"))
-    assert rx.ncpoly_equal(again, e)
+        again = from_freepoly(again, ("x", "y"))
+    assert ncpoly_equal(again, e)
 
 
 def _compound(sub):

@@ -13,7 +13,8 @@ import pytest
 
 from ncsym import domains, funcalc, sqrtlib
 from ncsym.geometry import propose_simple_set
-from ncsym.linalg import Spectrum, alg_residual, in_Q, q_margin, spectrum
+from ncsym.linalg import (Spectrum, alg_complement, alg_residual, in_Q,
+                          q_margin, spectrum)
 
 from helpers import (cluster_centers_off_cut, clustered_matrix, ginibre,
                      record_eigensolves, solve_counts)
@@ -39,6 +40,7 @@ CALLS = {
         X, lambda x: funcalc.BranchSpec.for_matrix(x, (1, 1, -1), gap=0.5)),
     "sqrt_exists": (ZERO, sqrtlib.sqrt_exists),
     "alg_residual": (X, lambda x: alg_residual(np.stack((U, X @ X)), x)),
+    "alg_complement": (X, lambda x: alg_complement(np.stack((U, X @ X)), x)),
     "all_square_roots": (X, lambda x: sqrtlib.all_square_roots(x, gap=0.5)),
     "all_square_roots-zero-block": (ZERO, sqrtlib.all_square_roots),
     "square_bound": (X, lambda x: sqrtlib.square_bound(PIECES, x)),
@@ -50,7 +52,8 @@ CALLS = {
 }
 
 # these read only ||x||: given a matrix, they solve nothing
-NORM_ONLY = ("alg_residual", "square_bound", "signed_sums")
+NORM_ONLY = ("alg_residual", "alg_complement", "square_bound",
+             "signed_sums")
 # these read the eigenbasis, and the eigenvalues from it
 EIGENBASIS = ("spectral_idempotents", "in_U_gamma")
 

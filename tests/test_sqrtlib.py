@@ -9,12 +9,12 @@ from ncsym import funcalc, linalg, sqrtlib
 from ncsym.errors import (ClusteringError, NumericalError, PreconditionError,
                           UnsupportedError)
 from ncsym.funcalc import BranchSpec, sqrt_branch_S
-from ncsym.linalg import (block_diag, commutator_norm, op_norm, op_norms,
-                          rel_dist)
+from ncsym.geometry import propose_simple_set
+from ncsym.linalg import block_diag, op_norm, op_norms, rel_dist
 
 from helpers import (cluster_centers_off_cut, clustered_matrix,
-                     record_eigensolves, solve_counts, thirty_distinct,
-                     well_conditioned)
+                     commutator_norm, record_eigensolves, solve_counts,
+                     thirty_distinct, well_conditioned)
 
 
 def test_existence_examples():
@@ -214,10 +214,11 @@ def test_far_from_normal_roots_are_enumerated(t, certified):
 
 
 def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
-    # k pieces and k idempotents in one call per rung used, for all 2^k
-    # roots; x is solved for its spectrum once, wherever that happens,
-    # and the checks take 2-norms of O(k) matrices in two batches: ||x||
-    # and one of the own terms, the idempotents and the pieces
+    # k pieces in one call per rung used, for all 2^k roots; x is solved
+    # for its spectrum once, wherever that happens, and the certified
+    # checks take one 2-norm, ||x||: the square bound and the
+    # distinctness margin read the table of piece products, and the
+    # alg(x) residuals project the pieces
     germs, svds = [], []
     batched = funcalc.matrix_function
     one, many = linalg.op_norm, linalg.op_norms
@@ -229,7 +230,7 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
         return counted
 
     def counting(x, domain, const, root, *args, **kwargs):
-        germs.append(len(const))
+        germs.append(np.broadcast(const, root).shape[0])
         return batched(x, domain, const, root, *args, **kwargs)
 
     monkeypatch.setattr(funcalc, "matrix_function", counting)
@@ -243,11 +244,9 @@ def test_interpolations_grow_with_k_not_2_pow_k(monkeypatch):
     x, _, _, _ = clustered_matrix(
         rng, 3.0 * np.exp(1j * np.linspace(-2.4, 2.4, k)), [1] * k, 0.02)
     assert len(sqrtlib.all_square_roots(x, gap=0.3)) == 2 ** k
-    assert 0 < sum(germs) <= 2 * k * len(sqrtlib.MERGE_LADDER)
-    assert germs == [2 * k]  # the pieces and idempotents of one rung
+    assert germs == [k]  # the pieces of one rung
     assert len(eigensolves) == 1 and solve_counts(eigensolves, x) == (1, 0)
-    assert len(svds) <= 2
-    assert sum(svds) <= 3 * k + 1
+    assert svds == [1]
 
 
 def _certificate_inputs():
@@ -268,15 +267,18 @@ def _certificate_inputs():
 
 @pytest.mark.parametrize("x, gap", list(_certificate_inputs()))
 def test_square_certificate_bounds_the_exact_residuals(x, gap, monkeypatch):
-    certificate = sqrtlib.square_bound
+    # enumeration reads square_bound, the last entry of its table of
+    # piece products
+    certificate = sqrtlib._piece_table
     bounds = []
 
     def recorded(pieces, base):
-        bounds.append(certificate(pieces, base))
-        return bounds[-1]
+        table = certificate(pieces, base)
+        bounds.append(table[-1])
+        return table
 
     def outcome(tol, bound):
-        monkeypatch.setattr(sqrtlib, "square_bound", bound)
+        monkeypatch.setattr(sqrtlib, "_piece_table", bound)
         try:
             return sqrtlib.all_square_roots(x, tol=tol, gap=gap)
         except NumericalError as exc:
@@ -288,8 +290,8 @@ def test_square_certificate_bounds_the_exact_residuals(x, gap, monkeypatch):
         return (a.merge_rtol == b.merge_rtol
                 and np.array_equal(np.stack(a.roots), np.stack(b.roots)))
 
-    def exact_path(*_):
-        return np.inf
+    def exact_path(pieces, base):
+        return certificate(pieces, base)[:-1] + (np.inf,)
 
     rs = outcome(sqrtlib.SQ_TOL, recorded)
     roots = np.stack(rs.roots)
@@ -311,6 +313,39 @@ def test_square_certificate_bounds_the_exact_residuals(x, gap, monkeypatch):
     # later rung passes on both paths
     low = max(0.5 * exact.min(), least)
     assert same(outcome(low, certificate), outcome(low, exact_path))
+
+
+def _margin_inputs():
+    rng = np.random.default_rng(26)
+    for zeros in (0, 2):
+        for k in range(1, 7):
+            centers = cluster_centers_off_cut(rng, k)
+            sizes = [int(rng.integers(1, 4)) for _ in range(k)]
+            nonzero, _, _, _ = clustered_matrix(rng, centers, sizes, 0.02)
+            n = nonzero.shape[0]
+            p = well_conditioned(n + zeros, rng)
+            x = p @ block_diag(nonzero, np.zeros((zeros, zeros))) \
+                @ np.linalg.inv(p)
+            yield pytest.param(x, 0.5, id=f"k{k}-zeros{zeros}")
+    for t in (1e5, 1e9):
+        yield pytest.param(np.array([[1.0, t], [0.0, 4.0]], dtype=complex),
+                           None, id=f"far-from-normal-{t:g}")
+    yield pytest.param(np.diag([1e300, -1e300]).astype(complex), None,
+                       id="huge")
+
+
+@pytest.mark.parametrize("x, gap", list(_margin_inputs()))
+def test_certificates_from_the_pieces_hold_root_by_root(x, gap):
+    # the margin read off the piece products is below every pairwise
+    # distance, and the alg(x) residuals combined from the projected
+    # pieces match each root's own projection
+    rs = sqrtlib.all_square_roots(x, gap=gap)
+    roots = np.stack(rs.roots)
+    distance = min(op_norms(roots[i + 1:] - roots[i]).min()
+                   for i in range(len(roots) - 1))
+    assert 0 < rs.distinct_margin <= distance * (1 + 1e-12)
+    own = linalg.alg_residual(roots, x)
+    assert np.abs(np.array(rs.alg_residuals) - own).max() <= 1e-15
 
 
 def test_distinctness_certificate_measures_only_when_the_bound_fails():
@@ -423,6 +458,23 @@ def test_roots_at_a_huge_scale_stay_in_alg(diag):
         rs = sqrtlib.all_square_roots(np.diag(diag).astype(complex))
     assert len(rs) == 4
     assert max(rs.alg_residuals) < 1e-13
+
+
+def test_eigenvalue_distances_that_overflow_are_refused(monkeypatch):
+    # close to the range but apart by less than it: four roots
+    assert len(sqrtlib.all_square_roots(np.diag([1e308, 1.5e308]))) == 4
+    # 1e308 - (-1e308) overflows: no disc is tested and nothing is
+    # interpolated, so no overflow warning is raised on the way
+    interpolated = []
+    monkeypatch.setattr(sqrtlib, "matrix_function",
+                        lambda *args, **kwargs: interpolated.append(args))
+    overflow = "distances overflow the float range"
+    with pytest.raises(ClusteringError, match=overflow):
+        sqrtlib.all_square_roots(np.diag([-1e308, 1e308]))
+    for eigs in ([1.7e308j, -1.7e308j], [1.5e308 + 1.5e308j]):  # |z - w|, |z|
+        with pytest.raises(ClusteringError, match=overflow):
+            propose_simple_set(eigs)
+    assert interpolated == []
 
 
 def test_tiny_matrix_is_numerically_zero():

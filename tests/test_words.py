@@ -5,10 +5,9 @@ import pytest
 
 from ncsym.errors import ChartError, DimensionMismatchError, PreconditionError
 from ncsym.linalg import direct_sum, rel_dist
-from ncsym.words import (CHART_UV, TERM_BUDGET, FreePoly, MatrixTuple, s_even,
-                         s_odd)
+from ncsym.words import CHART_UV, TERM_BUDGET, FreePoly, MatrixTuple
 
-from helpers import ginibre, random_poly, well_conditioned
+from helpers import ginibre, random_poly, s_even, s_odd, well_conditioned
 
 X = FreePoly.letter(0, 2)
 Y = FreePoly.letter(1, 2)
