@@ -18,13 +18,13 @@ import numpy as np
 
 from .errors import (DomainError, NumericalError, SpectrumOutsideDomainError,
                      UnsupportedError)
-from .funcalc import (SIGN_BLOCK, sign_patterns, spectral_idempotents,
-                      sqrt_branch_S)
+from .funcalc import spectral_idempotents, sqrt_branch_S
 from .geometry import SimpleSet, default_radius, propose_simple_set
 # pi stays bound here for the callers that read domains.pi
 from .linalg import (connected_components, fro_norms, in_I, in_Q, op_norm,
                      op_norms, pi, require_positive, spectrum, uv_parts)
-from .sqrtlib import SQ_TOL, certify_distinct, check_stack, signed_sums
+from .sqrtlib import (SIGN_BLOCK, SQ_TOL, certify_distinct, check_stack,
+                      sign_patterns, signed_sums)
 from .words import MatrixTuple
 
 
@@ -57,7 +57,8 @@ def _coupling_components(m: np.ndarray, idem: np.ndarray,
     # ||A||_F / sqrt(n) <= ||A|| <= ||A||_F: take 2-norms only in between
     blocks = fro_norms(prods)
     unsure = (blocks > limit) & (blocks <= limit * np.sqrt(n))
-    blocks[unsure] = op_norms(prods[unsure])
+    if unsure.any():
+        blocks[unsure] = op_norms(prods[unsure])
     comps = connected_components(k, zip(*np.nonzero(blocks > limit)))
     member = np.zeros((len(comps), k))
     for row, comp in zip(member, comps):
@@ -134,9 +135,12 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     I_s M I_s = M for M = vuv.  A pattern s that passes that test is
     constant on the components of the coupling graph of M with bound
     tol (1 + ||M||) / 2, so only those 2^c candidates are tested, with w
-    itself first.  One Spectrum of v^2 serves the covering, the idempotents
-    and the square check, and one eigendecomposition its eigenvalues and
-    the idempotents.  Supported on the clean locus only (v invertible
+    itself first.  They are the signed sums of the pieces v E_C over the
+    components C, so sqrtlib checks their squares and certifies them
+    distinct from one table of piece products, as it does the roots of
+    v^2.  One Spectrum of v^2 serves the covering, the idempotents and
+    the square check, and one eigendecomposition its eigenvalues and the
+    idempotents.  Supported on the clean locus only (v invertible
     and in Q); for generic u the result is exactly [w, w.flip()].  Raises
     PreconditionError unless tol, and a gap if given, are finite and
     positive.
@@ -160,17 +164,11 @@ def fiber(w: MatrixTuple, tol: float = 1e-8,
     member = _coupling_components(target, idem, 0.5 * tol * scale)
     check_stack(len(member), v.shape[0], "fiber candidates")
     parts = np.tensordot(member, idem, axes=1)  # E_C per component C
-    v_parts = v @ parts
-    cands, sq_res = signed_sums(v_parts, x, SQ_TOL)
+    table, cands, sq_res = signed_sums(v @ parts, x, SQ_TOL)
     if (sq_res > SQ_TOL).any():
         raise NumericalError(
             f"fiber candidate failed its square check: residual "
             f"{sq_res.max():.3g} exceeds {SQ_TOL:.3g}")
-    # candidates differing on component C differ by 2 v E_C there, and
-    # each is a signed sum of the v E_C
-    v_norms, part_norms = np.split(
-        op_norms(np.concatenate((v_parts, parts))), 2)
-    certify_distinct(cands, float((2.0 * v_norms / part_norms).min()),
-                     v_norms.sum(), what="fiber candidates")
+    certify_distinct(table, cands, SQ_TOL, "fiber candidates")
     keep = op_norms(cands @ u @ cands - target) <= tol * scale
     return [MatrixTuple((u + c, u - c)) for c in cands[keep]]

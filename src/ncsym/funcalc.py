@@ -16,7 +16,8 @@ max_j ||x E_j - E_j x||_F <= DEFAULT_TOL (1 + ||x||).  A defective or
 nearly defective x fails that certificate, or has a singular V, and
 falls back to the Hermite interpolant.  The square roots and
 involutions are always interpolated; root enumeration asks for its k
-spectral pieces alone, the germs root = e_j, and for no idempotent.
+spectral pieces alone, the germs root = e_j, and for no idempotent, and
+sums them over the sign patterns of sqrtlib.
 
 Branch data (centers, radius, signs) selects locally constant involutions
 and square-root branches per disc.
@@ -77,18 +78,6 @@ class BranchSpec:
         the given signs."""
         ss = propose_simple_set(spectrum(x).eigenvalues, gap=gap)
         return cls(ss.centers, ss.radius, tau)
-
-
-SIGN_BLOCK = 64  # sign patterns summed per batch, which bounds temporaries
-
-
-def sign_patterns(k: int, start: int = 0,
-                  stop: Optional[int] = None) -> np.ndarray:
-    """Rows start..stop-1 of every tau in {1, -1}^k, in the order of
-    itertools.product((1, -1), repeat=k), as a float array."""
-    rows = np.arange(start, 2 ** k if stop is None else stop)
-    bits = rows[:, None] >> np.arange(k - 1, -1, -1)
-    return 1.0 - 2.0 * (bits & 1)
 
 
 def _sqrt_derivs(z: complex, m: int, center: complex, sign: int) -> list:

@@ -4,6 +4,11 @@ Existence is decided by the rank test ker x = ker x^2 (no nilpotent Jordan
 cell of size >= 2).  Enumeration finds 2^k roots, one per sign pattern on
 the k clusters of a quarter-isolated covering of the nonzero spectrum; a
 semisimple 0-block maps to 0, which the result flags as an extension.
+
+The module owns the signed sums of spectral pieces, the roots here and the
+fiber points of domains alike: sign_patterns enumerates the signs, and one
+table of piece products checks every square (signed_sums) and certifies
+the sums distinct (certify_distinct).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .errors import (ClusteringError, NumericalError, PreconditionError,
                      UnsupportedError)
-from .funcalc import MERGE_LADDER, SIGN_BLOCK, matrix_function, sign_patterns
+from .funcalc import MERGE_LADDER, matrix_function
 from .geometry import SimpleSet, propose_simple_set
 # op_norm stays bound for perfbench's tracer test; ||x|| is Spectrum.norm
 from .linalg import (alg_complement, fro_norms, matrix_to_lists, op_norm,
@@ -27,6 +32,16 @@ ZERO_EIG_RTOL = 1e-8
 SQ_TOL = 1e-8
 ALG_TOL = 1e-7
 STACK_BUDGET = 2 ** 25  # entries of one stack of 2^k matrices: 512 MiB
+SIGN_BLOCK = 64  # sign patterns summed per batch, which bounds temporaries
+
+
+def sign_patterns(k: int, start: int = 0,
+                  stop: Optional[int] = None) -> np.ndarray:
+    """Rows start..stop-1 of every tau in {1, -1}^k, in the order of
+    itertools.product((1, -1), repeat=k), as a float array."""
+    rows = np.arange(start, 2 ** k if stop is None else stop)
+    bits = rows[:, None] >> np.arange(k - 1, -1, -1)
+    return 1.0 - 2.0 * (bits & 1)
 
 
 def sqrt_exists(x) -> bool:
@@ -69,7 +84,7 @@ class RootSet:
     threshold merge_rtol, the first rung of MERGE_LADDER at which every
     root passes its square check (None when no interpolation was needed).
     square_residuals bound ||root^2 - base|| / (1 + ||base||) root by
-    root: the certificate of square_bound, the same for every root, or
+    root: the certificate of signed_sums, the same for every root, or
     each root's exact residual when that certificate did not pass.
     alg_residuals are the relative Frobenius distances of the roots from
     alg(base).  distinct_margin bounds the distance of any two roots from
@@ -134,8 +149,8 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
     check: merging the eigenvalues packed in one disc into a single
     derivative-matched node is stabler than a tableau over all of them.
     One table of the k^2 products R_i R_j per rung certifies all 2^k
-    roots: their squares (square_bound) and, at the rung taken, their
-    distinctness (_distinctness_margin).  The alg(x) residuals project
+    roots: their squares (signed_sums) and, at the rung taken, their
+    distinctness (certify_distinct).  The alg(x) residuals project
     the k pieces, not the 2^k roots, as the projection is linear.  Every
     check shares the Spectrum of x: one eigensolve and one ||x||, the
     only 2-norm taken unless a certificate is inconclusive.
@@ -174,8 +189,7 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
     germs = np.eye(domain.k)[discs]  # piece R_j: root = e_j, const = 0
     for rung in MERGE_LADDER:
         pieces = matrix_function(s, domain, 0, germs, rung)
-        table = _piece_table(pieces, s)
-        roots, sq_res = _checked_sums(pieces, s, tol, table[-1])
+        table, roots, sq_res = signed_sums(pieces, s, tol)
         failed = np.flatnonzero(~(sq_res <= tol))
         if not failed.size:
             break
@@ -194,11 +208,7 @@ def all_square_roots(x, tol: float = SQ_TOL, alg_tol: float = ALG_TOL,
         raise NumericalError(
             f"branch root failed its square check at every confluence "
             f"level: residual {sq_res[first]:.3g} exceeds {tol:.3g}")
-    bound, disc, norm_bound = _distinctness_margin(table)
-    margin, measured = certify_distinct(roots, bound, norm_bound, tol,
-                                        "enumerated roots")
-    if measured:
-        disc = None
+    margin, disc = certify_distinct(table, roots, tol, "enumerated roots")
     return RootSet(x, tuple(roots), k, extension=has_zero,
                    square_residuals=tuple(sq_res),
                    alg_residuals=tuple(alg_res), merge_rtol=rung,
@@ -215,25 +225,19 @@ def check_stack(k: int, n: int, what: str) -> None:
             f"{STACK_BUDGET} entries")
 
 
-def square_bound(pieces: np.ndarray, x) -> float:
-    """Bound on ||S_tau^2 - x|| / (1 + ||x||) for every sign pattern tau,
-    x being a matrix or its Spectrum.
-
-    S_tau = sum_j tau_j R_j over the (k, n, n) stack of pieces, and as
-    tau_j^2 = 1, S_tau^2 - x = (sum_j R_j^2 - x) + sum_{i<j} tau_i tau_j
-    (R_i R_j + R_j R_i) (Higham, Functions of Matrices, Thm. 1.26).  The
-    Frobenius norms of these k(k-1)/2 + 1 terms add up to a bound for all
-    2^k roots at once, with no SVD beyond ||x||, read off the table of
-    products R_i R_j of _piece_table.
-    """
-    return _piece_table(pieces, spectrum(x))[-1]
-
-
 def _piece_table(pieces: np.ndarray, s) -> tuple:
-    """(half, r, prods, bound) for the pieces R_j and s, a Spectrum: r =
-    R_j / half, prods[i, j] = r_i r_j and bound = square_bound, for half^2
-    = p a power of 4 within a factor 4 below ||x||: an exact scaling under
-    which the squared entries of x / p and r stay in range."""
+    """(half, r, prods, bound) for pieces R_j, any (k, n, n) stack, and s,
+    a Spectrum of x: r = R_j / half and prods[i, j] = r_i r_j, for half^2
+    = p a power of 4 within a factor 4 below ||x||, an exact scaling under
+    which the squared entries of x / p and r stay in range.
+
+    bound >= ||S_tau^2 - x|| / (1 + ||x||) for every sign pattern tau and
+    S_tau = sum_j tau_j R_j: as tau_j^2 = 1, S_tau^2 - x = (sum_j R_j^2 -
+    x) + sum_{i<j} tau_i tau_j (R_i R_j + R_j R_i) (Higham, Functions of
+    Matrices, Thm. 1.26), and the Frobenius norms of these k(k-1)/2 + 1
+    terms add up to a bound for all 2^k sums at once, with no SVD beyond
+    ||x||.
+    """
     x, norm = s.matrix, s.norm
     half = math.ldexp(1.0, (math.frexp(norm)[1] - 1) // 2) if norm else 1.0
     r = pieces / half
@@ -247,64 +251,43 @@ def _piece_table(pieces: np.ndarray, s) -> tuple:
 
 
 def signed_sums(pieces: np.ndarray, x, tol: float) -> tuple:
-    """(sums, residuals) for a (k, n, n) stack of pieces P_j and x, a matrix
-    or its Spectrum: the 2^k sums S_tau = sum_j tau_j P_j, tau in
-    sign_patterns order, and bounds on ||S_tau^2 - x|| / (1 + ||x||).  The
-    bound is square_bound for every sum when that is within tol (it is
-    above every exact residual), else each sum's exact residual, SIGN_BLOCK
-    sums per batch of SVDs."""
+    """(table, sums, residuals) for a (k, n, n) stack of pieces R_j and x,
+    a matrix or its Spectrum: the _piece_table of the pieces, the 2^k sums
+    S_tau = sum_j tau_j R_j, tau in sign_patterns order, and bounds on
+    ||S_tau^2 - x|| / (1 + ||x||).  The bound is the table's for every sum
+    when that is within tol (it is above every exact residual), else each
+    sum's exact residual, SIGN_BLOCK sums per batch of SVDs."""
     s = spectrum(x)
-    return _checked_sums(pieces, s, tol, square_bound(pieces, s))
-
-
-def _checked_sums(pieces: np.ndarray, s, tol: float, bound: float) -> tuple:
-    """signed_sums given square_bound of the pieces and s, a Spectrum."""
+    table = _piece_table(pieces, s)
     sums = np.tensordot(sign_patterns(len(pieces)), pieces, axes=1)
-    if bound <= tol:
-        return sums, np.full(len(sums), bound)
-    return sums, np.concatenate([
+    if table[-1] <= tol:
+        return table, sums, np.full(len(sums), table[-1])
+    return table, sums, np.concatenate([
         op_norms(block @ block - s.matrix) for block in
         np.split(sums, range(SIGN_BLOCK, len(sums), SIGN_BLOCK))
     ]) / (1.0 + s.norm)
 
 
-def certify_distinct(cands: np.ndarray, bound: float, norm_bound: float,
-                     tol: float = SQ_TOL,
-                     what: str = "enumerated roots") -> tuple:
-    """(margin, measured): a certificate that the stacked candidates are
-    pairwise distinct, given a lower bound on their pairwise distances.
+def certify_distinct(table: tuple, sums: np.ndarray, tol: float,
+                     what: str) -> tuple:
+    """(margin, disc): a certificate that the signed sums of signed_sums
+    are pairwise distinct, read off their table of piece products.
 
-    The bound certifies when it exceeds tol (1 + norm_bound), norm_bound
-    being an upper bound on max ||cand||; when it is inconclusive, as for a
-    base far from normal, the pairwise distances are measured instead
-    (O(m^2) norms) and measured is True.  Raises NumericalError, naming
-    what, when the candidates coincide numerically.
-    """
-    threshold = tol * (1.0 + norm_bound)
-    measured = bound <= threshold
-    if measured:
-        bound = float(min(op_norms(cands[i + 1:] - cands[i]).min()
-                          for i in range(len(cands) - 1)))
-    if bound <= threshold:
-        raise NumericalError(f"{what} coincide numerically: distance "
-                             f"{bound:.3g} is within tolerance")
-    return float(bound), measured
-
-
-def _distinctness_margin(table: tuple) -> tuple:
-    """(bound, disc, norm_bound) from the piece table of _piece_table: a
-    lower bound on min ||S_tau - S_tau'|| over pairs tau != tau', the disc
-    that sets it, and sum_j ||R_j||_F, an upper bound on every ||S_tau||.
-
-    If tau and tau' differ at disc j, D = S_tau - S_tau' is twice the
-    signed sum of the R_i over the discs where they differ, so
+    If tau and tau' differ at piece j, D = S_tau - S_tau' is twice the
+    signed sum of the R_i over the pieces where they differ, so
     D R_j = 2 tau_j R_j^2 + 2 sum tau_i R_i R_j over some i != j, and
-    ||D|| >= ||D R_j|| / ||R_j||.  Roots differing at sign j are thus at
-    least 2 (||R_j^2||_- - sum_{i != j} ||R_i R_j||_F) / ||R_j||_F apart.
-    ||A||_- = ||A z|| / ||z||, z the conjugate of the largest row of A, is
-    below the 2-norm, as the Frobenius norm is above it, and exact for
-    rank one: as R_j^2 = x E_j, a disc holding one eigenvalue c gives
-    about 2 |sqrt c|.  No SVD is taken.
+    ||D|| >= ||D R_j|| / ||R_j||.  Sums differing at sign j are thus at
+    least 2 (||R_j^2||_- - sum_{i != j} ||R_i R_j||_F) / ||R_j||_F apart,
+    for any matrices R_j.  ||A||_- = ||A z|| / ||z||, z the conjugate of
+    the largest row of A, is below the 2-norm, as the Frobenius norm is
+    above it, and exact for rank one: as a root's R_j^2 = x E_j, a disc
+    holding one eigenvalue c gives about 2 |sqrt c|.  The least bound,
+    set by piece disc, certifies when it exceeds tol (1 + sum_j
+    ||R_j||_F), the sum bounding every ||S_tau||; no SVD is taken.  When
+    it is inconclusive, as for a base far from normal, the pairwise
+    distances are measured instead (O(4^k) norms) and disc is None.
+    Raises NumericalError, naming what, when the sums coincide
+    numerically.
     """
     half, r, prods, _ = table
     k = len(r)
@@ -318,4 +301,13 @@ def _distinctness_margin(table: tuple) -> tuple:
     sizes = fro_norms(r)
     bounds = 2.0 * half * (lower - cross.sum(axis=0)) / sizes
     disc = int(np.argmin(bounds))
-    return float(bounds[disc]), disc, float(half * sizes.sum())
+    bound = float(bounds[disc])
+    threshold = tol * (1.0 + float(half * sizes.sum()))
+    if bound <= threshold:
+        bound = float(min(op_norms(sums[i + 1:] - sums[i]).min()
+                          for i in range(len(sums) - 1)))
+        disc = None
+    if bound <= threshold:
+        raise NumericalError(f"{what} coincide numerically: distance "
+                             f"{bound:.3g} is within tolerance")
+    return bound, disc

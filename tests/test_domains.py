@@ -8,14 +8,14 @@ from ncsym import domains, sqrtlib
 from ncsym.errors import (ClusteringError, DomainError, NumericalError,
                           PreconditionError, UnsupportedError)
 from ncsym.funcalc import BranchSpec, involution_I
-from ncsym.linalg import (direct_sum, in_S_o, op_norm, random_tuple, rel_dist,
-                          spectrum, uv_parts)
+from ncsym.linalg import (direct_sum, in_S_o, op_norm, op_norms, random_tuple,
+                          rel_dist, spectrum, uv_parts)
 from ncsym.words import MatrixTuple
 
 from helpers import (brute_force_fiber, cluster_centers_off_cut,
                      clustered_matrix, commutator_norm, ginibre,
-                     record_eigensolves, solve_counts, thirty_distinct,
-                     well_conditioned)
+                     record_eigensolves, record_svds, solve_counts,
+                     thirty_distinct, well_conditioned)
 
 
 def test_separation_and_isolation_examples():
@@ -259,6 +259,51 @@ def test_fiber_solves_for_the_spectrum_once(monkeypatch):
     assert len(calls) == 2
     assert solve_counts(calls, v) == (1, 0)
     assert solve_counts(calls, v @ v) == (0, 1)
+
+
+@pytest.mark.parametrize("level, blocks", [(6, 1), (6, 3), (7, 2)])
+def test_fiber_takes_no_svd_for_distinctness(level, blocks, monkeypatch):
+    # in_I(v), ||vuv||, ||v^2||, the idempotent norms and the third-slot
+    # test: the Frobenius bounds decide every edge of the coupling graph,
+    # and the candidates are certified distinct from their piece table
+    u, v, _ = _masked_pair(level, blocks, np.random.default_rng(level))
+    svds = record_svds(monkeypatch)
+    assert len(domains.fiber(MatrixTuple((u + v, u - v)))) == 2 ** blocks
+    n = (level, level)
+    assert [m.shape for m in svds] == [n] * 3 + [(level,) + n,
+                                                (2 ** blocks,) + n]
+
+
+def _fiber_margin_inputs():
+    for level in range(3, 8):
+        rng = np.random.default_rng(40 + level)
+        for blocks in range(1, 4):
+            u, v, _ = _masked_pair(level, blocks, rng)
+            yield MatrixTuple((u + v, u - v))
+    yield from _multiplicity_family()
+    v = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    yield MatrixTuple((v, -v))  # u = 0: the bound is the distance, 2
+
+
+def test_fiber_margin_is_below_every_pairwise_distance(monkeypatch):
+    # the bound read off the table of the pieces v E_C certifies every
+    # fiber here, and no two candidates lie closer than it
+    certified = []
+
+    def recording(table, cands, tol, what):
+        result = sqrtlib.certify_distinct(table, cands, tol, what)
+        certified.append((cands, result))
+        return result
+
+    monkeypatch.setattr(domains, "certify_distinct", recording)
+    for w in _fiber_margin_inputs():
+        domains.fiber(w)
+    assert len(certified) == 15 + 21 + 1
+    for cands, (margin, disc) in certified:
+        distance = min(op_norms(cands[i + 1:] - cands[i]).min()
+                       for i in range(len(cands) - 1))
+        assert disc is not None
+        assert 0 < margin <= distance * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 1.5), 0.2),

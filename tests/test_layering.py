@@ -107,6 +107,15 @@ def _callers(trees, prefix: str) -> list:
             and _calls(func, prefix)]
 
 
+def _definitions(trees, names) -> list:
+    """module.function for each function defined under one of names."""
+    return [f"{name}.{func.name}"
+            for name, tree in trees.items()
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and func.name in names]
+
+
 def test_one_function_solves_for_eigenvalues():
     # every other spectral function takes the Spectrum that linalg.spectrum
     # returns and reads its eigenvalues or its eigenbasis, so a second
@@ -140,11 +149,20 @@ def test_one_union_find_and_numpys_matrix_rank():
     trees = _trees()
     assert sorted(_callers(trees, "connected_components")) == [
         "domains._coupling_components", "linalg.cluster_eigenvalues"]
-    assert [f"{name}.{func.name}"
-            for name, tree in trees.items()
-            for func in ast.walk(tree)
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and func.name == "numerical_rank"] == []
+    assert _definitions(trees, {"numerical_rank"}) == []
+
+
+def test_one_certificate_for_every_signed_sum_of_pieces():
+    # the roots of x and the fiber points of pi are both signed sums of
+    # spectral pieces: sqrtlib owns their sign patterns, and one table of
+    # piece products checks their squares and certifies them distinct
+    trees = _trees()
+    assert _definitions(trees, {"square_bound", "_checked_sums",
+                                "_distinctness_margin"}) == []
+    assert _definitions(trees, {"sign_patterns"}) == ["sqrtlib.sign_patterns"]
+    for name in ("signed_sums", "certify_distinct"):
+        assert sorted(_callers(trees, name)) == [
+            "domains.fiber", "sqrtlib.all_square_roots"], name
 
 
 def _readme_entry_points() -> set:

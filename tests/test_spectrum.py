@@ -43,7 +43,7 @@ CALLS = {
     "alg_complement": (X, lambda x: alg_complement(np.stack((U, X @ X)), x)),
     "all_square_roots": (X, lambda x: sqrtlib.all_square_roots(x, gap=0.5)),
     "all_square_roots-zero-block": (ZERO, sqrtlib.all_square_roots),
-    "square_bound": (X, lambda x: sqrtlib.square_bound(PIECES, x)),
+    # its table of piece products, the sums and their square certificate
     "signed_sums": (X, lambda x: sqrtlib.signed_sums(PIECES, x, 1e-8)),
     "in_Q": (X, in_Q),
     "q_margin": (X, q_margin),
@@ -52,8 +52,7 @@ CALLS = {
 }
 
 # these read only ||x||: given a matrix, they solve nothing
-NORM_ONLY = ("alg_residual", "alg_complement", "square_bound",
-             "signed_sums")
+NORM_ONLY = ("alg_residual", "alg_complement", "signed_sums")
 # these read the eigenbasis, and the eigenvalues from it
 EIGENBASIS = ("spectral_idempotents", "in_U_gamma")
 

@@ -267,8 +267,8 @@ def _certificate_inputs():
 
 @pytest.mark.parametrize("x, gap", list(_certificate_inputs()))
 def test_square_certificate_bounds_the_exact_residuals(x, gap, monkeypatch):
-    # enumeration reads square_bound, the last entry of its table of
-    # piece products
+    # enumeration's square certificate is the last entry of the table of
+    # piece products that signed_sums takes
     certificate = sqrtlib._piece_table
     bounds = []
 
@@ -349,13 +349,21 @@ def test_certificates_from_the_pieces_hold_root_by_root(x, gap):
 
 
 def test_distinctness_certificate_measures_only_when_the_bound_fails():
-    a = np.diag([1.0, 2.0]).astype(complex)
-    cands = np.stack([a, -a, 2 * a])
-    assert sqrtlib.certify_distinct(cands, 1.5, 4.0) == (1.5, False)
-    assert sqrtlib.certify_distinct(cands, 0.0, 4.0) == (2.0, True)
+    def certify(pieces, what="enumerated roots"):
+        x = np.diag([4.0, 1.0])  # ||x|| sets the scaling of the table
+        table, sums, _ = sqrtlib.signed_sums(np.stack(pieces), x, 1e-8)
+        return sqrtlib.certify_distinct(table, sums, 1e-8, what)
+
+    # the sums are 2 apart where they differ at piece 1, which the bound
+    # 2 (||R_1^2||_- - 0) / ||R_1||_F says exactly
+    assert certify([np.diag([2.0, 0.0]), np.diag([0.0, 1.0])]) == (2.0, 1)
+    # R_0^2 = 0 leaves no bound at piece 0: the distance is measured
+    nil = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert certify([nil, np.diag([0.0, 2.0])]) == (
+        pytest.approx(2.0, rel=1e-15), None)
     with pytest.raises(NumericalError, match="fiber candidates coincide"):
-        sqrtlib.certify_distinct(np.stack([a, a + 1e-12, -a]), 0.0, 2.0,
-                                 what="fiber candidates")
+        certify([np.diag([1.0, 2.0]), 1e-12 * np.eye(2)],
+                what="fiber candidates")
 
 
 def test_stack_budget_compares_exponents():
