@@ -139,11 +139,12 @@ def _cmd_verify(args) -> int:
 def _cmd_check_domain(args) -> int:
     pred = args.pred
     out: dict = {"pred": pred}
-    if pred in ("Q", "I", "So"):
-        linalg.require_positive("tol", args.tol)
+    if pred in ("Q", "I", "So"):  # without --tol, the library default
+        tol = linalg.DEFAULT_TOL if args.tol is None else args.tol
+        linalg.require_positive("tol", tol)
     if pred == "I":
         ratio = linalg.sv_ratio(_load_matrix(args.matrix))
-        out["value"] = ratio > args.tol  # in_I, from the same SVD
+        out["value"] = ratio > tol  # in_I, from the same SVD
         out["residuals"] = {"sv-ratio": ratio}
     elif pred in ("Q", "So"):
         if pred == "Q":
@@ -154,7 +155,7 @@ def _cmd_check_domain(args) -> int:
         margin = linalg.q_margin(s)
         if not np.isfinite(margin):  # JSON has no infinity
             raise NumericalError("min-pair-sum overflows the float range")
-        out["value"] = linalg.in_Q(s, args.tol)
+        out["value"] = linalg.in_Q(s, tol)
         out["residuals"] = {"min-pair-sum": margin}
     elif pred == "D":
         m = _load_matrix(args.matrix)
@@ -163,8 +164,9 @@ def _cmd_check_domain(args) -> int:
         t = _load_tuple(args.tuple, "--tuple")
         if t.d != 2:
             raise PreconditionError("Ugamma expects a pair (u, x)")
-        out["value"] = domains.in_U_gamma(t[0], t[1], _load_simple_set(args),
-                                          tol=args.tol)
+        out["value"] = domains.in_U_gamma(
+            t[0], t[1], _load_simple_set(args),
+            tol=domains.COMMUTE_TOL if args.tol is None else args.tol)
     elif pred == "Bdelta":
         t = _load_tuple(args.tuple, "--tuple")
         rows = _load_json(args.delta, "--delta")
@@ -229,7 +231,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("fiber", help="enumerate the fiber of pi at a pair")
     f.add_argument("--input", required=True)
-    f.add_argument("--tol", type=float, default=1e-8)
+    f.add_argument("--tol", type=float, default=domains.COMMUTE_TOL)
     f.add_argument("--gap", type=float, default=None)
     f.set_defaults(func=_cmd_fiber)
 
@@ -247,7 +249,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     c.add_argument("--centers")
     c.add_argument("--radius", type=float)
     c.add_argument("--delta")
-    c.add_argument("--tol", type=float, default=1e-10)
+    c.add_argument("--tol", type=float, default=None)
     c.set_defaults(func=_cmd_check_domain)
     return top
 

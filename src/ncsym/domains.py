@@ -1,7 +1,8 @@
-"""Spectral membership predicates, local sections and fibers of pi.
+"""Spectral membership predicates, the local section omega and fibers of pi.
 
 This module owns the spectral membership predicates over simple sets, the
-local sections phi and omega of the map pi(w) = (u, v^2, vuv), and the
+local section omega of the map pi(w) = (u, v^2, vuv), whose chart
+pi(omega(u, x)) = (u, x, S u S) needs no function of its own, and the
 fibers of pi.  Fibers and genericity are both read off the coupling graph
 of a matrix over the spectral idempotents of the discs.  The map itself,
 its u,v split and its clean locus in_S_o are algebraic and live in linalg;
@@ -16,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (DomainError, NumericalError, SpectrumOutsideDomainError,
-                     UnsupportedError)
+from .errors import (DimensionMismatchError, DomainError, NumericalError,
+                     SpectrumOutsideDomainError, UnsupportedError)
 from .funcalc import spectral_idempotents, sqrt_branch_S
 from .geometry import SimpleSet, default_radius, propose_simple_set
 # pi stays bound here for the callers that read domains.pi
@@ -26,6 +27,8 @@ from .linalg import (connected_components, fro_norms, in_I, in_Q, op_norm,
 from .sqrtlib import (SIGN_BLOCK, SQ_TOL, certify_distinct, check_stack,
                       sign_patterns, signed_sums)
 from .words import MatrixTuple
+
+COMMUTE_TOL = 1e-8  # default relative tolerance of in_U_gamma and fiber
 
 
 def is_subordinate(delta2: SimpleSet, delta1: SimpleSet) -> bool:
@@ -67,7 +70,7 @@ def _coupling_components(m: np.ndarray, idem: np.ndarray,
 
 
 def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
-               tol: float = 1e-8) -> bool:
+               tol: float = COMMUTE_TOL) -> bool:
     """Genericity: u commutes with no nonconstant branch involution of x,
     a matrix or its Spectrum.
 
@@ -80,8 +83,9 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     over components (up to a global sign) are tested.  A disc that holds
     no eigenvalue has E_j = 0, and flipping it alone leaves I_tau = I, so
     such a disc makes u non-generic.  Raises DomainError unless delta is
-    quarter-isolated with 0 outside it, and PreconditionError unless tol
-    is finite and positive.  Vacuously true for a singleton.  This is a
+    quarter-isolated with 0 outside it, DimensionMismatchError unless u
+    and x have one shape, and PreconditionError unless tol is finite and
+    positive.  Vacuously true for a singleton.  This is a
     Zariski-open condition, so false negatives near the commutation
     variety are expected at the working tolerance.
     """
@@ -89,9 +93,12 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
     problem = delta.branch_problem()
     if problem:
         raise DomainError(problem)
+    x, u = spectrum(x), np.asarray(u, dtype=complex)
+    if u.shape != x.matrix.shape:
+        raise DimensionMismatchError(
+            f"u is {u.shape} but x is {x.matrix.shape}")
     if delta.k == 1:
         return in_D_gamma(x, delta)
-    u = np.asarray(u, dtype=complex)
     try:  # raised for a spectrum outside delta, as in_D_gamma tests it
         idem = spectral_idempotents(x, delta)
     except SpectrumOutsideDomainError:
@@ -114,19 +121,14 @@ def in_U_gamma(u: np.ndarray, x, delta: SimpleSet,
 
 # -- local sections of pi and its fibers -------------------------------------
 
-def phi(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
-    """(u, x, S u S) for the branch square root S of the spec."""
-    s = sqrt_branch_S(x, spec)
-    return MatrixTuple((u, x, s @ u @ s))
-
-
 def omega(u: np.ndarray, x: np.ndarray, spec) -> MatrixTuple:
-    """(u + S, u - S): the local section with pi(omega(u, x)) = phi(u, x)."""
+    """(u + S, u - S) for the branch square root S of the spec: the local
+    section with pi(omega(u, x)) = (u, x, S u S)."""
     s = sqrt_branch_S(x, spec)
     return MatrixTuple((u + s, u - s))
 
 
-def fiber(w: MatrixTuple, tol: float = 1e-8,
+def fiber(w: MatrixTuple, tol: float = COMMUTE_TOL,
           gap: Optional[float] = None) -> list:
     """All pairs with the same pi-value: (u + v I_s, u - v I_s).
 

@@ -19,8 +19,8 @@ involutions are always interpolated; root enumeration asks for its k
 spectral pieces alone, the germs root = e_j, and for no idempotent, and
 sums them over the sign patterns of sqrtlib.
 
-Branch data (centers, radius, signs) selects locally constant involutions
-and square-root branches per disc.
+Branch data, a simple set with a sign per disc, selects locally constant
+involutions and square-root branches per disc.
 """
 
 from __future__ import annotations
@@ -40,15 +40,13 @@ MERGE_LADDER = (1e-6, 1e-4, 1e-2)  # merge thresholds, rel. spectral radius
 
 
 @dataclass(frozen=True)
-class BranchSpec:
-    """Spectral cluster centers, common radius, and a sign per center.
+class BranchSpec(SimpleSet):
+    """A simple set with a sign per center; simple_set is the spec itself.
 
     Validated so that 0 lies outside every disc and the discs are
     quarter-isolated (closures pairwise disjoint with room to spare).
     """
 
-    centers: tuple
-    radius: float
     tau: tuple
 
     def __init__(self, centers: Iterable[complex], radius: float,
@@ -56,20 +54,18 @@ class BranchSpec:
         # strict: a center without a sign, or the reverse, is a ValueError
         pairs = sorted(zip((complex(c) for c in centers), tau, strict=True),
                        key=lambda p: (p[0].real, p[0].imag))
-        centers = tuple(p[0] for p in pairs)
+        SimpleSet.__init__(self, (p[0] for p in pairs), radius)
         tau = tuple(int(p[1]) for p in pairs)
         if any(t not in (-1, 1) for t in tau):
             raise ValueError(f"signs must be +1 or -1, got {tau}")
-        problem = SimpleSet(centers, radius).branch_problem()
+        problem = self.branch_problem()
         if problem:
             raise ValueError(problem)
-        object.__setattr__(self, "centers", centers)
-        object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "tau", tau)
 
     @property
     def simple_set(self) -> SimpleSet:
-        return SimpleSet(self.centers, self.radius)
+        return self
 
     @classmethod
     def for_matrix(cls, x, tau: Iterable[int],
@@ -227,7 +223,7 @@ def spectral_idempotents(x, domain: SimpleSet) -> np.ndarray:
 def involution_I(x, spec: BranchSpec) -> np.ndarray:
     """Matrix square root of the identity attached to the sign pattern,
     for x a matrix or its Spectrum."""
-    return matrix_function(x, spec.simple_set, [spec.tau], 0)[0]
+    return matrix_function(x, spec, [spec.tau], 0)[0]
 
 
 def sqrt_branch_S(x, spec: BranchSpec) -> np.ndarray:
@@ -237,4 +233,4 @@ def sqrt_branch_S(x, spec: BranchSpec) -> np.ndarray:
     Equals the product of the reference branch with the sign involution;
     computed in one interpolation from the signed germ 0 + tau_j s_j.
     """
-    return matrix_function(x, spec.simple_set, 0, [spec.tau])[0]
+    return matrix_function(x, spec, 0, [spec.tau])[0]

@@ -140,10 +140,8 @@ def propose_simple_set(eigenvalues: Sequence[complex],
     if min(abs(c) for c in centers) <= gap:
         raise ClusteringError(
             "a cluster sits at 0; no disc around it can avoid the origin")
-    try:
-        radius = default_radius(centers)
-    except ValueError as exc:
-        raise ClusteringError(str(exc)) from exc
+    # every center lies beyond gap > 0 of 0, so default_radius accepts them
+    radius = default_radius(centers)
     worst = max(c.spread for c in clusters)
     if worst >= radius * (1.0 - CONTAINMENT_MARGIN):
         raise ClusteringError(

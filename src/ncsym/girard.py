@@ -196,9 +196,6 @@ def verify_girard_random(n: int, levels: Iterable[int] = (2, 3),
     """
     levels = tuple(levels)
     require_samples(levels, trials)
-    if min(levels) < 1:
-        raise PreconditionError(f"levels must each be at least 1, "
-                                f"got {levels}")
     if rng is None and seed is not None and seed < 0:
         raise PreconditionError(f"seed must be non-negative, got {seed}")
     if tol is None:

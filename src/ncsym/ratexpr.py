@@ -471,8 +471,9 @@ class EquivalenceVerdict:
 
 def require_samples(levels: tuple, trials: int) -> None:
     """PreconditionError, before anything is drawn, unless the verdict has
-    between 1 and SAMPLE_BUDGET points to judge: a level draws all its
-    trials at once, so the budget bounds its memory."""
+    between 1 and SAMPLE_BUDGET points to judge, each at least 1 x 1: a
+    level draws all its trials at once, so the budget bounds its memory,
+    and a level below 1 draws no entry to compare."""
     count = len(levels) * trials
     if not 1 <= count <= SAMPLE_BUDGET:
         raise PreconditionError(
@@ -480,6 +481,9 @@ def require_samples(levels: tuple, trials: int) -> None:
             if count < 1 else
             f"{count} samples (levels x trials) exceed SAMPLE_BUDGET = "
             f"{SAMPLE_BUDGET}")
+    if min(levels) < 1:
+        raise PreconditionError(f"levels must each be at least 1, "
+                                f"got {levels}")
 
 
 def sample_nonsingular(draw: Callable[[int], np.ndarray],
@@ -519,8 +523,8 @@ def equivalent_probabilistic(e1: RatExpr, e2: RatExpr,
     the first failing trial, copied out of the block.  A singular draw is
     redrawn, up to RESAMPLE_CAP draws for each (level, trial);
     InconclusiveError once the cap is exhausted (domain too thin), and
-    PreconditionError when no levels or no trials leave nothing to sample
-    or more than SAMPLE_BUDGET points would be drawn.
+    PreconditionError when no levels or no trials leave nothing to sample,
+    a level is below 1, or more than SAMPLE_BUDGET points would be drawn.
     """
     levels = tuple(levels)
     require_samples(levels, trials)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable, Optional
 
 
@@ -61,10 +61,8 @@ class Report:
         return result
 
     def merge(self, other: "Report", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(CheckResult(prefix + c.name, c.passed,
-                                           c.residual, c.witness, c.samples,
-                                           c.resamples))
+        self.checks.extend(replace(c, name=prefix + c.name)
+                           for c in other.checks)
         self.tolerances.update(other.tolerances)
 
     @property

@@ -17,9 +17,9 @@ import numpy as np
 from .errors import ContradictionError, EvaluatorError, PreconditionError
 from .girard import verify_girard_random
 from .linalg import (block_diag, conjugate, direct_sum, in_I, in_S_o,
-                     matrix_to_lists, op_norm, pi, random_similarity,
-                     random_tuple, rel_dist, require_positive,
-                     tuple_to_json_dict)
+                     matrix_from_lists, matrix_to_lists, op_norm, pi,
+                     random_similarity, random_tuple, rel_dist,
+                     require_positive, tuple_to_json_dict)
 from .ratexpr import evaluate
 from .report import Report
 from .symbasis import decompose_symmetric, reduce_to_pi
@@ -406,8 +406,7 @@ def anc_example_suite(rng: Optional[np.random.Generator] = None) -> Report:
     table_ok = False
     if extraction.passed and isinstance(extraction.witness, list) \
             and len(extraction.witness) == 1:
-        val = np.array([[complex(re, im) for re, im in row]
-                        for row in extraction.witness[0]["value"]])
+        val = matrix_from_lists(extraction.witness[0]["value"])
         table_ok = np.allclose(val, np.diag([b, c]))
     report.add("companion-value-is-b-plus-c", table_ok)
 

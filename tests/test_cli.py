@@ -338,6 +338,20 @@ def test_check_domain_ugamma(files, capsys, tmp_path):
     assert json.loads(capsys.readouterr().out)["value"] is True
 
 
+def test_check_domain_ugamma_takes_the_library_tolerance(tmp_path, capsys):
+    # a coupling of 1e-9 is below in_U_gamma's default tolerance, 1e-8,
+    # so u commutes with I_(1,-1) there; it is not below 1e-10
+    w = MatrixTuple((np.array([[1, 1e-9], [1e-9, 1]], dtype=complex),
+                     np.diag([1.0, 4.0]).astype(complex)))
+    path = tmp_path / "ux.json"
+    path.write_text(json.dumps(tuple_to_json_dict(w)))
+    argv = ["check-domain", "--pred", "Ugamma", "--tuple", str(path),
+            "--centers", "1,4", "--radius", "0.4"]
+    for extra, value in (([], False), (["--tol", "1e-10"], True)):
+        assert main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out)["value"] is value, extra
+
+
 @pytest.mark.parametrize("pred, d, delta, code", [
     ("Ugamma", 3, None, 2),       # Ugamma reads a pair (u, x)
     ("Bdelta", 1, "y", 2),        # y is a letter beyond the tuple

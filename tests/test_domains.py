@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from ncsym import domains, sqrtlib
-from ncsym.errors import (ClusteringError, DomainError, NumericalError,
-                          PreconditionError, UnsupportedError)
-from ncsym.funcalc import BranchSpec, involution_I
+from ncsym.errors import (ClusteringError, DimensionMismatchError,
+                          DomainError, NumericalError, PreconditionError,
+                          UnsupportedError)
+from ncsym.funcalc import BranchSpec, involution_I, sqrt_branch_S
 from ncsym.linalg import (direct_sum, in_S_o, op_norm, op_norms, random_tuple,
                           rel_dist, spectrum, uv_parts)
 from ncsym.words import MatrixTuple
@@ -315,6 +316,19 @@ def test_in_U_gamma_needs_an_admissible_disc_system(delta):
         domains.in_U_gamma(np.eye(2, dtype=complex), x, delta)
 
 
+@pytest.mark.parametrize("delta", [domains.SimpleSet((1.0, 4.0), 0.4),
+                                   domains.SimpleSet((4.0,), 0.4)])
+def test_in_U_gamma_refuses_u_and_x_of_different_sizes(delta, monkeypatch):
+    # two discs reached a matmul error; one disc judged x alone
+    calls = record_eigensolves(monkeypatch)
+    with pytest.raises(DimensionMismatchError, match="u is"):
+        domains.in_U_gamma(np.ones((2, 2)), np.diag([1.0, 4.0, 4.0]), delta)
+    with pytest.raises(DimensionMismatchError):
+        domains.in_U_gamma(np.ones((3, 3)), spectrum(np.diag([4.0, 4.0])),
+                           delta)
+    assert calls == []  # refused before any solve
+
+
 def test_direct_sum_keeps_genericity():
     # generic (+) anything in the ambient slab stays generic
     rng = np.random.default_rng(1)
@@ -354,9 +368,10 @@ def test_omega_phi_identities():
     u = ginibre(3, rng)
     spec = BranchSpec.for_matrix(x, (1, -1), gap=0.5)
     w = domains.omega(u, x, spec)
-    # pi o omega = phi
+    # the chart phi is pi o omega: pi(omega(u, x)) = (u, x, S u S)
     lhs = domains.pi(w)
-    rhs = domains.phi(u, x, spec)
+    s = sqrt_branch_S(x, spec)
+    rhs = (u, x, s @ u @ s)
     assert max(rel_dist(a, b) for a, b in zip(lhs, rhs)) < 1e-9
     # round trip through (u, v) = ((w^1+w^2)/2, (w^1-w^2)/2), v^2 = x
     ui, vi = uv_parts(w)

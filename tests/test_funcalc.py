@@ -28,6 +28,15 @@ def test_branch_spec_validation():
         funcalc.BranchSpec((1.0,), 0.4, (1, -1))  # a sign without a center
 
 
+def test_a_branch_spec_is_its_simple_set():
+    # the signs ride on the disc system: no second copy of centers, radius
+    spec = funcalc.BranchSpec((5.0, 1.0), 0.4, (1, -1))
+    assert isinstance(spec, SimpleSet)
+    assert spec.simple_set is spec
+    assert (spec.centers, spec.radius, spec.tau) == ((1.0, 5.0), 0.4, (-1, 1))
+    assert spec.locate(5.1) == 1 and spec.locate(3.0) is None
+
+
 def test_square_root_and_constant_functions():
     x, _, _, _ = clustered_matrix(RNG, [1.5, 4.0], [2, 2], 0.05)
     dom = SimpleSet((1.5, 4.0), 0.4)

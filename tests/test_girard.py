@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from ncsym import girard
 from ncsym import ratexpr as rx
 from ncsym.errors import (DomainError, ExpansionError, PreconditionError,
                           SingularityError)
-from ncsym.linalg import rel_dist
+from ncsym.linalg import pi, rel_dist
 from ncsym.words import MatrixTuple
 
 from helpers import (from_freepoly, ginibre, ncpoly_equal, record_svds,
@@ -136,6 +137,21 @@ def test_via_T_agrees_with_coordinate_path():
                 pytest.fail("no admissible sample found")
 
 
+@pytest.mark.xfail(strict=True, raises=SingularityError,
+                   reason="girard_negative inverts alpha = u and gamma; "
+                          "T^-1 in T's own entries needs only v, x, y "
+                          "invertible")
+def test_negative_indices_where_only_u_is_singular():
+    # u = diag(0, 5/2) is singular; v = diag(1, -1/2), x and y are not
+    x, y = np.diag([1.0, 2.0]), np.diag([-1.0, 3.0])
+    alpha, beta, gamma = pi(MatrixTuple((x, y)))
+    for n in (1, 2, 3):
+        got = rx.evaluate(girard.girard_pair(-n).P,
+                          {"alpha": alpha, "beta": beta, "gamma": gamma})
+        want = np.linalg.matrix_power(x, -n) + np.linalg.matrix_power(y, -n)
+        assert rel_dist(got, want) < 1e-12, f"n={-n}"
+
+
 def test_commutative_collapse_to_classical_identities():
     rng = np.random.default_rng(1)
     for _ in range(10):
@@ -160,10 +176,24 @@ def test_verify_girard_random_positive_and_negative():
     assert rep.passed
 
 
+X, Y = rx.variables("x", "y")
+SAMPLERS = (
+    lambda levels: girard.verify_girard_random(2, levels=levels, trials=3,
+                                               seed=1),
+    lambda levels: rx.equivalent_probabilistic(
+        rx.mul(X, Y), rx.add(rx.mul(Y, X), 1), levels=levels, trials=3,
+        rng=np.random.default_rng(1)))
+
+
 @pytest.mark.parametrize("levels", [(0,), (-1,), (2, 0)])
 def test_levels_below_one_are_refused(levels):
-    with pytest.raises(PreconditionError, match="levels"):
-        girard.verify_girard_random(2, levels=levels, trials=3, seed=1)
+    # both samplers share the gate: a 0 x 0 sample has no entry to compare,
+    # so it would pass vacuously
+    for sampler in SAMPLERS:
+        with pytest.raises(PreconditionError,
+                           match=rf"levels must each be at least 1, got "
+                                 rf"{re.escape(str(levels))}"):
+            sampler(levels)
 
 
 @pytest.mark.parametrize("levels, trials", [

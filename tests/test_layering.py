@@ -165,6 +165,37 @@ def test_one_certificate_for_every_signed_sum_of_pieces():
             "domains.fiber", "sqrtlib.all_square_roots"], name
 
 
+def _function(trees, module: str, name: str):
+    """The definition of name in module."""
+    func, = (node for node in ast.walk(trees[module])
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name == name)
+    return func
+
+
+def _mentions(node, name: str) -> bool:
+    return any(getattr(sub, "id", getattr(sub, "attr", None)) == name
+               for sub in ast.walk(node))
+
+
+def test_each_decision_has_one_home():
+    # the chart phi is pi o omega; require_samples gates the levels of
+    # both samplers; replace copies every field of a check; linalg reads
+    # [re, im] matrix rows; and default_radius is never refused inside
+    # propose_simple_set, whose own test has kept every center off 0
+    trees = _trees()
+    assert _definitions(trees, {"phi"}) == []
+    sources = {name: ast.unparse(tree) for name, tree in trees.items()}
+    assert [name for name, text in sources.items()
+            if "levels must each be at least 1" in text] == ["ratexpr"]
+    assert not _mentions(_function(trees, "report", "merge"), "CheckResult")
+    reader = _function(trees, "verify", "anc_example_suite")
+    assert _calls(reader, "matrix_from_lists") and not _calls(reader,
+                                                             "complex")
+    assert not any(isinstance(node, ast.ExceptHandler) for node in ast.walk(
+        _function(trees, "geometry", "propose_simple_set")))
+
+
 def _readme_entry_points() -> set:
     """Names the README's "Library entry points" section imports from
     ncsym in its code blocks."""
