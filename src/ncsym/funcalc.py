@@ -222,8 +222,9 @@ def spectral_idempotents(x, domain: SimpleSet) -> np.ndarray:
 
 def involution_I(x, spec: BranchSpec) -> np.ndarray:
     """Matrix square root of the identity attached to the sign pattern,
-    for x a matrix or its Spectrum."""
-    return matrix_function(x, spec, [spec.tau], 0)[0]
+    for x a matrix or its Spectrum: sum_j tau_j E_j over the
+    spectral_idempotents of x."""
+    return np.tensordot(spec.tau, spectral_idempotents(x, spec), axes=1)
 
 
 def sqrt_branch_S(x, spec: BranchSpec) -> np.ndarray:

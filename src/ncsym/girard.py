@@ -8,8 +8,8 @@ with u = (x+y)/2, v = (x-y)/2.  The positive-index recursion is
     P_{n+1} = alpha P_n + Q_n,
     Q_{n+1} = beta P_n + gamma beta^-1 Q_n,
 
-where Q_n stands for v (x^n - y^n).  Negative indices use the Schur-
-complement entries of the inverse transfer matrix; both paths are cross-
+where Q_n stands for v (x^n - y^n): (P, Q) <- T (P, Q).  Negative indices
+run N = T^-1, written in T's own entries (below); both paths are cross-
 checked against direct u,v forms and matrix power sums.
 
 Sub-DAGs are shared, so P_n grows linearly in n; gamma beta^-1 Q_n is kept
@@ -52,6 +52,16 @@ class GirardPair:
     Q: RatExpr
 
 
+# the transfer matrix T = ((alpha, 1), (beta, D)), D = gamma beta^-1, and
+# N = T^-1 = ((-S^-1 D, S^-1), (1 + alpha S^-1 D, -alpha S^-1)) with
+# S = beta - D alpha = -v x v^-1 y at pi(w): only beta and S are inverted
+_D = mul(GAMMA, inv(BETA))
+_S_INV = inv(add(BETA, scale(-1, mul(_D, ALPHA))))
+T = ((ALPHA, ONE), (BETA, _D))
+N = ((scale(-1, mul(_S_INV, _D)), _S_INV),
+     (add(ONE, mul(ALPHA, _S_INV, _D)), scale(-1, mul(ALPHA, _S_INV))))
+
+
 def _transfer(matrix: tuple, start: tuple, steps: int) -> tuple:
     """(p, q) after steps applications of the 2x2 transfer matrix
     ((a, b), (c, d)): p, q -> a p + b q, c p + d q, each sub-DAG shared."""
@@ -67,27 +77,16 @@ def girard_positive(n: int) -> GirardPair:
     gamma and beta^-1."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    transfer = ((ALPHA, ONE), (BETA, mul(GAMMA, inv(BETA))))
-    return GirardPair(n, *_transfer(transfer, (Scalar(2), ZERO), n))
+    return GirardPair(n, *_transfer(T, (Scalar(2), ZERO), n))
 
 
 def girard_negative(n: int) -> GirardPair:
-    """Power-sum expression for index -n with n >= 1.
-
-    Evaluation requires the four coefficient expressions
-    (alpha - beta gamma^-1 beta), (beta - gamma beta^-1 alpha),
-    (beta - alpha beta^-1 gamma), (gamma - beta alpha^-1 beta)
-    to be invertible at the point.
-    """
+    """Power-sum expression for index -n with n >= 1, defined where beta
+    and S = beta - gamma beta^-1 alpha are invertible, which at pi(w)
+    means v, x and y invertible."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    alpha_inv, beta_inv, gamma_inv = inv(ALPHA), inv(BETA), inv(GAMMA)
-    pp = inv(add(ALPHA, scale(-1, mul(BETA, gamma_inv, BETA))))
-    pq = inv(add(BETA, scale(-1, mul(GAMMA, beta_inv, ALPHA))))
-    qp = mul(BETA, inv(add(BETA, scale(-1, mul(ALPHA, beta_inv, GAMMA)))))
-    qq = mul(BETA, inv(add(GAMMA, scale(-1, mul(BETA, alpha_inv, BETA)))))
-    return GirardPair(-n, *_transfer(((pp, pq), (qp, qq)),
-                                     (Scalar(2), ZERO), n))
+    return GirardPair(-n, *_transfer(N, (Scalar(2), ZERO), n))
 
 
 def girard_pair(n: int) -> GirardPair:

@@ -197,10 +197,21 @@ def inv(e) -> RatExpr:
 
 
 def power(e: RatExpr, k: int) -> RatExpr:
+    """e^k as one flat product of |k| copies of e, inverted for k < 0.
+
+    ExpansionError before anything is built when that product would hold
+    more than TERM_BUDGET factors: |k| times the factors of e, whose
+    product is flattened into it.
+    """
     if not isinstance(k, int):
         raise TypeError("exponents must be integers")
     if k == 0:
         return Scalar(1)
+    core = e.child if isinstance(e, ScalarMul) else e
+    factors = len(core.children) if isinstance(core, Product) else 1
+    if abs(k) * factors > TERM_BUDGET:
+        raise ExpansionError(f"the power would hold more than TERM_BUDGET "
+                             f"= {TERM_BUDGET} factors")
     p = mul(*([e] * abs(k)))
     return p if k > 0 else inv(p)
 

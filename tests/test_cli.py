@@ -54,10 +54,10 @@ def test_girard_with_verification(capsys):
 @pytest.mark.parametrize("n, digest", [
     ("12", "35db8b80eb69b1035fdb7f29110be67f0d24a4f936d03f3c8d3615b15403e6a3"),
     ("16", "accbfa335ccbc96a3d19f7b8127db610f633819dab6a6e1939c719613e1a9ec6"),
-    ("-16", "c9915ea3269fd1775b81d9eb8744c3efe71f4b9a42f57e695ff78517b47a3d9a"),
+    ("-16", "0fb03e37fdc9371294856da5a568e3c3b68786e3fa2e428a22a834e13d4966cf"),
 ])
 def test_girard_text_within_the_budgets_is_unchanged(n, digest, capsys):
-    # 2^15 table words for 16; 3.5 MB of tree text for -16
+    # 2^15 table words for 16; 5.1 MB of tree text for -16
     assert main(["girard", "--n", n]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -65,9 +65,9 @@ def test_girard_text_within_the_budgets_is_unchanged(n, digest, capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["girard", "--n", "-5", "--verify", "--seed", "3"],
-     "59be72ed33fd27e9ed24052d61072321d5df9b3c670a189fbd062909868239fe"),
+     "f7881ca3a1b97cb93ef9f960bc20c08e9b3ec3aa9fc09dac0888425ac92cc4f5"),
     (["verify", "--suite", "girard", "--seed", "2"],
-     "90e807b5dcbffeee67a436b44bfcd1ec5c6f8b29fb799493888ad01b70238215"),
+     "0ccba7224ebedcee49f444af8f21f79bebc5d954d66a9950579ca5b398b4d196"),
 ])
 def test_sampled_verdicts_print_the_same_bytes(argv, digest, capsys):
     # the samples, residual floats and witnesses of a seed are pinned
@@ -82,17 +82,35 @@ def test_sampled_verdicts_print_the_same_bytes(argv, digest, capsys):
     (["decompose", "--expr", "(x+y)^40"], "TERM_BUDGET"),
     # the budget test compares exponents, and builds no 2^(10^9)
     (["girard", "--n", "1000000000"], "TERM_BUDGET"),
+    # a power counts its factors before it makes a list of them
+    *[(["decompose", "--expr", expr], "TERM_BUDGET") for expr in (
+        "x^99999999999", "2.5^99999999999", "(x-y)^99999999999",
+        "(x^200000)^200000", "x^1e308")],
 ])
 def test_output_over_a_budget_is_refused_at_once(argv, budget, capsys):
-    # the text of P_-400 and the words of P_400 or (x+y)^40 would not fit
-    # in memory; they are refused before anything is printed
+    # the text of P_-400, the words of P_400 or (x+y)^40 and the factors
+    # of x^99999999999 would not fit in memory; they are refused before
+    # anything is printed, in one line
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("precondition violation:")
-    assert budget in captured.err
+    assert captured.err.count("\n") == 1 and budget in captured.err
+
+
+def test_a_power_in_a_delta_cell_is_refused_at_once(files, capsys):
+    delta = files["tmp"] / "delta.json"
+    delta.write_text(json.dumps([["x^99999999999"]]))
+    start = time.perf_counter()
+    assert main(["check-domain", "--pred", "Bdelta", "--tuple", files["nil"],
+                 "--delta", str(delta)]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("precondition violation:")
+    assert "TERM_BUDGET" in captured.err
 
 
 def test_decompose_of_a_high_power_is_one_transform(capsys):

@@ -137,12 +137,9 @@ def test_via_T_agrees_with_coordinate_path():
                 pytest.fail("no admissible sample found")
 
 
-@pytest.mark.xfail(strict=True, raises=SingularityError,
-                   reason="girard_negative inverts alpha = u and gamma; "
-                          "T^-1 in T's own entries needs only v, x, y "
-                          "invertible")
 def test_negative_indices_where_only_u_is_singular():
-    # u = diag(0, 5/2) is singular; v = diag(1, -1/2), x and y are not
+    # u = diag(0, 5/2) is singular; v = diag(1, -1/2), x and y are not, and
+    # P_-n inverts only beta = v^2 and S = -v x v^-1 y
     x, y = np.diag([1.0, 2.0]), np.diag([-1.0, 3.0])
     alpha, beta, gamma = pi(MatrixTuple((x, y)))
     for n in (1, 2, 3):
@@ -150,6 +147,42 @@ def test_negative_indices_where_only_u_is_singular():
                           {"alpha": alpha, "beta": beta, "gamma": gamma})
         want = np.linalg.matrix_power(x, -n) + np.linalg.matrix_power(y, -n)
         assert rel_dist(got, want) < 1e-12, f"n={-n}"
+
+
+def _inverses(*exprs) -> set:
+    return {id(node) for e in exprs for node in rx._postorder(e)
+            if isinstance(node, rx.Inverse)}
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_negative_indices_invert_beta_and_s_alone(n):
+    # the two inverse nodes of the constant N, shared by every step; none
+    # over alpha or gamma
+    p = girard.girard_pair(-n).P
+    found = [node for node in rx._postorder(p)
+             if isinstance(node, rx.Inverse)]
+    assert len(found) == 2
+    assert _inverses(p) == _inverses(*girard.N[0], *girard.N[1])
+    assert {rx.to_text(node.child) for node in found} == {
+        "beta", "beta - gamma*inv(beta)*alpha"}
+
+
+def test_positive_indices_read_the_transfer_matrix():
+    p = girard.girard_pair(5).P
+    assert _inverses(p) == _inverses(*girard.T[1]) and len(_inverses(p)) == 1
+
+
+@pytest.mark.parametrize("first, second", [("T", "N"), ("N", "T")])
+def test_the_inverse_transfer_matrix_inverts_t(first, second):
+    # each entry of T N and of N T against the identity matrix's, sampled
+    a, b = getattr(girard, first), getattr(girard, second)
+    for i in range(2):
+        for j in range(2):
+            entry = rx.add(rx.mul(a[i][0], b[0][j]), rx.mul(a[i][1], b[1][j]))
+            verdict = rx.equivalent_probabilistic(
+                entry, rx.Scalar(float(i == j)), levels=(1, 2, 3), trials=5,
+                rng=np.random.default_rng(10 * i + j))
+            assert verdict, f"({first} {second})[{i}][{j}]"
 
 
 def test_commutative_collapse_to_classical_identities():

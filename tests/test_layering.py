@@ -3,6 +3,10 @@
 import ast
 import graphlib
 import pathlib
+import re
+import sys
+
+import pytest
 
 import ncsym
 
@@ -221,3 +225,20 @@ def test_package_binds_exactly_the_documented_entry_points():
     assert documented
     assert {name for name in bound if not name.startswith("__")} \
         == documented
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every absolute import is the standard library's or numpy; relative
+    # ones are the package's own
+    found = {alias.name.split(".")[0]
+             for tree in _trees().values() for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    found |= {node.module.split(".")[0]
+              for tree in _trees().values() for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert found - set(sys.stdlib_module_names) - {"ncsym"} == {"numpy"}
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).resolve().parent.parent / \
+        "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d)[0] for d in declared] == ["numpy"]

@@ -324,8 +324,29 @@ def test_a_sum_bounds_its_terms_once_per_repeated_term():
     assert time.perf_counter() - start < 0.5
 
 
+def test_a_power_is_bounded_before_it_is_built():
+    # the flat product counts |k| times the factors of its base, under a
+    # scalar factor too; the count, not the list, meets the budget
+    x, y = rx.variables("x", "y")
+    xy = rx.mul(x, y)
+    assert len(rx.power(xy, TERM_BUDGET // 2).children) == TERM_BUDGET
+    for base, k in ((x, TERM_BUDGET + 1), (xy, TERM_BUDGET // 2 + 1),
+                    (rx.scale(3, xy), -(TERM_BUDGET // 2 + 1)),
+                    (rx.Scalar(2.5), 10 ** 308)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExpansionError,
+                               match=f"TERM_BUDGET = {TERM_BUDGET} factors"):
+                rx.power(base, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 16
+
+
 def test_text_is_refused_above_the_text_budget():
-    # the tree text of P_-n doubles with each index: 14 MB at -18
+    # the tree text of P_-n doubles with each index: 10 MB at -17 fits,
+    # and from -18 on it is over the budget
     with pytest.raises(PreconditionError, match="TEXT_BUDGET"):
         rx.to_text(girard.girard_pair(-19).P)
 

@@ -54,7 +54,7 @@ CALLS = {
 # these read only ||x||: given a matrix, they solve nothing
 NORM_ONLY = ("alg_residual", "alg_complement", "signed_sums")
 # these read the eigenbasis, and the eigenvalues from it
-EIGENBASIS = ("spectral_idempotents", "in_U_gamma")
+EIGENBASIS = ("spectral_idempotents", "involution_I", "in_U_gamma")
 
 
 def _arrays(result) -> list:
