@@ -64,7 +64,13 @@ N = ((scale(-1, mul(_S_INV, _D)), _S_INV),
 
 def _transfer(matrix: tuple, start: tuple, steps: int) -> tuple:
     """(p, q) after steps applications of the 2x2 transfer matrix
-    ((a, b), (c, d)): p, q -> a p + b q, c p + d q, each sub-DAG shared."""
+    ((a, b), (c, d)): p, q -> a p + b q, c p + d q, each sub-DAG shared.
+
+    Each step adds a few nodes, so more than TERM_BUDGET steps raise
+    ExpansionError before anything is built."""
+    if steps > TERM_BUDGET:
+        raise ExpansionError(f"{steps} transfer steps exceed TERM_BUDGET = "
+                             f"{TERM_BUDGET}")
     (a, b), (c, d) = matrix
     p, q = start
     for _ in range(steps):
@@ -90,7 +96,8 @@ def girard_negative(n: int) -> GirardPair:
 
 
 def girard_pair(n: int) -> GirardPair:
-    """P_n and its companion for any integer index."""
+    """P_n and its companion for any integer index; ExpansionError when
+    |n| exceeds TERM_BUDGET."""
     return girard_positive(n) if n >= 0 else girard_negative(-n)
 
 

@@ -413,10 +413,12 @@ def random_unit_norms(shape: tuple, n: int,
 
 
 def random_similarity(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Invertible matrix with modest condition number."""
+    """I + 0.4 G, G a ginibre draw, drawn again until its condition number
+    is below 50: one SVD per draw, sv_ratio(s) > 1/50, which also makes
+    it invertible."""
     for _ in range(RETRY_CAP):
         s = np.eye(n, dtype=complex) + 0.4 * ginibre(n, rng)
-        if in_I(s, 1e-6) and np.linalg.cond(s) < 50:
+        if sv_ratio(s) > 1 / 50:
             return s
     raise GenerationError("could not draw a well-conditioned similarity")
 
@@ -491,7 +493,7 @@ def _generic_u_pair(n: int, rng: np.random.Generator) -> MatrixTuple:
         if sums.min() < 0.05 or diffs.min() < 0.05:
             continue
         p = np.eye(n, dtype=complex) + 0.4 * ginibre(n, rng)
-        if np.linalg.cond(p) > 50:
+        if sv_ratio(p) < 1 / 50:  # condition number over 50
             continue
         a = ginibre(n, rng)
         if np.abs(a).min() < 0.05:

@@ -9,6 +9,7 @@ the symmetrization map reproduces 16*v*u^2*v when v is nilpotent.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -16,10 +17,10 @@ import numpy as np
 
 from .errors import ContradictionError, EvaluatorError, PreconditionError
 from .girard import verify_girard_random
-from .linalg import (block_diag, conjugate, direct_sum, in_I, in_S_o,
-                     matrix_from_lists, matrix_to_lists, op_norm, pi,
-                     random_similarity, random_tuple, rel_dist,
-                     require_positive, tuple_to_json_dict)
+from .linalg import (block_diag, direct_sum, in_I, in_S_o, matrix_from_lists,
+                     matrix_to_lists, op_norms, pi, random_similarity,
+                     random_tuple, rel_dist, require_positive,
+                     tuple_to_json_dict)
 from .ratexpr import evaluate
 from .report import Report
 from .symbasis import decompose_symmetric, reduce_to_pi
@@ -27,6 +28,7 @@ from .words import FreePoly, MatrixTuple
 
 ENTRY_TOL = 1e-12  # finite-set matrix identity tolerance
 RESIDUAL_TOL = 1e-8  # passing relative residual of an axiom
+AXIOMS = ("direct-sum", "similarity", "intertwining")  # after "graded"
 
 
 @dataclass
@@ -48,12 +50,48 @@ class FiniteGradedMap:
 
 # -- nc axioms on black-box evaluators -----------------------------------------
 
-def _call(f: Callable, sample: MatrixTuple) -> np.ndarray:
+class _NotGraded(Exception):
+    """A value whose shape is not n x n at a level-n point; args[0] is
+    the graded check's witness."""
+
+
+def _call(f: Callable, point: MatrixTuple, where: dict) -> np.ndarray:
+    """f(point) as a complex array.  EvaluatorError, with the point, when
+    f raises; _NotGraded, with where and the shape, when the value is
+    not n x n."""
     try:
-        return np.asarray(f(sample), dtype=complex)
+        value = np.asarray(f(point), dtype=complex)
     except Exception as exc:
-        raise EvaluatorError(f"evaluator failed: {exc}", sample=sample) \
+        raise EvaluatorError(f"evaluator failed: {exc}", sample=point) \
             from exc
+    if value.shape != (point.n, point.n):
+        raise _NotGraded({**where, "shape": list(value.shape)})
+    return value
+
+
+def _padded_norms(matrices: Sequence[np.ndarray]) -> np.ndarray:
+    """2-norms of matrices of any shapes from one batched SVD: each is
+    zero-padded to the largest side met, which keeps its nonzero singular
+    values and adds zeros."""
+    size = max((max(m.shape) for m in matrices), default=0)
+    stack = np.zeros((len(matrices), size, size), dtype=complex)
+    for k, m in enumerate(matrices):
+        stack[k, :m.shape[0], :m.shape[1]] = m
+    return op_norms(stack)
+
+
+def _add_quotient_checks(report: Report, checks: dict, tol: float) -> None:
+    """report.add_worst for each check name -> [(where, num, den)], in
+    order, with residual ||num|| / (1 + ||den||): one _padded_norms call
+    takes every 2-norm of every check."""
+    terms = [term for measured in checks.values() for term in measured]
+    norms = _padded_norms([num for _, num, _ in terms]
+                          + [den for _, _, den in terms])
+    quotients = iter((norms[:len(terms)]
+                      / (1.0 + norms[len(terms):])).tolist())
+    for name, measured in checks.items():
+        report.add_worst(name, ((where, next(quotients))
+                                for where, _, _ in measured), tol)
 
 
 def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
@@ -63,64 +101,84 @@ def check_nc_properties(f: Callable[[MatrixTuple], np.ndarray],
 
     f must be defined on the samples, their pairwise direct sums, and
     their similarity orbits; evaluator exceptions surface as
-    EvaluatorError with the offending sample attached.  An empty sample
-    list raises PreconditionError instead of passing every check.
+    EvaluatorError with the offending sample attached.  A value of the
+    wrong shape fails the graded check, whose witness names the first
+    such point and the shape; the axioms then cannot be measured, and
+    fail with a NaN residual.  Otherwise the axioms' residual matrices
+    are collected first and all their 2-norms taken by one batched SVD;
+    each drawn similarity costs one SVD and one inverse.  A value that
+    is not finite, or whose products overflow, raises NumericalError.  An
+    empty sample list raises PreconditionError instead of passing every
+    check.
     """
     if not samples:
         raise PreconditionError("no samples to judge")
     rng = rng or np.random.default_rng()
     report = Report(tolerances={"residual": RESIDUAL_TOL})
-    values = [_call(f, s) for s in samples]
+    try:
+        # a value near the float range overflows in the products: the
+        # norms then raise NumericalError, with no numpy warning first
+        with np.errstate(over="ignore", invalid="ignore"):
+            checks = _axiom_terms(f, samples, rng)
+    except _NotGraded as exc:
+        report.add("graded", False, witness=exc.args[0])
+        for name in AXIOMS:
+            report.add(name, False, math.nan)
+        return report
+    report.add("graded", True)
+    _add_quotient_checks(report, checks, RESIDUAL_TOL)
+    return report
 
-    graded = all(v.shape == (s.n, s.n) for v, s in zip(values, samples))
-    report.add("graded", graded)
 
+def _axiom_terms(f: Callable, samples: Sequence[MatrixTuple],
+                 rng: np.random.Generator) -> dict:
+    """Each axiom's [(where, num, den)]: f at the samples, their direct
+    sums, one similarity orbit point each and each x (+) x, called in
+    that order.  _NotGraded at the first value of the wrong shape."""
+    values = [_call(f, s, {"sample": i}) for i, s in enumerate(samples)]
     # each sample with the next, cyclically: one sample pairs with itself
     pairs = [(i, (i + 1) % len(samples)) for i in range(len(samples))]
-    sums = [_call(f, direct_sum(samples[i], samples[j])) for i, j in pairs]
+    sums = [_call(f, direct_sum(samples[i], samples[j]),
+                  {"direct-sum": [i, j]}) for i, j in pairs]
+    direct = []
+    for (i, j), got in zip(pairs, sums):
+        want = block_diag(values[i], values[j])
+        direct.append(({"samples": [i, j]}, got - want, want))
 
-    def direct_sums():
-        for (i, j), got in zip(pairs, sums):
-            yield {"samples": [i, j]}, rel_dist(
-                got, block_diag(values[i], values[j]))
+    similar = []
+    for i, (sample, value) in enumerate(zip(samples, values)):
+        sim = random_similarity(sample.n, rng)
+        sim_inv = np.linalg.inv(sim)  # one inverse: the point and its value
+        got = _call(f, MatrixTuple(tuple(sim_inv @ m @ sim for m in sample)),
+                    {"similar-to": i})
+        want = sim_inv @ value @ sim
+        similar.append(({"sample": i}, got - want, want))
 
-    def similarities():
-        for s_idx, sample in enumerate(samples):
-            sim = random_similarity(sample.n, rng)
-            got = _call(f, conjugate(sim, sample))
-            want = np.linalg.inv(sim) @ values[s_idx] @ sim
-            yield {"sample": s_idx}, rel_dist(got, want)
-
-    def intertwinings():
-        for (i, j), fxy in zip(pairs, sums):
-            x, fx = samples[i], values[i]
-            n, m = x.n, samples[j].n
-            embed = np.zeros((n + m, n), dtype=complex)
-            embed[:n, :n] = np.eye(n)
-            compress = embed.conj().T
-            # [I;0] intertwines x with x (+) y; [I 0] the other way round
-            for left, a, b in ((embed, fx, fxy), (compress, fxy, fx)):
-                yield {"samples": [i, j]}, \
-                    op_norm(left @ a - b @ left) / (1.0 + op_norm(a))
-            # rank-deficient intertwiners of x with x (+) x: scalar block mixes
-            a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-            fxx = _call(f, direct_sum(x, x))
-            eye = np.eye(n, dtype=complex)
-            mixed_embed = np.vstack([a * eye, b * eye])       # x -> x (+) x
-            mixed_compress = np.hstack([a * eye, b * eye])    # x (+) x -> x
-            upper = np.zeros((2 * n, 2 * n), dtype=complex)   # rank n on x (+) x
-            upper[:n, :n] = a * eye
-            upper[:n, n:] = b * eye
-            for left, va, vb in ((mixed_embed, fx, fxx),
-                                 (mixed_compress, fxx, fx),
-                                 (upper, fxx, fxx)):
-                yield {"samples": [i, j]}, \
-                    op_norm(left @ va - vb @ left) / (1.0 + op_norm(va))
-
-    report.add_worst("direct-sum", direct_sums(), RESIDUAL_TOL)
-    report.add_worst("similarity", similarities(), RESIDUAL_TOL)
-    report.add_worst("intertwining", intertwinings(), RESIDUAL_TOL)
-    return report
+    intertwining = []
+    for (i, j), fxy in zip(pairs, sums):
+        where = {"samples": [i, j]}
+        x, fx = samples[i], values[i]
+        n, m = x.n, samples[j].n
+        embed = np.zeros((n + m, n), dtype=complex)
+        embed[:n, :n] = np.eye(n)
+        compress = embed.conj().T
+        # [I;0] intertwines x with x (+) y; [I 0] the other way round
+        intertwining += [(where, left @ a - b @ left, a) for left, a, b in
+                         ((embed, fx, fxy), (compress, fxy, fx))]
+        # rank-deficient intertwiners of x with x (+) x: scalar block mixes
+        a, b = (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        fxx = _call(f, direct_sum(x, x), {"direct-sum": [i, i]})
+        eye = np.eye(n, dtype=complex)
+        mixed_embed = np.vstack([a * eye, b * eye])       # x -> x (+) x
+        mixed_compress = np.hstack([a * eye, b * eye])    # x (+) x -> x
+        upper = np.zeros((2 * n, 2 * n), dtype=complex)   # rank n on x (+) x
+        upper[:n, :n] = a * eye
+        upper[:n, n:] = b * eye
+        intertwining += [(where, left @ va - vb @ left, va)
+                         for left, va, vb in ((mixed_embed, fx, fxx),
+                                              (mixed_compress, fxx, fx),
+                                              (upper, fxx, fxx))]
+    return dict(zip(AXIOMS, (direct, similar, intertwining)))
 
 
 # -- finite-domain companion functions -----------------------------------------
@@ -185,12 +243,14 @@ def check_anc(f: FiniteGradedMap, tol: float = ENTRY_TOL,
               rng: Optional[np.random.Generator] = None) -> Report:
     """Similarity preservation plus companion-function extraction.
 
-    Blocks split and match at tol.  On success the report's last check
-    carries the table of companion values on the derived domain; a
-    failing check names its first failing pair.  Raises ContradictionError
-    when two decompositions force different companion values at one
-    point, and PreconditionError for an empty domain or a tol that is not
-    finite and positive.
+    Blocks split and match at tol.  Every intertwiner of every similar
+    pair is collected before one batched SVD takes the 2-norms of the
+    similarity check.  On success the report's last check carries the
+    table of companion values on the derived domain; a failing check
+    names its first failing pair.  Raises ContradictionError when two
+    decompositions force different companion values at one point, and
+    PreconditionError for an empty domain or a tol that is not finite
+    and positive.
     """
     require_positive("tol", tol)
     if not f.domain:
@@ -198,20 +258,18 @@ def check_anc(f: FiniteGradedMap, tol: float = ENTRY_TOL,
     rng = rng or np.random.default_rng(0)
     report = Report(tolerances={"entry": tol})
 
-    def similar_pairs():
-        for (i, xi), (j, xj) in itertools.product(enumerate(f.domain),
-                                                  repeat=2):
-            if xi.n != xj.n:
-                continue
-            basis = _intertwiner_basis(xi, xj)
-            if not _contains_invertible(basis, rng):
-                continue  # not similar: no constraint from this pair
-            for b in basis:
-                yield {"pair": [i, j]}, op_norm(
-                    b @ f.values[j] - f.values[i] @ b) / (1.0 + op_norm(b))
-
+    similar = []
+    for (i, xi), (j, xj) in itertools.product(enumerate(f.domain), repeat=2):
+        if xi.n != xj.n:
+            continue
+        basis = _intertwiner_basis(xi, xj)
+        if not _contains_invertible(basis, rng):
+            continue  # not similar: no constraint from this pair
+        similar += [({"pair": [i, j]}, b @ f.values[j] - f.values[i] @ b, b)
+                    for b in basis]
     # a linear identity: generous numerical slack
-    report.add_worst("similarity-preserving", similar_pairs(), tol * 1e3)
+    _add_quotient_checks(report, {"similarity-preserving": similar},
+                         tol * 1e3)
 
     table: list[tuple[MatrixTuple, np.ndarray]] = []
 
@@ -253,7 +311,9 @@ def pascoe_counterexample(r: float = 0.1, scale: float = 0.4) -> Report:
 
     v and its sign-twisted copy share v^2 = 0 and vuv, yet the (1,4) entry
     of f differs by 32 r^2 scale^2: no function on the image of the map,
-    holomorphic or not, reproduces f on the full bidisc.
+    holomorphic or not, reproduces f on the full bidisc.  One batched SVD
+    tests both components for strict contractions, before pi is taken;
+    a second takes the norms of the three slot gaps of pi and of v^2.
     """
     if r < 0:
         raise PreconditionError("r must be nonnegative")
@@ -269,13 +329,15 @@ def pascoe_counterexample(r: float = 0.1, scale: float = 0.4) -> Report:
     u = scale * (unit(1, 0) + unit(0, 2))
     w = MatrixTuple((u + v, u - v))
     w_twisted = MatrixTuple((u + v_twisted, u - v_twisted))
-    if max(op_norm(w[0]), op_norm(w[1])) >= 1.0:
+    if op_norms(np.stack(w.entries)).max() >= 1.0:
         raise PreconditionError(
             "components must be strict contractions; shrink r or scale")
 
     report = Report(tolerances={"pi-match": 1e-12, "entry": 1e-10})
     p1, p2 = pi(w), pi(w_twisted)
-    pi_res = max(op_norm(a - b) for a, b in zip(p1, p2))
+    # the three slot gaps and beta = v^2, from one batched SVD
+    norms = op_norms(np.stack([a - b for a, b in zip(p1, p2)] + [p1[1]]))
+    pi_res, beta_norm = float(norms[:3].max()), float(norms[3])
     report.add("pi-values-match", pi_res <= 1e-12, pi_res,
                {"w": tuple_to_json_dict(w),
                 "w-twisted": tuple_to_json_dict(w_twisted)})
@@ -292,7 +354,6 @@ def pascoe_counterexample(r: float = 0.1, scale: float = 0.4) -> Report:
                {"expected": expected,
                 "got": [float(gap[0, 3].real), float(gap[0, 3].imag)]})
 
-    beta_norm = op_norm(p1[1])
     report.add("v-squared-vanishes", beta_norm <= 1e-14, beta_norm)
     report.add("outside-clean-locus", not in_S_o(w))
     return report

@@ -82,6 +82,10 @@ def test_sampled_verdicts_print_the_same_bytes(argv, digest, capsys):
     (["decompose", "--expr", "(x+y)^40"], "TERM_BUDGET"),
     # the budget test compares exponents, and builds no 2^(10^9)
     (["girard", "--n", "1000000000"], "TERM_BUDGET"),
+    # P_n takes |n| transfer steps, counted before the first is built
+    (["girard", "--n", "-1000000000000"], "TERM_BUDGET"),
+    (["girard", "--n", "99999999999999999999", "--verify", "--trials", "2",
+      "--levels", "1"], "TERM_BUDGET"),
     # a power counts its factors before it makes a list of them
     *[(["decompose", "--expr", expr], "TERM_BUDGET") for expr in (
         "x^99999999999", "2.5^99999999999", "(x-y)^99999999999",

@@ -144,6 +144,10 @@ def test_singular_values_are_taken_in_linalg():
     outside = [name for name in _callers(_trees(), "svd")
                if not name.startswith("linalg.")]
     assert outside == ["sqrtlib.sqrt_exists", "verify._intertwiner_basis"]
+    # a condition number is sv_ratio's reciprocal: np.linalg.cond would
+    # take a second SVD of a matrix whose ratio is read anyway
+    assert [node for tree in _trees().values() for node in ast.walk(tree)
+            if getattr(node, "attr", None) == "cond"] == []
 
 
 def test_one_union_find_and_numpys_matrix_rank():

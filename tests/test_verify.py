@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ncsym import symbasis, verify
-from ncsym.errors import ContradictionError, EvaluatorError, PreconditionError
-from ncsym.linalg import random_tuple
+from ncsym.errors import (ContradictionError, EvaluatorError,
+                          NumericalError, PreconditionError)
+from ncsym.linalg import op_norm, random_tuple
 from ncsym.report import Report
 from ncsym.words import FreePoly, MatrixTuple
 
@@ -68,6 +69,12 @@ def test_conjugation_map_fails_similarity_with_witness():
                                         _samples(rng), rng=rng)
     sim = next(c for c in report.checks if c.name == "similarity")
     assert not sim.passed and sim.residual > 1e-6
+    assert sim.witness["sample"] == 0
+    assert sim.witness["residual"] == pytest.approx(0.8590935326911927,
+                                                    rel=1e-14)
+    assert [(c.name, c.passed, c.samples) for c in report.checks] == [
+        ("graded", True, 0), ("direct-sum", True, 3),
+        ("similarity", False, 3), ("intertwining", True, 15)]
 
 
 def _truncating(t):  # graded but not direct-sum compatible
@@ -82,6 +89,82 @@ def test_truncation_map_fails_direct_sums_only():
     names = {c.name: c.passed for c in report.checks}
     assert names["graded"]
     assert not names["direct-sum"]
+    sums = report.checks[1]
+    assert sums.witness["samples"] == [0, 1]
+    assert sums.witness["residual"] == pytest.approx(0.29601883419876884,
+                                                     rel=1e-14)
+    assert [c.samples for c in report.checks] == [0, 3, 3, 15]
+
+
+@pytest.mark.parametrize("f, levels, witness", [
+    (lambda t: np.zeros((1, 1)), (2, 3, 2), {"sample": 0, "shape": [1, 1]}),
+    (lambda t: t[0][:, :1], (2, 3, 2), {"sample": 0, "shape": [2, 1]}),
+    (lambda t: np.eye(t.n + 1), (2, 3, 2), {"sample": 0, "shape": [3, 3]}),
+    # graded at level 2 only: the first direct sum is named
+    (lambda t: np.zeros((2, 2)), (2, 2),
+     {"direct-sum": [0, 1], "shape": [2, 2]}),
+])
+def test_a_value_of_the_wrong_shape_fails_the_graded_check(f, levels,
+                                                           witness):
+    # the axioms cannot be measured on it, so they fail with no residual
+    rng = np.random.default_rng(0)
+    report = verify.check_nc_properties(f, _samples(rng, levels), rng=rng)
+    graded, *axioms = report.checks
+    assert (graded.name, graded.passed, graded.witness) == (
+        "graded", False, witness)
+    assert [(c.name, c.passed) for c in axioms] == [
+        ("direct-sum", False), ("similarity", False),
+        ("intertwining", False)]
+    out = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+    assert [c["residual"] for c in out["checks"][1:]] == [None] * 3
+
+
+@pytest.mark.parametrize("entry", [np.nan, 1e308])
+def test_a_value_that_is_not_finite_is_a_numerical_error(entry):
+    # the products of 1e308 entries overflow before any norm is taken;
+    # that raises no RuntimeWarning, which this suite turns into errors
+    rng = np.random.default_rng(0)
+    with pytest.raises(NumericalError):
+        verify.check_nc_properties(lambda t: np.full((t.n, t.n), entry),
+                                   _samples(rng), rng=rng)
+
+
+def test_an_nc_suite_takes_twelve_svds_and_nine_inverses(monkeypatch):
+    # per check: one SVD and one inverse for each of the three similarities
+    # and one batched SVD for every residual norm of the three axioms
+    counts = {"svd": 0, "inv": 0}
+
+    def counted(name):
+        routine = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return routine(*args, **kwargs)
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    assert verify.run_suite("nc", seed=0).passed
+    assert counts == {"svd": 12, "inv": 9}
+
+
+def test_padded_norms_keep_every_quotient():
+    # zero padding to 6 x 6 leaves each matrix's largest singular value
+    rng = np.random.default_rng(7)
+    shapes = [(2, 2), (5, 5), (3, 6), (6, 3)]
+    nums = [ginibre(6, rng)[:r, :c] for r, c in shapes]
+    dens = [ginibre(6, rng)[:r, :c] for r, c in reversed(shapes)]
+    report = Report()
+    verify._add_quotient_checks(
+        report, {"x": [({"k": k}, a, b) for k, (a, b) in
+                       enumerate(zip(nums, dens))]}, 0.0)
+    want = [op_norm(a) / (1.0 + op_norm(b)) for a, b in zip(nums, dens)]
+    norms = verify._padded_norms(nums)
+    np.testing.assert_allclose(norms, [op_norm(a) for a in nums],
+                               rtol=1e-14)
+    assert report.checks[0].residual == pytest.approx(max(want), rel=1e-14)
+    assert report.checks[0].witness == {"k": 0, "residual": pytest.approx(
+        want[0], rel=1e-14)}
 
 
 def test_one_sample_is_paired_with_itself():
